@@ -78,9 +78,6 @@ class Factorization:
             raise ValueError("rotation identity fails at slots %s" % bad)
         return self
 
-    def omega_endo(self, i):
-        return TwistedMatrix.omega_identity(self.ring, self.ranks[i])
-
     def sigma_twist(self, power=1):
         """The twisted object: every map hit entrywise by sigma^power."""
         return Factorization(self.ring, self.ranks,

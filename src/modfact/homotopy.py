@@ -13,6 +13,16 @@ theta^{n-1}(A^{r_{n-1} Y}) followed by the canonical counit; homs into a
 trivial object are free on one component, which makes that system linear
 too. Both are exact over a commutative base; over a skew base both run a
 degree-bounded prime-field solve and the verdict says so.
+
+Each decider hands one of two solve engines its linear map as image(u,
+poly), the morphism that poly placed in unknown u alone maps to. The
+witness map is assembled directly from the memoized composites of x and
+y, one outer product per slot (_witness_image), without running
+reconstruct_from_witness; the trivial-factorization maps are built by
+their construction. The engines only solve. Every positive answer is
+rebuilt from the solution and compared bit for bit with f: a witness
+through reconstruct_from_witness, a factorization by composing it with
+the counit. stable_hom's witness-ideal relations use the same image.
 """
 
 from .fields import PrimeField
@@ -200,6 +210,9 @@ class TrivialFactorization:
 
 
 # -- shared linear-solve engines --
+#
+# image(u, poly) returns the entries of its morphism flattened as
+# _flatten_polys does: component by component, row by row.
 
 def _flatten_polys(f):
     vec = []
@@ -209,77 +222,41 @@ def _flatten_polys(f):
     return vec
 
 
-def _solve_exact(ring, unit_count, build, f):
-    """Coefficients c (polys) with build(c) == f, for build A-linear; or None."""
+def _counit_image(unit_count, build_g, eps):
+    """image(u, poly) of coeffs -> build_g(coeffs) then eps, probed through
+    that construction one unknown at a time."""
+
+    def image(u, poly):
+        coeffs = [[]] * unit_count
+        coeffs[u] = poly
+        return _flatten_polys(build_g(coeffs).then(eps))
+
+    return image
+
+
+def _solve_exact(ring, unit_count, image, f):
+    """Polys c_u with sum_u image(u, c_u) == f, or None; image A-linear.
+
+    The system has one row image(u, 1) per unknown and is solved by
+    Hermite form over the commutative base, so None is a definitive no.
+    Nothing is verified here: the caller rebuilds its answer from c and
+    compares it with f (a witness through reconstruct_from_witness).
+    """
     one = ring.from_int(1)
-    zero = []
-    rows = []
-    for u in range(unit_count):
-        coeffs = [zero] * unit_count
-        coeffs[u] = one
-        rows.append(_flatten_polys(build(coeffs)))
+    rows = [image(u, one) for u in range(unit_count)]
     sol = solve_right(ring, rows, [_flatten_polys(f)])
     if sol is None:
         return None
-    coeffs = [ring.trim(c) for c in sol[0]]
-    if build(coeffs) != f:
-        return None
-    return coeffs
+    return [ring.trim(c) for c in sol[0]]
 
 
-def _flatten_fp(fld, e, dmax, f):
-    vec = []
-    for comp in f.components:
-        for row in comp.m:
-            for poly in row:
-                for d in range(dmax + 1):
-                    c = poly[d] if d < len(poly) else fld.zero
-                    vec.extend(prime_coords(fld, c))
-    return vec
-
-
-def _solve_bounded(ring, unit_count, bound, build, f):
-    """Polys c_u of degree <= bound with build(c) == f, via a prime-field
-    solve; build only needs to be additive and prime-subfield homogeneous."""
-    fld = ring.field
-    e = prime_degree(fld)
-    pf = PrimeField(fld.p)
-    units = []
-    cands = []
-    dmax = max((ring.deg(p) for comp in f.components for row in comp.m
-                for p in row), default=-1)
-    for u in range(unit_count):
-        for m in range(bound + 1):
-            for c in range(e):
-                coeffs = [[] for _ in range(unit_count)]
-                coords = [0] * e
-                coords[c] = 1
-                poly = [fld.zero] * m + [from_prime_coords(fld, coords)]
-                coeffs[u] = poly
-                cand = build(coeffs)
-                units.append((u, m, c))
-                cands.append(cand)
-                for comp in cand.components:
-                    for row in comp.m:
-                        for p in row:
-                            if ring.deg(p) > dmax:
-                                dmax = ring.deg(p)
-    if dmax < 0:
-        dmax = 0
-    rows = [_flatten_fp(fld, e, dmax, cand) for cand in cands]
-    sol = kmat_solve(pf, rows, [_flatten_fp(fld, e, dmax, f)])
-    if sol is None:
-        return None
-    coeff_coords = [[[0] * e for _ in range(bound + 1)] for _ in range(unit_count)]
-    for (u, m, c), val in zip(units, sol[0]):
-        coeff_coords[u][m][c] = val % fld.p
-    coeffs = []
-    for u in range(unit_count):
-        poly = [from_prime_coords(fld, coords) for coords in coeff_coords[u]]
-        coeffs.append(ring.trim(poly))
-    if build(coeffs) != f:
-        return None
-    return coeffs
+def _flatten_fp(fld, dmax, vec):
+    out = []
+    for poly in vec:
+        for d in range(dmax + 1):
+            c = poly[d] if d < len(poly) else fld.zero
+            out.extend(prime_coords(fld, c))
+    return out
 
 
 def _entry_degree_bound(f):
@@ -295,6 +272,59 @@ def _entry_degree_bound(f):
     return best
 
 
+def _solve_bounded(ring, unit_count, image, f, escalations):
+    """(coeffs, bound): polys c_u of degree <= bound with
+    sum_u image(u, c_u) == f, found by a prime-field solve; image only
+    needs to be additive and prime-subfield homogeneous.
+
+    The unknowns are the F_p-coordinates of each coefficient of each c_u,
+    with one row image(u, c x^m) per unit c of F_q over F_p. The bound
+    starts at (max entry degree) + deg omega and rises by deg omega for
+    each of the escalations; every image is computed once and reused by
+    the later rounds. When no round solves, coeffs is None and bound is
+    the last one searched. As in _solve_exact, the caller verifies.
+    """
+    fld = ring.field
+    e = prime_degree(fld)
+    pf = PrimeField(fld.p)
+    target = _flatten_polys(f)
+    step = max(ring.deg(ring.omega), 1)
+    bound = _entry_degree_bound(f) + step
+    images = {}
+    for _ in range(escalations + 1):
+        units = [(u, m, c) for u in range(unit_count)
+                 for m in range(bound + 1) for c in range(e)]
+        for key in units:
+            if key not in images:
+                u, m, c = key
+                coords = [0] * e
+                coords[c] = 1
+                images[key] = image(u, [fld.zero] * m + [from_prime_coords(fld, coords)])
+        cands = [images[key] for key in units]
+        dmax = max([0] + [ring.deg(p) for vec in [target] + cands for p in vec])
+        rows = [_flatten_fp(fld, dmax, cand) for cand in cands]
+        sol = kmat_solve(pf, rows, [_flatten_fp(fld, dmax, target)])
+        if sol is not None:
+            coeff_coords = [[[0] * e for _ in range(bound + 1)]
+                            for _ in range(unit_count)]
+            for (u, m, c), val in zip(units, sol[0]):
+                coeff_coords[u][m][c] = val % fld.p
+            coeffs = [ring.trim([from_prime_coords(fld, coords) for coords in cc])
+                      for cc in coeff_coords]
+            return coeffs, bound
+        bound += step
+    return None, bound - step
+
+
+def _solve(f, unit_count, image, escalations):
+    """(coeffs, bound) from the engine that suits f's ring; bound is None
+    for the exact engine, whose None coeffs is a definitive no."""
+    ring = f.ring
+    if ring.commutative:
+        return _solve_exact(ring, unit_count, image, f), None
+    return _solve_bounded(ring, unit_count, image, f, escalations)
+
+
 # -- decider one: solve the reconstruction formula --
 
 def _witness_slots(x, y):
@@ -306,19 +336,53 @@ def _witness_slots(x, y):
     return slots
 
 
-def _witness_build(x, y, slots):
-    shapes = witness_shapes(x, y)
+def _witness_image(x, y, slots):
+    """image(u, poly) of reconstruct_from_witness, assembled directly.
+
+    f^i gets exactly one summand from h^j, the composite L h^j R of
+    reconstruct_from_witness. Composites are associative, so with t the
+    twist of h^j and t_R that of R the summand is
+    sigma^{t+t_R}(L) sigma^{t_R}(h^j) R. A witness whose one nonzero
+    entry is p at slot (j, a, b) therefore maps to the outer product of
+    column a of sigma^{t+t_R}(L), sigma^{t_R}(p) and row b of R, taken for
+    every i. The factors of each j are composed on first use.
+    """
+    n = x.n
     ring = x.ring
+    shapes = witness_shapes(x, y)
+    factors = {}
 
-    def build(coeffs):
-        mats = [[[[] for _ in range(c)] for _ in range(r)] for r, c, _ in shapes]
-        for (j, a, b), poly in zip(slots, coeffs):
-            mats[j][a][b] = poly
-        w = [TwistedMatrix(ring, m, t, rows=r, cols=c)
-             for m, (r, c, t) in zip(mats, shapes)]
-        return reconstruct_from_witness(x, y, w)
+    def factors_of(j):
+        out = factors.get(j)
+        if out is None:
+            t = shapes[j][2]
+            out = []
+            for i in range(n):
+                if j >= i:
+                    left = x.compose_range(i, j - 1)
+                    right = twisted_compose(y.compose_range(j + 1, n - 1),
+                                            y.compose_range(0, i - 1))
+                else:
+                    left = twisted_compose(x.compose_range(i, n - 1),
+                                           x.compose_range(0, j - 1))
+                    right = y.compose_range(j + 1, i - 1)
+                out.append((left.sigma_entries(t + right.twist).m, right.m,
+                            right.twist))
+            factors[j] = out
+        return out
 
-    return build
+    def image(u, poly):
+        j, a, b = slots[u]
+        vec = []
+        for left, right, twist in factors_of(j):
+            p = ring.apply_sigma(poly, twist)
+            row = right[b]
+            for lrow in left:
+                lp = ring.mul(lrow[a], p)
+                vec.extend(ring.mul(lp, q) for q in row)
+        return vec
+
+    return image
 
 
 def _witness_from_coeffs(x, y, slots, coeffs):
@@ -337,28 +401,18 @@ def is_p_null_homotopic(f, escalations=2):
     Exact over a commutative base. Over a skew base the witness degree is
     capped at (max entry degree) + deg omega and escalated that many more
     steps of deg omega; a negative is then only 'none up to the bound'.
+    A positive verdict's witness is checked with reconstruct_from_witness.
     """
     x, y = f.source, f.target
-    ring = x.ring
     slots = _witness_slots(x, y)
-    build = _witness_build(x, y, slots)
-    if ring.commutative:
-        coeffs = _solve_exact(ring, len(slots), build, f)
-        if coeffs is None:
-            return HomotopyVerdict(False)
-        w = _witness_from_coeffs(x, y, slots, coeffs)
-        assert reconstruct_from_witness(x, y, w) == f
-        return HomotopyVerdict(True, witness=w)
-    step = max(ring.deg(ring.omega), 1)
-    bound = _entry_degree_bound(f) + step
-    for _ in range(escalations + 1):
-        coeffs = _solve_bounded(ring, len(slots), bound, build, f)
-        if coeffs is not None:
-            w = _witness_from_coeffs(x, y, slots, coeffs)
-            assert reconstruct_from_witness(x, y, w) == f
-            return HomotopyVerdict(True, witness=w, bound=bound)
-        bound += step
-    return HomotopyVerdict(False, bounded=True, bound=bound - step)
+    coeffs, bound = _solve(f, len(slots), _witness_image(x, y, slots),
+                           escalations)
+    if coeffs is None:
+        return HomotopyVerdict(False, bounded=bound is not None, bound=bound)
+    w = _witness_from_coeffs(x, y, slots, coeffs)
+    if reconstruct_from_witness(x, y, w) != f:
+        raise AssertionError("solved witness does not reconstruct the morphism")
+    return HomotopyVerdict(True, witness=w, bound=bound)
 
 
 def is_stably_zero(x, escalations=2):
@@ -491,33 +545,17 @@ def factors_through_trivials(f, escalations=2):
     y's ranks; by the homotopy correspondence this must agree with
     is_p_null_homotopic, but the linear system solved here is different."""
     x, y = f.source, f.target
-    ring = x.ring
     t, eps = trivial_sum_counit(y)
     slots = _lambda_slots(x, y)
     build_g = _lambda_build(f, t, slots)
-
-    def build(coeffs):
-        return build_g(coeffs).then(eps)
-
-    if ring.commutative:
-        coeffs = _solve_exact(ring, len(slots), build, f)
-        bound = None
-    else:
-        step = max(ring.deg(ring.omega), 1)
-        bound = _entry_degree_bound(f) + step
-        coeffs = None
-        for _ in range(escalations + 1):
-            coeffs = _solve_bounded(ring, len(slots), bound, build, f)
-            if coeffs is not None:
-                break
-            bound += step
-        if coeffs is None:
-            return TrivialFactorization(False, bounded=True, bound=bound - step)
+    image = _counit_image(len(slots), build_g, eps)
+    coeffs, bound = _solve(f, len(slots), image, escalations)
     if coeffs is None:
-        return TrivialFactorization(False)
+        return TrivialFactorization(False, bounded=bound is not None, bound=bound)
     g = build_g(coeffs)
     assert g.is_valid()
-    assert g.then(eps) == f
+    if g.then(eps) != f:
+        raise AssertionError("solved factorization does not compose to the morphism")
     return TrivialFactorization(True, g=g, counit=eps, through=t, bound=bound)
 
 
@@ -525,16 +563,27 @@ def factors_through_theta0(f, escalations=2):
     """Decide whether f factors through theta^0(A^{r_0 y}) alone (the
     smaller ideal used by the cokernel correspondence)."""
     x, y = f.source, f.target
-    ring = x.ring
     eps = trivial_counit(y, 0)
-    t0 = eps.source
-    n = x.n
-    slots = []
-    r = x.ranks[n - 1]
+    build_g, unit_count = _theta0_build(x, y)
+    image = _counit_image(unit_count, build_g, eps)
+    coeffs, bound = _solve(f, unit_count, image, escalations)
+    if coeffs is None:
+        return TrivialFactorization(False, bounded=bound is not None, bound=bound)
+    g = build_g(coeffs)
+    assert g.is_valid()
+    if g.then(eps) != f:
+        raise AssertionError("solved factorization does not compose to the morphism")
+    return TrivialFactorization(True, g=g, counit=eps, through=eps.source,
+                                bound=bound)
+
+
+def _theta0_build(x, y):
+    """(build_g, unit_count): build_g maps the entries of an
+    r_{n-1}(x) x r_0(y) parameter to its morphism x -> theta^0."""
+    ring = x.ring
+    r = x.ranks[x.n - 1]
     c = y.ranks[0]
-    for a in range(r):
-        for b in range(c):
-            slots.append((a, b))
+    slots = [(a, b) for a in range(r) for b in range(c)]
 
     def build_g(coeffs):
         mat = [[[] for _ in range(c)] for _ in range(r)]
@@ -542,29 +591,7 @@ def factors_through_theta0(f, escalations=2):
             mat[a][b] = poly
         return trivial_hom(x, 0, TwistedMatrix(ring, mat, 0, rows=r, cols=c))
 
-    def build(coeffs):
-        return build_g(coeffs).then(eps)
-
-    if ring.commutative:
-        coeffs = _solve_exact(ring, len(slots), build, f)
-        if coeffs is None:
-            return TrivialFactorization(False)
-        bound = None
-    else:
-        step = max(ring.deg(ring.omega), 1)
-        bound = _entry_degree_bound(f) + step
-        coeffs = None
-        for _ in range(escalations + 1):
-            coeffs = _solve_bounded(ring, len(slots), bound, build, f)
-            if coeffs is not None:
-                break
-            bound += step
-        if coeffs is None:
-            return TrivialFactorization(False, bounded=True, bound=bound - step)
-    g = build_g(coeffs)
-    assert g.is_valid()
-    assert g.then(eps) == f
-    return TrivialFactorization(True, g=g, counit=eps, through=t0, bound=bound)
+    return build_g, len(slots)
 
 
 # -- the morphism module and its stable quotient (commutative case) --
@@ -618,12 +645,23 @@ class HomSpace:
         return Morphism(self.x, self.y, self._components([self.ring.trim(c)
                                                           for c in row]))
 
+    def combination(self, coeffs):
+        """The morphism sum_k coeffs[k] * basis[k]."""
+        ring = self.ring
+        coords = [[] for _ in self.slots]
+        for c, row in zip(coeffs, self.basis_rows):
+            for u in range(len(coords)):
+                coords[u] = ring.add(coords[u], ring.mul(c, row[u]))
+        return self.from_coords(coords)
+
     def coordinates(self, f):
         """Basis coordinates of a valid morphism f (None only if f is not
         in the span, which would mean f fails the commuting squares)."""
         if f.source != self.x or f.target != self.y:
             raise ValueError("morphism endpoints do not match this hom space")
-        vec = _flatten_polys(f)
+        return self._vector_coordinates(_flatten_polys(f))
+
+    def _vector_coordinates(self, vec):
         if not self.basis_rows:
             return [] if all(not p for p in vec) else None
         sol = solve_right(self.ring, self.basis_rows, [vec])
@@ -669,12 +707,13 @@ class StableHomReport:
             reps = []
             for t in range(b):
                 diag = d[t][t] if t < rows and t < b else []
+                # row t of v_inv writes generator t in the hom basis
                 if not diag:
                     facs.append([])
-                    reps.append(hom.from_coords(v_inv[t]))
+                    reps.append(hom.combination(v_inv[t]))
                 elif ring.deg(diag) > 0:
                     facs.append(list(diag))
-                    reps.append(hom.from_coords(v_inv[t]))
+                    reps.append(hom.combination(v_inv[t]))
             self.invariant_factors = facs
             self.representatives = reps
         self.k_dimension = None
@@ -712,29 +751,18 @@ def stable_hom(x, y, ideal="all"):
     if ideal not in ("all", "theta0"):
         raise ValueError("ideal must be 'all' or 'theta0'")
     hom = HomSpace(x, y)
-    ring = x.ring
-    rel = []
     if ideal == "all":
         slots = _witness_slots(x, y)
-        build = _witness_build(x, y, slots)
+        image = _witness_image(x, y, slots)
+        unit_count = len(slots)
     else:
         eps = trivial_counit(y, 0)
-        n = x.n
-        slots = [(a, b) for a in range(x.ranks[n - 1]) for b in range(y.ranks[0])]
-
-        def build(coeffs):
-            mat = [[[] for _ in range(y.ranks[0])] for _ in range(x.ranks[n - 1])]
-            for (a, b), poly in zip(slots, coeffs):
-                mat[a][b] = poly
-            lam = TwistedMatrix(ring, mat, 0, rows=x.ranks[n - 1], cols=y.ranks[0])
-            return trivial_hom(x, 0, lam).then(eps)
-
-    one = ring.from_int(1)
-    for u in range(len(slots)):
-        coeffs = [[]] * len(slots)
-        coeffs[u] = one
-        g = build(coeffs)
-        row = hom.coordinates(g)
+        build_g, unit_count = _theta0_build(x, y)
+        image = _counit_image(unit_count, build_g, eps)
+    one = x.ring.from_int(1)
+    rel = []
+    for u in range(unit_count):
+        row = hom._vector_coordinates(image(u, one))
         assert row is not None, "null morphism escaped the hom space"
         rel.append(row)
     return StableHomReport(hom, rel, ideal)

@@ -213,12 +213,6 @@ def mat_copy(m):
     return [[list(e) for e in row] for row in m]
 
 
-def mat_transpose(m):
-    if not m:
-        return []
-    return [[list(m[i][j]) for i in range(len(m))] for j in range(len(m[0]))]
-
-
 def mat_is_zero(m):
     return all(not e for row in m for e in row)
 

@@ -184,10 +184,6 @@ def kmat_mul(fld, a, b):
     return out
 
 
-def kmat_add(fld, a, b):
-    return [[fld.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def kmat_sub(fld, a, b):
     return [[fld.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 

@@ -341,13 +341,8 @@ def random_hom_element(rng, x, y, max_deg=2, hom=None):
         hom = HomSpace(x, y)
     if hom.rank == 0:
         return Morphism.zero(x, y)
-    ring = x.ring
-    coeffs = [ring.random_poly(rng, max_deg) for _ in range(hom.rank)]
-    coords = [[] for _ in range(len(hom.slots))]
-    for c, row in zip(coeffs, hom.basis_rows):
-        for u in range(len(coords)):
-            coords[u] = ring.add(coords[u], ring.mul(c, row[u]))
-    f = hom.from_coords(coords)
+    coeffs = [x.ring.random_poly(rng, max_deg) for _ in range(hom.rank)]
+    f = hom.combination(coeffs)
     f.assert_valid()
     return f
 

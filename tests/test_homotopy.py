@@ -3,12 +3,13 @@ import random
 import pytest
 
 from modfact.matrices import TwistedMatrix, mat_mul
+from modfact import randomgen as rg
 from modfact.factorizations import (Morphism, theta, omega_morphism, shift,
                                     shift_morphism, direct_sum_morphism)
 import modfact.homotopy as ho
 
 from common import (R5x2, R5x3, RQ2, RS, RS1, X2, X3, X2Q, X2b, XS, XSneg,
-                    mk, one)
+                    mk, one, ring_q)
 
 rng = random.Random(7)
 
@@ -178,3 +179,53 @@ def test_skew_negative_is_only_bounded():
 def test_skew_theta_objects_are_stably_zero():
     assert ho.is_stably_zero(theta(RS, 2, 1, 2)).null
     assert ho.is_stably_zero(theta(RS1, 1, 0, 1)).null
+
+
+def test_rank_two_endomorphisms_are_decided_by_both_deciders():
+    rng2 = random.Random(13)
+    for _ in range(6):
+        w = ho.random_witness(rng2, X2b, X2b, 2)
+        f = ho.reconstruct_from_witness(X2b, X2b, w)
+        assert ho.is_p_null_homotopic(f).null
+        assert ho.factors_through_trivials(f).factors
+
+
+def test_witness_image_matches_reconstruction():
+    # one polynomial in one witness slot, assembled directly, against the
+    # morphism reconstruct_from_witness bounds with that one-entry witness
+    rng2 = random.Random(11)
+    for ring in rg.default_instances():
+        for n in range(1, 5):
+            for _ in range(2):
+                x = rg.random_object(ring, rng2, n, max_rank=2)
+                y = rg.random_object(ring, rng2, n, max_rank=2)
+                slots = ho._witness_slots(x, y)
+                image = ho._witness_image(x, y, slots)
+                for _ in range(3):
+                    u = rng2.randrange(len(slots))
+                    p = ring.random_poly(rng2, 3)
+                    coeffs = [[] for _ in slots]
+                    coeffs[u] = p
+                    w = ho._witness_from_coeffs(x, y, slots, coeffs)
+                    f = ho.reconstruct_from_witness(x, y, w)
+                    assert image(u, p) == ho._flatten_polys(f)
+
+
+def test_stable_hom_representatives_are_morphisms():
+    rng2 = random.Random(5)
+    rq = ring_q([0, 0, 0, 1])
+    pairs = [(X2, X2), (X2Q, X2Q), (X3, X3), (X2b, X2b), (X2, X2b)]
+    pairs += [(rg.random_object(rq, rng2, 2, max_rank=1),
+               rg.random_object(rq, rng2, 2, max_rank=1)) for _ in range(4)]
+    seen = 0
+    for X, Y in pairs:
+        for ideal in ("all", "theta0"):
+            sh = ho.stable_hom(X, Y, ideal)
+            assert len(sh.representatives) == len(sh.invariant_factors)
+            for f in sh.representatives:
+                assert f.is_valid()
+                seen += 1
+                if ideal == "all":
+                    # each one generates a nonzero summand of the stable hom
+                    assert not ho.is_p_null_homotopic(f).null
+    assert seen >= 10
