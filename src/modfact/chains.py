@@ -634,7 +634,7 @@ def chain_factors_projective(f):
     return sol is not None
 
 
-def faithfulness_report(f, escalations=2):
+def faithfulness_report(f):
     """Both chain-level criteria against their homotopy counterparts.
 
     zero_routes compares 'the chain map vanishes' with 'f factors through
@@ -644,16 +644,14 @@ def faithfulness_report(f, escalations=2):
     """
     g = cok0_morphism(f)
     chain_zero = g.is_zero_map()
-    theta0 = homotopy.factors_through_theta0(f, escalations=escalations)
+    theta0 = homotopy.factors_through_theta0(f)
     out = {"zero_chain": chain_zero,
            "theta0": theta0.factors,
-           "zero_agree": chain_zero == theta0.factors,
-           "zero_bounded": theta0.bounded}
+           "zero_agree": chain_zero == theta0.factors}
     if f.source.ring.commutative:
         proj = chain_factors_projective(f)
-        null = homotopy.is_p_null_homotopic(f, escalations=escalations)
+        null = homotopy.is_p_null_homotopic(f)
         out.update({"projective_chain": proj,
                     "null_homotopic": null.null,
-                    "null_agree": proj == null.null,
-                    "null_bounded": null.bounded})
+                    "null_agree": proj == null.null})
     return out

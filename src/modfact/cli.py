@@ -6,8 +6,9 @@ construction, and emits a machine-readable JSON report (stdout, or the
 timestamps, so a fixed seed gives byte-identical output.
 
 Exit codes: 0 pass, 2 property failure, 3 input error, 4 unsupported
-ring operation, 5 completed with a bounded verdict only (the skew
-searches cannot certify a negative).
+ring operation, 5 chain-iso found no isomorphism within its search
+budget and could not rule one out. Homotopy verdicts are definitive on
+every ring, so homotopy-check, stably-zero and recollement end in 0 or 2.
 """
 
 import argparse
@@ -29,7 +30,7 @@ from .laws import Scenario, run_suites, suite_names
 from . import jsonio
 from . import randomgen as rg
 
-PASS, FAIL, BAD_INPUT, BAD_RING, BOUNDED = 0, 2, 3, 4, 5
+PASS, FAIL, BAD_INPUT, BAD_RING, INCONCLUSIVE = 0, 2, 3, 4, 5
 
 
 def _default_ring():
@@ -144,7 +145,7 @@ def cmd_homotopy_check(args):
     if bad:
         raise jsonio.InputError("input is not a morphism; squares fail at "
                                 "slots %s" % bad)
-    verdict = is_p_null_homotopic(f, escalations=args.escalations)
+    verdict = is_p_null_homotopic(f)
     report = {"command": "homotopy-check", "verdict": verdict.to_json()}
     if verdict.null:
         rebuilt = reconstruct_from_witness(f.source, f.target, verdict.witness)
@@ -152,10 +153,6 @@ def cmd_homotopy_check(args):
         human = ["null homotopic; witness reconstructs the morphism: %s"
                  % report["witness_reconstructs"]]
         code = PASS if report["witness_reconstructs"] else FAIL
-    elif verdict.bounded:
-        human = ["no witness up to degree %s (bounded search only)"
-                 % verdict.bound]
-        code = BOUNDED
     else:
         human = ["not null homotopic"]
         code = PASS
@@ -177,13 +174,10 @@ def cmd_stable_hom(args):
 def cmd_stably_zero(args):
     ring = _maybe_ring(args)
     x = jsonio.load_factorization(args.path, ring)
-    verdict = is_stably_zero(x, escalations=args.escalations)
+    verdict = is_stably_zero(x)
     report = {"command": "stably-zero", "verdict": verdict.to_json()}
     if verdict.null:
         return PASS, report, ["stably zero (identity is null homotopic)"]
-    if verdict.bounded:
-        return BOUNDED, report, ["no witness up to degree %s (bounded search "
-                                 "only)" % verdict.bound]
     return PASS, report, ["not stably zero"]
 
 
@@ -215,7 +209,7 @@ def cmd_chain_iso(args):
         return PASS, report, ["chain isomorphism found"]
     if res.definitive:
         return FAIL, report, ["chains are not isomorphic: %s" % res.reason]
-    return BOUNDED, report, ["no isomorphism found within the search budget"]
+    return INCONCLUSIVE, report, ["no isomorphism found within the search budget"]
 
 
 def cmd_phi(args):
@@ -246,7 +240,6 @@ def cmd_recollement(args):
     checks = {"section_identities": 0, "section_identities_morphism": 0,
               "triangles": 0, "kernel_stably_zero": 0}
     failures = []
-    bounded = 0
     if args.path:
         zs = [jsonio.load_factorization(args.path, sc.ring)]
     else:
@@ -272,25 +265,19 @@ def cmd_recollement(args):
             checks["triangles"] += 1
         else:
             failures.append("an adjunction triangle identity fails")
-        verdict = rec.kernel_stably_zero(z, escalations=args.escalations)
-        if verdict.null:
+        if rec.kernel_stably_zero(z).null:
             checks["kernel_stably_zero"] += 1
-        elif verdict.bounded:
-            bounded += 1
         else:
             failures.append("an included object survives the quotient")
     report = {"command": "recollement", "fold": args.fold,
               "level": args.level, "cases": len(zs), "checks": checks,
-              "bounded_negatives": bounded, "failures": failures[:20],
+              "failures": failures[:20],
               "passed": not failures}
     human = ["(%d, %d): %d cases, %s" % (args.fold, args.level, len(zs),
                                          "all checks pass" if not failures
                                          else "%d failures" % len(failures))]
     if failures:
         return FAIL, report, human
-    if bounded:
-        human.append("%d kernel checks ended with bounded verdicts" % bounded)
-        return BOUNDED, report, human
     return PASS, report, human
 
 
@@ -342,8 +329,6 @@ def build_parser():
         p.add_argument("--max-deg", type=int, default=2, metavar="D")
         p.add_argument("--cases", type=int, default=cases_default, metavar="C",
                        help="randomized cases per suite")
-        p.add_argument("--escalations", type=int, default=2, metavar="E",
-                       help="degree-bound escalations for bounded searches")
         p.add_argument("--json", metavar="OUT", default="-",
                        help="write the JSON report here (default stdout)")
 

@@ -190,8 +190,13 @@ class Morphism:
 
 
 def omega_morphism(x):
-    """omega * identity; an endomorphism only in the commutative case."""
-    return Morphism.identity(x).scale_central(x.ring.omega)
+    """omega * identity as a morphism x -> x.sigma_twist(-1), because
+    d omega = omega sigma^{-1}(d); the target is x itself when the induced
+    automorphism is trivial, as over every commutative base."""
+    ring = x.ring
+    y = x.sigma_twist(-1) if ring.auto_power else x
+    return Morphism(x, y, [TwistedMatrix.scalar(ring, r, ring.omega)
+                           for r in x.ranks])
 
 
 # -- trivial objects --

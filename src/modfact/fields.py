@@ -10,14 +10,31 @@ range(p) for a prime field, tuple of e ints for F_{p^e}.
 from fractions import Fraction
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson & Webster, Math. Comp. 86, 2017); larger p are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin; ValueError for n >= MR_LIMIT."""
+    if n >= MR_LIMIT:
+        raise ValueError("%d is beyond the deterministic primality range" % n)
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        y = pow(b, d, n)
+        if y in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -11,13 +11,14 @@ reconstruction formula for the witness directly. factors_through_trivials
 solves for a factorization through theta^0(A^{r_0 Y}) + ... +
 theta^{n-1}(A^{r_{n-1} Y}) followed by the canonical counit; homs into a
 trivial object are free on one component, which makes that system linear
-too. Both are exact over a commutative base; over a skew base both run a
-degree-bounded prime-field solve and the verdict says so.
+too. Both are definitive over every base ring: a commutative base is
+solved exactly by Hermite form, a skew one by a single prime-field solve
+modulo omega completed by an explicit h^{n-1} (_solve_mod_omega).
 
-Each decider hands one of two solve engines its linear map as image(u,
-poly), the morphism that poly placed in unknown u alone maps to. The
-witness map is assembled directly from the memoized composites of x and
-y, one outer product per slot (_witness_image), without running
+Each decider hands a solve engine its linear map as image(u, poly), the
+morphism that poly placed in unknown u alone maps to. The witness map is
+assembled directly from the memoized composites of x and y, one outer
+product per slot (_witness_image), without running
 reconstruct_from_witness; the trivial-factorization maps are built by
 their construction. The engines only solve. Every positive answer is
 rebuilt from the solution and compared bit for bit with f: a witness
@@ -154,54 +155,46 @@ class HomotopyVerdict:
     """Outcome of a null-homotopy decision.
 
     null is the verdict; witness reconstructs the morphism exactly when
-    null holds. bounded marks a skew-case negative that only searched
-    witnesses up to the stated degree bound, so it is not a definitive no.
+    null holds. Every verdict is definitive: bounded is always False and
+    stays as an attribute and a JSON key for readers of older reports.
     """
 
-    def __init__(self, null, witness=None, bounded=False, bound=None):
+    bounded = False
+
+    def __init__(self, null, witness=None):
         self.null = null
         self.witness = witness
-        self.bounded = bounded
-        self.bound = bound
 
     def __bool__(self):
         return self.null
 
     def __repr__(self):
-        if self.null:
-            return "<null-homotopic>"
-        if self.bounded:
-            return "<no witness up to degree %s>" % self.bound
-        return "<not null-homotopic>"
+        return "<null-homotopic>" if self.null else "<not null-homotopic>"
 
     def to_json(self):
         out = {"null_homotopic": self.null, "bounded": self.bounded}
-        if self.bound is not None:
-            out["degree_bound"] = self.bound
         if self.witness is not None:
             out["witness"] = witness_to_json(self.witness)
         return out
 
 
 class TrivialFactorization:
-    """Outcome of the factor-through-trivials decision; g then counit = f."""
+    """Outcome of the factor-through-trivials decision; g then counit = f.
+    As for HomotopyVerdict, bounded is always False."""
 
-    def __init__(self, factors, g=None, counit=None, through=None,
-                 bounded=False, bound=None):
+    bounded = False
+
+    def __init__(self, factors, g=None, counit=None, through=None):
         self.factors = factors
         self.g = g
         self.counit = counit
         self.through = through
-        self.bounded = bounded
-        self.bound = bound
 
     def __bool__(self):
         return self.factors
 
     def to_json(self):
         out = {"factors_through_trivials": self.factors, "bounded": self.bounded}
-        if self.bound is not None:
-            out["degree_bound"] = self.bound
         if self.g is not None:
             out["into_trivial_sum"] = self.g.to_json()
             out["counit"] = self.counit.to_json()
@@ -259,70 +252,65 @@ def _flatten_fp(fld, dmax, vec):
     return out
 
 
-def _entry_degree_bound(f):
-    x, y = f.source, f.target
-    best = 0
-    for mats in (x.maps, y.maps, f.components):
-        for mat in mats:
-            for row in mat.m:
-                for p in row:
-                    d = x.ring.deg(p)
-                    if d > best:
-                        best = d
-    return best
+def _solve_mod_omega(ring, unit_count, image, f, top):
+    """Polys c_u with sum_u image(u, c_u) == f, or None, a definitive no.
 
+    image must be additive, prime-subfield homogeneous, and map omega*A
+    into entries divisible by omega. The unknowns from top on form a
+    row-major r_{n-1}(x) x r_0(y) block whose image is the morphism that
+    reconstruct_from_witness bounds with that block as h^{n-1}.
 
-def _solve_bounded(ring, unit_count, image, f, escalations):
-    """(coeffs, bound): polys c_u of degree <= bound with
-    sum_u image(u, c_u) == f, found by a prime-field solve; image only
-    needs to be additive and prime-subfield homogeneous.
-
-    The unknowns are the F_p-coordinates of each coefficient of each c_u,
-    with one row image(u, c x^m) per unit c of F_q over F_p. The bound
-    starts at (max entry degree) + deg omega and rises by deg omega for
-    each of the escalations; every image is computed once and reused by
-    the later rounds. When no round solves, coeffs is None and bound is
-    the last one searched. As in _solve_exact, the caller verifies.
+    omega is normal, so (omega) = A omega = omega A, and writing c_u =
+    c_low + omega c_high with deg c_low < deg omega shows that f must be
+    image(c_low) modulo omega: one prime-field system, with an unknown
+    per u, per x^d below deg omega and per unit of F_q over F_p. With a
+    solution the remainder f - image(c_low), for a morphism f, is a
+    morphism with top component K omega; as d_y^{n-1} d_y^0 ... d_y^{n-2}
+    = omega I, the block K d_y^{n-1} maps onto all of it and is added to
+    the top block. As in _solve_exact, the caller verifies.
     """
     fld = ring.field
     e = prime_degree(fld)
-    pf = PrimeField(fld.p)
+    m = ring.omega_deg
+    units = [(u, d, c) for u in range(unit_count) for d in range(m)
+             for c in range(e)]
+    rows = []
+    for u, d, c in units:
+        coords = [0] * e
+        coords[c] = 1
+        cand = image(u, [fld.zero] * d + [from_prime_coords(fld, coords)])
+        rows.append(_flatten_fp(fld, m - 1, map(ring.quotient_reduce, cand)))
     target = _flatten_polys(f)
-    step = max(ring.deg(ring.omega), 1)
-    bound = _entry_degree_bound(f) + step
-    images = {}
-    for _ in range(escalations + 1):
-        units = [(u, m, c) for u in range(unit_count)
-                 for m in range(bound + 1) for c in range(e)]
-        for key in units:
-            if key not in images:
-                u, m, c = key
-                coords = [0] * e
-                coords[c] = 1
-                images[key] = image(u, [fld.zero] * m + [from_prime_coords(fld, coords)])
-        cands = [images[key] for key in units]
-        dmax = max([0] + [ring.deg(p) for vec in [target] + cands for p in vec])
-        rows = [_flatten_fp(fld, dmax, cand) for cand in cands]
-        sol = kmat_solve(pf, rows, [_flatten_fp(fld, dmax, target)])
-        if sol is not None:
-            coeff_coords = [[[0] * e for _ in range(bound + 1)]
-                            for _ in range(unit_count)]
-            for (u, m, c), val in zip(units, sol[0]):
-                coeff_coords[u][m][c] = val % fld.p
-            coeffs = [ring.trim([from_prime_coords(fld, coords) for coords in cc])
-                      for cc in coeff_coords]
-            return coeffs, bound
-        bound += step
-    return None, bound - step
+    rhs = _flatten_fp(fld, m - 1, map(ring.quotient_reduce, target))
+    sol = kmat_solve(PrimeField(fld.p), rows, [rhs])
+    if sol is None:
+        return None
+    coeff_coords = [[[0] * e for _ in range(m)] for _ in range(unit_count)]
+    for (u, d, c), val in zip(units, sol[0]):
+        coeff_coords[u][d][c] = val % fld.p
+    coeffs = [ring.trim([from_prime_coords(fld, coords) for coords in cc])
+              for cc in coeff_coords]
+    rest = target
+    for u, poly in enumerate(coeffs):
+        if poly:
+            rest = [ring.sub(a, b) for a, b in zip(rest, image(u, poly))]
+    r, width = f.source.ranks[-1], f.target.ranks[-1]
+    top_rest = rest[len(rest) - r * width:]
+    k = [[ring.right_quo_rem(p, ring.omega)[0]
+          for p in top_rest[a * width:(a + 1) * width]] for a in range(r)]
+    block = mat_mul(ring, k, f.target.maps[-1].m) if r else []
+    for i, p in enumerate(p for row in block for p in row):
+        coeffs[top + i] = ring.add(coeffs[top + i], p)
+    return coeffs
 
 
-def _solve(f, unit_count, image, escalations):
-    """(coeffs, bound) from the engine that suits f's ring; bound is None
-    for the exact engine, whose None coeffs is a definitive no."""
+def _solve(f, unit_count, image, top):
+    """Coefficients from the engine that suits f's ring, or None; either
+    way the answer is definitive."""
     ring = f.ring
     if ring.commutative:
-        return _solve_exact(ring, unit_count, image, f), None
-    return _solve_bounded(ring, unit_count, image, f, escalations)
+        return _solve_exact(ring, unit_count, image, f)
+    return _solve_mod_omega(ring, unit_count, image, f, top)
 
 
 # -- decider one: solve the reconstruction formula --
@@ -395,43 +383,49 @@ def _witness_from_coeffs(x, y, slots, coeffs):
             for m, (r, c, t) in zip(mats, shapes)]
 
 
-def is_p_null_homotopic(f, escalations=2):
-    """Decide whether f bounds some witness.
-
-    Exact over a commutative base. Over a skew base the witness degree is
-    capped at (max entry degree) + deg omega and escalated that many more
-    steps of deg omega; a negative is then only 'none up to the bound'.
-    A positive verdict's witness is checked with reconstruct_from_witness.
+def is_p_null_homotopic(f):
+    """Decide whether f bounds some witness; the verdict is definitive
+    over every base ring. A positive verdict's witness is checked with
+    reconstruct_from_witness.
     """
     x, y = f.source, f.target
     slots = _witness_slots(x, y)
-    coeffs, bound = _solve(f, len(slots), _witness_image(x, y, slots),
-                           escalations)
+    top = len(slots) - x.ranks[-1] * y.ranks[0]
+    coeffs = _solve(f, len(slots), _witness_image(x, y, slots), top)
     if coeffs is None:
-        return HomotopyVerdict(False, bounded=bound is not None, bound=bound)
+        return HomotopyVerdict(False)
     w = _witness_from_coeffs(x, y, slots, coeffs)
-    if reconstruct_from_witness(x, y, w) != f:
-        raise AssertionError("solved witness does not reconstruct the morphism")
-    return HomotopyVerdict(True, witness=w, bound=bound)
+    if not _rebuilds(f, reconstruct_from_witness(x, y, w), "witness"):
+        return HomotopyVerdict(False)
+    return HomotopyVerdict(True, witness=w)
 
 
-def is_stably_zero(x, escalations=2):
+def _rebuilds(f, rebuilt, what):
+    """Whether a solved answer rebuilds f; only a non-morphism f, which
+    the mod-omega engine may solve but not complete, fails."""
+    if rebuilt == f:
+        return True
+    if f.is_valid():
+        raise AssertionError("solved %s does not rebuild the morphism" % what)
+    return False
+
+
+def is_stably_zero(x):
     """True iff the identity of x is null-homotopic (x vanishes stably)."""
-    return is_p_null_homotopic(Morphism.identity(x), escalations)
+    return is_p_null_homotopic(Morphism.identity(x))
 
 
-def is_stable_iso_pair(f, g, escalations=2):
+def is_stable_iso_pair(f, g):
     """Verify that f and g are mutually inverse in the stable category.
 
     Returns (ok, bounded): both composites minus identities must be
-    null-homotopic; bounded is set when a skew negative relied on the
-    degree cap (so 'not ok' is then inconclusive).
+    null-homotopic. Every verdict is definitive, so bounded is False.
     """
     if f.source != g.target or f.target != g.source:
         raise ValueError("candidate pair endpoints do not match")
-    v1 = is_p_null_homotopic(f.then(g).sub(Morphism.identity(f.source)), escalations)
-    v2 = is_p_null_homotopic(g.then(f).sub(Morphism.identity(g.source)), escalations)
-    return (v1.null and v2.null, v1.bounded or v2.bounded)
+    v1 = is_p_null_homotopic(f.then(g).sub(Morphism.identity(f.source)))
+    v2 = is_p_null_homotopic(g.then(f).sub(Morphism.identity(g.source)))
+    return (v1.null and v2.null, False)
 
 
 # -- decider two: factor through the trivial objects --
@@ -540,41 +534,41 @@ def _lambda_build(f, t, slots):
     return build
 
 
-def factors_through_trivials(f, escalations=2):
+def factors_through_trivials(f):
     """Decide whether f factors through the sum of all trivial objects on
     y's ranks; by the homotopy correspondence this must agree with
-    is_p_null_homotopic, but the linear system solved here is different."""
+    is_p_null_homotopic, but the linear system solved here is different.
+    The i = 0 parameter block comes first, so it is the engine's top."""
     x, y = f.source, f.target
     t, eps = trivial_sum_counit(y)
     slots = _lambda_slots(x, y)
     build_g = _lambda_build(f, t, slots)
     image = _counit_image(len(slots), build_g, eps)
-    coeffs, bound = _solve(f, len(slots), image, escalations)
+    coeffs = _solve(f, len(slots), image, 0)
     if coeffs is None:
-        return TrivialFactorization(False, bounded=bound is not None, bound=bound)
+        return TrivialFactorization(False)
     g = build_g(coeffs)
     assert g.is_valid()
-    if g.then(eps) != f:
-        raise AssertionError("solved factorization does not compose to the morphism")
-    return TrivialFactorization(True, g=g, counit=eps, through=t, bound=bound)
+    if not _rebuilds(f, g.then(eps), "factorization"):
+        return TrivialFactorization(False)
+    return TrivialFactorization(True, g=g, counit=eps, through=t)
 
 
-def factors_through_theta0(f, escalations=2):
+def factors_through_theta0(f):
     """Decide whether f factors through theta^0(A^{r_0 y}) alone (the
     smaller ideal used by the cokernel correspondence)."""
     x, y = f.source, f.target
     eps = trivial_counit(y, 0)
     build_g, unit_count = _theta0_build(x, y)
     image = _counit_image(unit_count, build_g, eps)
-    coeffs, bound = _solve(f, unit_count, image, escalations)
+    coeffs = _solve(f, unit_count, image, 0)
     if coeffs is None:
-        return TrivialFactorization(False, bounded=bound is not None, bound=bound)
+        return TrivialFactorization(False)
     g = build_g(coeffs)
     assert g.is_valid()
-    if g.then(eps) != f:
-        raise AssertionError("solved factorization does not compose to the morphism")
-    return TrivialFactorization(True, g=g, counit=eps, through=eps.source,
-                                bound=bound)
+    if not _rebuilds(f, g.then(eps), "factorization"):
+        return TrivialFactorization(False)
+    return TrivialFactorization(True, g=g, counit=eps, through=eps.source)
 
 
 def _theta0_build(x, y):
@@ -659,13 +653,15 @@ class HomSpace:
         in the span, which would mean f fails the commuting squares)."""
         if f.source != self.x or f.target != self.y:
             raise ValueError("morphism endpoints do not match this hom space")
-        return self._vector_coordinates(_flatten_polys(f))
-
-    def _vector_coordinates(self, vec):
-        if not self.basis_rows:
-            return [] if all(not p for p in vec) else None
-        sol = solve_right(self.ring, self.basis_rows, [vec])
+        sol = self._vector_coordinates([_flatten_polys(f)])
         return None if sol is None else sol[0]
+
+    def _vector_coordinates(self, vecs):
+        """Basis coordinates of each vector, from one solve; None when some
+        vector is outside the span."""
+        if not self.basis_rows:
+            return None if any(p for vec in vecs for p in vec) else [[] for _ in vecs]
+        return solve_right(self.ring, self.basis_rows, vecs)
 
     @property
     def rank(self):
@@ -760,9 +756,6 @@ def stable_hom(x, y, ideal="all"):
         build_g, unit_count = _theta0_build(x, y)
         image = _counit_image(unit_count, build_g, eps)
     one = x.ring.from_int(1)
-    rel = []
-    for u in range(unit_count):
-        row = hom._vector_coordinates(image(u, one))
-        assert row is not None, "null morphism escaped the hom space"
-        rel.append(row)
+    rel = hom._vector_coordinates([image(u, one) for u in range(unit_count)])
+    assert rel is not None, "null morphism escaped the hom space"
     return StableHomReport(hom, rel, ideal)

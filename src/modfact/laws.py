@@ -620,7 +620,7 @@ def _recollement(sc, rng, rep):
                      "recollement triangles (%d,%d)" % (n, k))
             w = rec.inc.obj(z)
             rep.case(w.is_valid(), "included object is valid (%d,%d)" % (n, k))
-            verdict = rec.kernel_stably_zero(z, escalations=3)
+            verdict = rec.kernel_stably_zero(z)
             rep.case(bool(verdict.null),
                      "included objects die under the quotient (%d,%d)" % (n, k))
 
@@ -642,7 +642,7 @@ def _skew_soundness(sc, rng, rep):
         rep.case(check_witness(x, y, w), "constructed witness verifies")
         v = is_p_null_homotopic(f)
         ok = bool(v.null) and reconstruct_from_witness(x, y, v.witness) == f
-        rep.case(ok, "bounded solver returns an exactly verifying witness")
+        rep.case(ok, "the mod-omega decider returns an exactly verifying witness")
         vz = is_p_null_homotopic(Morphism.zero(x, y))
         rep.case(bool(vz.null), "zero morphism is null")
 

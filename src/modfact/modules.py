@@ -8,7 +8,7 @@ x-action and for any A-linear map given on generators.
 
 The k-matrix helpers at the bottom (kmat_*) run plain Gaussian elimination
 over a coefficient field and back the finite-dimensional searches in
-chains.py and the bounded skew solver in homotopy.py.
+chains.py and the skew solver modulo omega in homotopy.py.
 """
 
 from .matrices import TwistedMatrix, hermite_form, mat_mul

@@ -229,11 +229,11 @@ class Recollement:
                 and self.adj_right.triangle_left(y)
                 and self.adj_right.triangle_right(x))
 
-    def kernel_stably_zero(self, z, escalations=2):
+    def kernel_stably_zero(self, z):
         """Objects included from F_{n-k+1} die under the quotient."""
         w = self.inc.obj(z)
         q = self.quotient.obj(w)
-        return is_stably_zero(q, escalations=escalations)
+        return is_stably_zero(q)
 
 
 def recollement(n, k):

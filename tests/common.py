@@ -68,5 +68,5 @@ XS = mk(RS, [2, 2], [
     [[xs, [u4]], [[], xs]],
     [[xs, [u4sq]], [[], xs]],
 ])
-# skew (x, x): not stably trivial, only a bounded verdict is available
+# skew (x, x): not stably trivial; the mod-omega deciders say so definitively
 XSneg = mk(RS, [1, 1], [[[xs]], [[xs]]])

@@ -7,6 +7,8 @@ from modfact import randomgen as rg
 from modfact.factorizations import (Morphism, theta, omega_morphism, shift,
                                     shift_morphism, direct_sum_morphism)
 import modfact.homotopy as ho
+from modfact.fields import ExtensionField
+from modfact.rings import BaseRing
 
 from common import (R5x2, R5x3, RQ2, RS, RS1, X2, X3, X2Q, X2b, XS, XSneg,
                     mk, one, ring_q)
@@ -169,11 +171,13 @@ def test_unit_off_diagonal_objects_are_stably_trivial():
     assert ho.is_stably_zero(X2b).null  # same phenomenon commutatively
 
 
-def test_skew_negative_is_only_bounded():
+def test_skew_negative_is_definitive():
     vneg = ho.is_p_null_homotopic(Morphism.identity(XSneg))
-    assert not vneg.null and vneg.bounded
+    assert not vneg.null and not vneg.bounded
+    assert vneg.to_json() == {"null_homotopic": False, "bounded": False}
     rneg = ho.factors_through_trivials(Morphism.identity(XSneg))
-    assert not rneg.factors and rneg.bounded
+    assert not rneg.factors and not rneg.bounded
+    assert not ho.factors_through_theta0(Morphism.identity(XSneg)).factors
 
 
 def test_skew_theta_objects_are_stably_zero():
@@ -229,3 +233,84 @@ def test_stable_hom_representatives_are_morphisms():
                     # each one generates a nonzero summand of the stable hom
                     assert not ho.is_p_null_homotopic(f).null
     assert seen >= 10
+
+
+def _skew_instances():
+    # the stock F_4 rings, whose induced automorphism is an involution or
+    # the identity, and an F_8 ring where it has order 3
+    f8 = ExtensionField(2, 3)
+    return [r for r in rg.default_instances() if not r.commutative] + [
+        BaseRing(f8, 1, [f8.zero, f8.zero, f8.one])]
+
+
+def test_skew_deciders_complete_multiples_of_omega():
+    # witnesses and theta^0 parameters of degree >= deg omega leave the
+    # engine a nonzero remainder omega g; each positive must rebuild
+    rng2 = random.Random(17)
+    completed = 0
+    for ring in _skew_instances():
+        for n in (1, 2, 3):
+            for _ in range(3):
+                x = rg.random_object(ring, rng2, n, max_rank=2)
+                y = rg.random_object(ring, rng2, n, max_rank=2)
+                w = ho.random_witness(rng2, x, y, max_deg=ring.omega_deg + 2)
+                f = ho.reconstruct_from_witness(x, y, w)
+                v = ho.is_p_null_homotopic(f)
+                assert v.null and ho.reconstruct_from_witness(x, y, v.witness) == f
+                completed += any(ring.deg(p) >= ring.omega_deg
+                                 for row in v.witness[-1].m for p in row)
+                t = ho.factors_through_trivials(f)
+                assert t.factors and t.g.then(t.counit) == f
+                lam = TwistedMatrix(ring, [[ring.random_poly(rng2, ring.omega_deg + 2)
+                                            for _ in range(y.ranks[0])]
+                                           for _ in range(x.ranks[-1])], 0)
+                g = ho.trivial_hom(x, 0, lam).then(ho.trivial_counit(y, 0))
+                t0 = ho.factors_through_theta0(g)
+                assert t0.factors and t0.g.then(t0.counit) == g
+                om = omega_morphism(x)
+                assert om.is_valid()
+                v = ho.is_p_null_homotopic(om)
+                assert v.null and ho.reconstruct_from_witness(x, om.target, v.witness) == om
+                for decide in (ho.factors_through_trivials, ho.factors_through_theta0):
+                    t = decide(om)
+                    assert t.factors and t.g.then(t.counit) == om
+    assert completed > 0
+
+
+def test_skew_engine_solves_one_system(monkeypatch):
+    # one prime-field system per decision, deg omega * e unknowns per slot
+    # and as many equations per morphism entry: no escalation rounds
+    shapes = []
+    real = ho.kmat_solve
+
+    def recording(fld, m, rhs):
+        shapes.append((len(m), len(rhs[0])))
+        return real(fld, m, rhs)
+
+    monkeypatch.setattr(ho, "kmat_solve", recording)
+    rng2 = random.Random(19)
+    for ring in _skew_instances():
+        per_entry = ring.omega_deg * ring.field.e
+        for n in (1, 2, 3):
+            x = rg.random_object(ring, rng2, n, max_rank=2)
+            f, _ = rg.random_null_morphism(rng2, x, x)
+            entries = sum(r * r for r in x.ranks)
+            for decide, slots in (
+                    (ho.is_p_null_homotopic, len(ho._witness_slots(x, x))),
+                    (ho.factors_through_trivials, len(ho._lambda_slots(x, x))),
+                    (ho.factors_through_theta0, x.ranks[-1] * x.ranks[0])):
+                for g in (f, Morphism.identity(x)):
+                    del shapes[:]
+                    decide(g)
+                    assert shapes == [(slots * per_entry, entries * per_entry)]
+
+
+def test_non_morphism_is_not_null_on_every_engine():
+    for x in (X2, XS):
+        ring = x.ring
+        comps = [TwistedMatrix.scalar(ring, r, ring.omega) for r in x.ranks]
+        comps[0] = TwistedMatrix.zero(ring, x.ranks[0], x.ranks[0])
+        f = Morphism(x, x, comps)
+        assert not f.is_valid()
+        assert not ho.is_p_null_homotopic(f).null
+        assert not ho.factors_through_trivials(f).factors

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from modfact.fields import RationalField, PrimeField, ExtensionField, field_from_json
+from modfact.fields import (RationalField, PrimeField, ExtensionField, field_from_json,
+                            is_prime, MR_LIMIT)
 from modfact.rings import BaseRing, NotNormalError
 
 from common import R5x3, RQ2, RS, RS1
@@ -137,3 +138,19 @@ def test_skew_auto_power_matches_omega_degree():
     # omega = x^2 over F_4 with sigma = Frob composes to Frob^2 = id on F_4
     assert RS.auto_power == 0
     assert RS1.auto_power == 1
+
+
+def test_is_prime_matches_trial_division_and_rejects_pseudoprimes():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    assert [n for n in range(-3, 5000) if is_prime(n)] == \
+        [n for n in range(-3, 5000) if trial(n)]
+    # Carmichael numbers and strong pseudoprimes to the first 4, 9 and 12
+    # prime bases
+    for n in (561, 1105, 3215031751, 3825123056546413051,
+              318665857834031151167461, 1000000007 * 2147483647):
+        assert not is_prime(n)
+    for n in (2 ** 31 - 1, 1000000007, 999999999999999989, 2 ** 61 - 1):
+        assert is_prime(n)
+    with pytest.raises(ValueError):
+        is_prime(MR_LIMIT)
