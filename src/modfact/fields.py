@@ -3,11 +3,13 @@
 Every field object exposes the same small protocol (zero, one, add, sub,
 neg, mul, inv, frob, from_int, is_zero, elem_to_json, elem_from_json) so
 the polynomial layer in rings.py never needs to branch on the field kind.
-Elements are plain Python values: Fraction for the rationals, int in
-range(p) for a prime field, tuple of e ints for F_{p^e}.
+Elements are plain Python values: for the rationals an int when integral
+and a reduced Fraction otherwise, int in range(p) for a prime field, tuple
+of e ints for F_{p^e}.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -127,14 +129,37 @@ def _irreducible(f, p):
     return True
 
 
+def _canonical(c):
+    """The canonical form of a rational: an int when integral, else a Fraction."""
+    if c.__class__ is int:
+        return c
+    return c.numerator if c.denominator == 1 else c
+
+
+def _q_add(na, da, nb, db):
+    """na/da + nb/db for reduced operands, in canonical form. This is
+    Fraction's own addition without its operator dispatch, and it builds no
+    Fraction for an integral sum."""
+    g = gcd(da, db)
+    if g == 1:
+        n, d = na * db + da * nb, da * db
+    else:
+        s = da // g
+        n = na * (db // g) + nb * s
+        g2 = gcd(n, g)
+        n, d = n // g2, s * (db // g2)
+    return n if d == 1 else Fraction(n, d)
+
+
 class RationalField:
+    """Q. An integral element is an int and any other a reduced Fraction, so
+    most arithmetic stays on ints; operations accept either form."""
+
     kind = "rationals"
     char = 0
     card = None
-
-    def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+    zero = 0
+    one = 1
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -142,38 +167,57 @@ class RationalField:
     def __hash__(self):
         return hash(("field", "Q"))
 
+    # add, sub and mul carry nearly all the calls: both operands ints is
+    # the common case, and the others skip Fraction's operator dispatch
+
     def add(self, a, b):
-        return a + b
+        if a.__class__ is int and b.__class__ is int:
+            return a + b
+        return _q_add(a.numerator, a.denominator, b.numerator, b.denominator)
 
     def sub(self, a, b):
-        return a - b
+        if a.__class__ is int and b.__class__ is int:
+            return a - b
+        return _q_add(a.numerator, a.denominator, -b.numerator, b.denominator)
 
     def neg(self, a):
-        return -a
+        return _canonical(-a)
 
     def mul(self, a, b):
-        return a * b
+        if a.__class__ is int and b.__class__ is int:
+            return a * b
+        na, da = a.numerator, a.denominator
+        nb, db = b.numerator, b.denominator
+        g1 = gcd(na, db)
+        g2 = gcd(nb, da)
+        n = (na // g1) * (nb // g2)
+        d = (da // g2) * (db // g1)
+        return n if d == 1 else Fraction(n, d)
 
     def inv(self, a):
-        return 1 / a
+        if a.__class__ is int and (a == 1 or a == -1):
+            return a
+        # never 1 / a: for an int that is a float; Fraction(n, 0) raises
+        # ZeroDivisionError
+        return _canonical(Fraction(a.denominator, a.numerator))
 
     def is_zero(self, a):
         return a == 0
 
     def from_int(self, n):
-        return Fraction(n)
+        return int(n)
 
     def coerce(self, a):
         # ints and Fractions are fine; floats would corrupt exactness
         if isinstance(a, float):
             raise TypeError("rational coefficients must be Fraction or int, not float")
-        return Fraction(a)
+        return _canonical(Fraction(a))
 
     def frob(self, a, power=1):
         return a
 
     def random(self, rng):
-        return Fraction(rng.randint(-3, 3))
+        return rng.randint(-3, 3)
 
     def pretty(self, a):
         return str(a)
@@ -184,7 +228,7 @@ class RationalField:
     def elem_from_json(self, data):
         if not isinstance(data, str):
             raise ValueError("rational elements encode as strings: %r" % (data,))
-        return Fraction(data)
+        return _canonical(Fraction(data))
 
     def to_json(self):
         return {"kind": "rationals"}

@@ -114,7 +114,7 @@ class TwistedMatrix:
             raise ValueError("composite shape mismatch: %dx%d then %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
         left = self.sigma_entries(other.twist).m if other.twist else self.m
-        prod = mat_mul(self.ring, left, other.m)
+        prod = mat_mul(self.ring, left, other.m, (self.rows, self.cols, other.cols))
         return TwistedMatrix(self.ring, prod, self.twist + other.twist,
                              self.rows, other.cols)
 
@@ -185,11 +185,16 @@ def twisted_compose(*maps):
 
 # -- raw matrices: bare lists of coefficient-list polynomials --
 
-def mat_mul(ring, a, b):
-    ra, ca = len(a), len(a[0]) if a else 0
-    rb, cb = len(b), len(b[0]) if b else 0
-    if ca != rb:
-        raise ValueError("matrix product shape mismatch")
+def mat_mul(ring, a, b, shape=None):
+    """The product a*b. A matrix without rows does not show its width, so a
+    caller that knows (rows of a, cols of a, cols of b) passes them as shape."""
+    if shape is None:
+        ra, ca = len(a), len(a[0]) if a else 0
+        rb, cb = len(b), len(b[0]) if b else 0
+        if ca != rb:
+            raise ValueError("matrix product shape mismatch")
+    else:
+        ra, ca, cb = shape
     out = [[[] for _ in range(cb)] for _ in range(ra)]
     for i in range(ra):
         arow = a[i]

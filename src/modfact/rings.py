@@ -62,7 +62,7 @@ class BaseRing:
                 and other.sigma_power == self.sigma_power and other.omega == self.omega)
 
     def __hash__(self):
-        return hash((self.field, self.sigma_power, tuple(map(repr, self.omega))))
+        return hash((self.field, self.sigma_power, tuple(self.omega)))
 
     # -- basic polynomial arithmetic --
 

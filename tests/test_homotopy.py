@@ -314,3 +314,17 @@ def test_non_morphism_is_not_null_on_every_engine():
         assert not f.is_valid()
         assert not ho.is_p_null_homotopic(f).null
         assert not ho.factors_through_trivials(f).factors
+
+
+def test_deciders_agree_on_rank_zero_sources_and_targets():
+    # a matrix without rows must keep its width through composites, or
+    # the factorizations through trivial objects fail to validate
+    rng2 = random.Random(17)
+    for ring in rg.default_instances():
+        for n in (1, 2, 3):
+            x = rg.random_object(ring, rng2, n, max_rank=2)
+            z = theta(ring, n, rng2.randrange(n), 0)
+            for f in (Morphism.zero(z, x), Morphism.zero(x, z)):
+                assert ho.is_p_null_homotopic(f).null
+                assert ho.factors_through_trivials(f).factors
+                assert ho.factors_through_theta0(f).factors

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 
 from modfact.fields import (RationalField, PrimeField, ExtensionField, field_from_json,
                             is_prime, MR_LIMIT)
-from modfact.rings import BaseRing, NotNormalError
+from modfact.rings import BaseRing, NotNormalError, ring_from_json
 
 from common import R5x3, RQ2, RS, RS1
 
@@ -132,6 +132,17 @@ def test_ring_json_roundtrip():
         back = BaseRing(field_from_json(data["field"]), data["sigma_power"],
                         [ring.field.elem_from_json(c) for c in data["omega"]])
         assert back == ring
+
+
+def test_rational_rings_are_equal_and_hash_alike_whatever_their_input():
+    from_fractions = BaseRing(RationalField(), 0, [Fraction(0), Fraction(-1), Fraction(1)])
+    from_ints = BaseRing(RationalField(), 0, [0, -1, 1])
+    from_json = ring_from_json({"field": {"kind": "rationals"}, "omega": ["0", "-2/2", "1"]})
+    rings = [from_fractions, from_ints, from_json]
+    for ring in rings:
+        assert ring == from_ints and hash(ring) == hash(from_ints)
+        assert all(type(c) is int for c in ring.omega)
+    assert len(set(rings)) == 1
 
 
 def test_skew_auto_power_matches_omega_degree():
