@@ -24,7 +24,7 @@ from .rings import UnsupportedRingError
 from .matrices import (TwistedMatrix, mat_mul, mat_identity, hermite_form,
                        left_kernel, solve_right, smith_form, invariant_factors)
 from .modules import (ModulePresentation, kmat_mul, kmat_sub, kmat_is_zero,
-                      kmat_nullspace, kmat_inv)
+                      kmat_nullspace, kmat_inv, kmat_rank)
 from .factorizations import Factorization
 from . import homotopy
 
@@ -268,7 +268,6 @@ def chain_is_mono(c):
     Injectivity is read off the k-linearizations; the returned slot is the
     1-based index of the first failing map.
     """
-    from .modules import kmat_rank
     for i in range(len(c.maps)):
         src = c.modules[i].linearization()
         tgt = c.modules[i + 1].linearization()

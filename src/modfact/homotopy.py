@@ -11,9 +11,12 @@ reconstruction formula for the witness directly. factors_through_trivials
 solves for a factorization through theta^0(A^{r_0 Y}) + ... +
 theta^{n-1}(A^{r_{n-1} Y}) followed by the canonical counit; homs into a
 trivial object are free on one component, which makes that system linear
-too. Both are definitive over every base ring: a commutative base is
-solved exactly by Hermite form, a skew one by a single prime-field solve
-modulo omega completed by an explicit h^{n-1} (_solve_mod_omega).
+too. factors_through_theta0 is the same decider on the summand theta^0
+alone, the smaller ideal of the cokernel correspondence: both hand
+_factors_through the list of trivial summands, range(n) or [0]. Every
+decider is definitive over every base ring: a commutative base is solved
+exactly by Hermite form, a skew one by a single prime-field solve modulo
+omega completed by an explicit h^{n-1} (_solve_mod_omega).
 
 Each decider hands a solve engine its linear map as image(u, poly), the
 morphism that poly placed in unknown u alone maps to. The witness map is
@@ -23,7 +26,9 @@ reconstruct_from_witness; the trivial-factorization maps are built by
 their construction. The engines only solve. Every positive answer is
 rebuilt from the solution and compared bit for bit with f: a witness
 through reconstruct_from_witness, a factorization by composing it with
-the counit. stable_hom's witness-ideal relations use the same image.
+the counit. stable_hom takes its relations from the same images: the
+witness map for ideal='all', the theta^0 factorization map for
+ideal='theta0'.
 """
 
 from .fields import PrimeField
@@ -416,16 +421,13 @@ def is_stably_zero(x):
 
 
 def is_stable_iso_pair(f, g):
-    """Verify that f and g are mutually inverse in the stable category.
-
-    Returns (ok, bounded): both composites minus identities must be
-    null-homotopic. Every verdict is definitive, so bounded is False.
-    """
+    """Whether f and g are mutually inverse in the stable category: both
+    composites minus identities must be null-homotopic."""
     if f.source != g.target or f.target != g.source:
         raise ValueError("candidate pair endpoints do not match")
     v1 = is_p_null_homotopic(f.then(g).sub(Morphism.identity(f.source)))
     v2 = is_p_null_homotopic(g.then(f).sub(Morphism.identity(g.source)))
-    return (v1.null and v2.null, False)
+    return v1.null and v2.null
 
 
 # -- decider two: factor through the trivial objects --
@@ -480,14 +482,13 @@ def trivial_counit(y, i):
     return Morphism(theta(ring, n, i, m), y, comps)
 
 
-def trivial_sum_counit(y):
-    """The trivial sum T = theta^0(A^{r_0}) + ... + theta^{n-1}(A^{r_{n-1}})
-    and the stacked counit T -> y."""
+def trivial_sum_counit(y, indices):
+    """The trivial sum T of theta^i(A^{r_i y}) over i in indices, in that
+    order, and the stacked counit T -> y."""
     ring = y.ring
     n = y.n
-    parts = [theta(ring, n, i, y.ranks[i]) for i in range(n)]
-    t = direct_sum(parts)
-    counits = [trivial_counit(y, i) for i in range(n)]
+    t = direct_sum([theta(ring, n, i, y.ranks[i]) for i in indices])
+    counits = [trivial_counit(y, i) for i in indices]
     comps = []
     for j in range(n):
         rows = []
@@ -497,31 +498,32 @@ def trivial_sum_counit(y):
     return t, Morphism(t, y, comps)
 
 
-def _lambda_slots(x, y):
+def _lambda_slots(x, y, indices):
+    """Unknowns (i, a, b) of the r_{i-1}(x) x r_i(y) parameters, block by
+    block in the order of indices, each block row-major."""
     n = x.n
     slots = []
-    for i in range(n):
-        r = x.ranks[(i - 1) % n]
-        c = y.ranks[i]
-        for a in range(r):
-            for b in range(c):
+    for i in indices:
+        for a in range(x.ranks[(i - 1) % n]):
+            for b in range(y.ranks[i]):
                 slots.append((i, a, b))
     return slots
 
 
-def _lambda_build(f, t, slots):
-    x, y = f.source, f.target
+def _lambda_build(x, y, t, indices, slots):
+    """build_g: the parameters' entries, in slot order, to the morphism
+    x -> t whose blocks are the trivial_homs of those parameters."""
     ring = x.ring
     n = x.n
 
     def build(coeffs):
-        mats = [[[[] for _ in range(y.ranks[i])] for _ in range(x.ranks[(i - 1) % n])]
-                for i in range(n)]
+        mats = {i: [[[] for _ in range(y.ranks[i])] for _ in range(x.ranks[(i - 1) % n])]
+                for i in indices}
         for (i, a, b), poly in zip(slots, coeffs):
             mats[i][a][b] = poly
         parts = [trivial_hom(x, i, TwistedMatrix(
             ring, mats[i], 0, rows=x.ranks[(i - 1) % n], cols=y.ranks[i]))
-            for i in range(n)]
+            for i in indices]
         comps = []
         for j in range(n):
             block = [[] for _ in range(x.ranks[j])]
@@ -534,15 +536,14 @@ def _lambda_build(f, t, slots):
     return build
 
 
-def factors_through_trivials(f):
-    """Decide whether f factors through the sum of all trivial objects on
-    y's ranks; by the homotopy correspondence this must agree with
-    is_p_null_homotopic, but the linear system solved here is different.
-    The i = 0 parameter block comes first, so it is the engine's top."""
+def _factors_through(f, indices):
+    """Decide whether f factors as x -> T -> y through the trivial sum T
+    of trivial_sum_counit(y, indices). indices starts at 0, so the i = 0
+    parameter block, which acts as h^{n-1}, is the engine's top."""
     x, y = f.source, f.target
-    t, eps = trivial_sum_counit(y)
-    slots = _lambda_slots(x, y)
-    build_g = _lambda_build(f, t, slots)
+    t, eps = trivial_sum_counit(y, indices)
+    slots = _lambda_slots(x, y, indices)
+    build_g = _lambda_build(x, y, t, indices, slots)
     image = _counit_image(len(slots), build_g, eps)
     coeffs = _solve(f, len(slots), image, 0)
     if coeffs is None:
@@ -554,38 +555,17 @@ def factors_through_trivials(f):
     return TrivialFactorization(True, g=g, counit=eps, through=t)
 
 
+def factors_through_trivials(f):
+    """Decide whether f factors through the sum of all trivial objects on
+    y's ranks; by the homotopy correspondence this must agree with
+    is_p_null_homotopic, but the linear system solved here is different."""
+    return _factors_through(f, range(f.source.n))
+
+
 def factors_through_theta0(f):
     """Decide whether f factors through theta^0(A^{r_0 y}) alone (the
     smaller ideal used by the cokernel correspondence)."""
-    x, y = f.source, f.target
-    eps = trivial_counit(y, 0)
-    build_g, unit_count = _theta0_build(x, y)
-    image = _counit_image(unit_count, build_g, eps)
-    coeffs = _solve(f, unit_count, image, 0)
-    if coeffs is None:
-        return TrivialFactorization(False)
-    g = build_g(coeffs)
-    assert g.is_valid()
-    if not _rebuilds(f, g.then(eps), "factorization"):
-        return TrivialFactorization(False)
-    return TrivialFactorization(True, g=g, counit=eps, through=eps.source)
-
-
-def _theta0_build(x, y):
-    """(build_g, unit_count): build_g maps the entries of an
-    r_{n-1}(x) x r_0(y) parameter to its morphism x -> theta^0."""
-    ring = x.ring
-    r = x.ranks[x.n - 1]
-    c = y.ranks[0]
-    slots = [(a, b) for a in range(r) for b in range(c)]
-
-    def build_g(coeffs):
-        mat = [[[] for _ in range(c)] for _ in range(r)]
-        for (a, b), poly in zip(slots, coeffs):
-            mat[a][b] = poly
-        return trivial_hom(x, 0, TwistedMatrix(ring, mat, 0, rows=r, cols=c))
-
-    return build_g, len(slots)
+    return _factors_through(f, [0])
 
 
 # -- the morphism module and its stable quotient (commutative case) --
@@ -668,10 +648,6 @@ class HomSpace:
         return len(self.basis_rows)
 
 
-def hom_module(x, y):
-    return HomSpace(x, y)
-
-
 def _omega_power_divides(ring, factor):
     """True when factor divides some power of omega (checked at power deg)."""
     acc = ring.from_int(1)
@@ -750,12 +726,11 @@ def stable_hom(x, y, ideal="all"):
     if ideal == "all":
         slots = _witness_slots(x, y)
         image = _witness_image(x, y, slots)
-        unit_count = len(slots)
     else:
-        eps = trivial_counit(y, 0)
-        build_g, unit_count = _theta0_build(x, y)
-        image = _counit_image(unit_count, build_g, eps)
+        t, eps = trivial_sum_counit(y, [0])
+        slots = _lambda_slots(x, y, [0])
+        image = _counit_image(len(slots), _lambda_build(x, y, t, [0], slots), eps)
     one = x.ring.from_int(1)
-    rel = hom._vector_coordinates([image(u, one) for u in range(unit_count)])
+    rel = hom._vector_coordinates([image(u, one) for u in range(len(slots))])
     assert rel is not None, "null morphism escaped the hom space"
     return StableHomReport(hom, rel, ideal)

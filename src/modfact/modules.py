@@ -6,9 +6,13 @@ omega it can be linearized: the Hermite form of the relations yields a
 canonical normal form for cosets, a finite k-basis, and matrices for the
 x-action and for any A-linear map given on generators.
 
-The k-matrix helpers at the bottom (kmat_*) run plain Gaussian elimination
-over a coefficient field and back the finite-dimensional searches in
-chains.py and the skew solver modulo omega in homotopy.py.
+The k-matrix helpers at the bottom (kmat_*) work over a coefficient field
+and back the finite-dimensional searches in chains.py and the skew solver
+modulo omega in homotopy.py. One Gauss-Jordan routine, _kmat_eliminate,
+does all their elimination: kmat_rank runs it on a copy of the matrix,
+kmat_solve and kmat_nullspace on the matrix with an identity beside it,
+which records the row transform, and kmat_inv is kmat_solve against the
+identity.
 """
 
 from .matrices import TwistedMatrix, hermite_form, mat_mul
@@ -192,10 +196,13 @@ def kmat_is_zero(fld, a):
     return all(fld.is_zero(e) for row in a for e in row)
 
 
-def _kmat_eliminate(fld, m):
-    """In-place row echelon; returns pivot column list."""
+def _kmat_eliminate(fld, m, cols):
+    """Gauss-Jordan on the first cols columns of m, in place: every pivot
+    is 1, alone in its column, and the row operations run across whole
+    rows, so columns beyond cols record them. Returns the pivot columns;
+    pivot t sits in row t and the rows below the last pivot vanish on the
+    first cols columns."""
     rows = len(m)
-    cols = len(m[0]) if m else 0
     pivots = []
     top = 0
     for col in range(cols):
@@ -220,40 +227,24 @@ def _kmat_eliminate(fld, m):
     return pivots
 
 
+def _with_identity(fld, m):
+    """[m | I]: eliminating the m part leaves the row transform beside it."""
+    rows = len(m)
+    return [list(m[i]) + [fld.one if j == i else fld.zero for j in range(rows)]
+            for i in range(rows)]
+
+
 def kmat_rank(fld, m):
     work = [list(r) for r in m]
-    return len(_kmat_eliminate(fld, work))
+    return len(_kmat_eliminate(fld, work, len(m[0]) if m else 0))
 
 
 def kmat_solve(fld, m, rhs):
     """X with X * m = rhs over the field, or None. One output row per rhs row."""
     rows = len(m)
     cols = len(m[0]) if m else (len(rhs[0]) if rhs else 0)
-    # eliminate on [m | I] to track the transform
-    aug = [list(m[i]) + [fld.one if j == i else fld.zero for j in range(rows)]
-           for i in range(rows)]
-    pivots = []
-    top = 0
-    for col in range(cols):
-        sel = None
-        for i in range(top, rows):
-            if not fld.is_zero(aug[i][col]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[top], aug[sel] = aug[sel], aug[top]
-        inv = fld.inv(aug[top][col])
-        aug[top] = [fld.mul(inv, e) for e in aug[top]]
-        for i in range(rows):
-            if i != top and not fld.is_zero(aug[i][col]):
-                c = aug[i][col]
-                aug[i] = [fld.sub(a, fld.mul(c, b)) for a, b in zip(aug[i], aug[top])]
-        pivots.append(col)
-        top += 1
-        if top == rows:
-            break
-    piv_of_col = {c: r for r, c in enumerate(pivots)}
+    aug = _with_identity(fld, m)
+    piv_of_col = {c: r for r, c in enumerate(_kmat_eliminate(fld, aug, cols))}
     out = []
     for brow in rhs:
         if len(brow) != cols:
@@ -284,37 +275,10 @@ def kmat_solve(fld, m, rhs):
 
 def kmat_nullspace(fld, m):
     """Basis of rows v with v * m = 0."""
-    rows = len(m)
-    if rows == 0:
-        return []
-    cols = len(m[0])
-    aug = [list(m[i]) + [fld.one if j == i else fld.zero for j in range(rows)]
-           for i in range(rows)]
-    # eliminate only on the first cols columns
-    top = 0
-    for col in range(cols):
-        sel = None
-        for i in range(top, rows):
-            if not fld.is_zero(aug[i][col]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[top], aug[sel] = aug[sel], aug[top]
-        inv = fld.inv(aug[top][col])
-        aug[top] = [fld.mul(inv, e) for e in aug[top]]
-        for i in range(rows):
-            if i != top and not fld.is_zero(aug[i][col]):
-                c = aug[i][col]
-                aug[i] = [fld.sub(a, fld.mul(c, b)) for a, b in zip(aug[i], aug[top])]
-        top += 1
-        if top == rows:
-            break
-    out = []
-    for i in range(top, rows):
-        if all(fld.is_zero(e) for e in aug[i][:cols]):
-            out.append(aug[i][cols:])
-    return out
+    cols = len(m[0]) if m else 0
+    aug = _with_identity(fld, m)
+    rank = len(_kmat_eliminate(fld, aug, cols))
+    return [row[cols:] for row in aug[rank:]]
 
 
 def kmat_inv(fld, m):

@@ -81,8 +81,9 @@ def test_trivial_homs_and_counits_are_valid():
                                        for _ in range(r)], 0, rows=r, cols=2)
             ho.trivial_hom(X, i, lam).assert_valid()
             ho.trivial_counit(X, i).assert_valid()
-        t, eps = ho.trivial_sum_counit(X)
-        eps.assert_valid()
+        for indices in (range(X.n), [0]):
+            t, eps = ho.trivial_sum_counit(X, indices)
+            eps.assert_valid()
 
 
 def test_witness_decomposes_as_sum_of_counit_composites():
@@ -116,7 +117,7 @@ def test_counit_composite_factors_through_theta0():
 
 def test_hom_module_of_theta_pair():
     th = theta(R5x2, 2, 0, 1)
-    assert ho.hom_module(th, th).rank == 1
+    assert ho.HomSpace(th, th).rank == 1
     sh = ho.stable_hom(th, th)
     assert sh.is_zero() and sh.k_dimension == 0
 
@@ -154,7 +155,8 @@ def test_witness_transports():
 
 
 def test_identity_pair_is_stable_iso():
-    assert ho.is_stable_iso_pair(Morphism.identity(X2), Morphism.identity(X2)) == (True, False)
+    assert ho.is_stable_iso_pair(Morphism.identity(X2), Morphism.identity(X2)) is True
+    assert ho.is_stable_iso_pair(Morphism.zero(X2, X2), Morphism.zero(X2, X2)) is False
 
 
 def test_skew_bounded_decider_finds_constructed_witnesses():
@@ -295,14 +297,39 @@ def test_skew_engine_solves_one_system(monkeypatch):
             x = rg.random_object(ring, rng2, n, max_rank=2)
             f, _ = rg.random_null_morphism(rng2, x, x)
             entries = sum(r * r for r in x.ranks)
+            lambdas = len(ho._lambda_slots(x, x, range(n)))
+            assert lambdas == sum(x.ranks[i - 1] * x.ranks[i] for i in range(n))
             for decide, slots in (
                     (ho.is_p_null_homotopic, len(ho._witness_slots(x, x))),
-                    (ho.factors_through_trivials, len(ho._lambda_slots(x, x))),
+                    (ho.factors_through_trivials, lambdas),
                     (ho.factors_through_theta0, x.ranks[-1] * x.ranks[0])):
                 for g in (f, Morphism.identity(x)):
                     del shapes[:]
                     decide(g)
                     assert shapes == [(slots * per_entry, entries * per_entry)]
+
+
+def test_theta0_factorization_is_the_one_block_trivial_sum():
+    # factors_through_theta0 is the trivial-sum decider on the index list
+    # [0]: it must factor through theta^0 itself by the plain counit, with
+    # the i = 0 slots first and row-major as in the full sum
+    rng2 = random.Random(23)
+    for ring in rg.default_instances():
+        for n in (1, 2, 3):
+            x = rg.random_object(ring, rng2, n, max_rank=2)
+            y = rg.random_object(ring, rng2, n, max_rank=2)
+            r, c = x.ranks[-1], y.ranks[0]
+            assert ho._lambda_slots(x, y, [0]) == [(0, a, b) for a in range(r)
+                                                   for b in range(c)]
+            assert ho._lambda_slots(x, y, range(n))[:r * c] == ho._lambda_slots(x, y, [0])
+            lam = TwistedMatrix(ring, [[ring.random_poly(rng2, 2) for _ in range(c)]
+                                       for _ in range(r)], 0, rows=r, cols=c)
+            g = ho.trivial_hom(x, 0, lam).then(ho.trivial_counit(y, 0))
+            for f in (g, Morphism.zero(x, y)):
+                t = ho.factors_through_theta0(f)
+                assert t.factors and t.g.then(t.counit) == f
+                assert t.through == theta(ring, n, 0, y.ranks[0])
+                assert t.counit == ho.trivial_counit(y, 0)
 
 
 def test_non_morphism_is_not_null_on_every_engine():
