@@ -99,7 +99,7 @@ class ChainModule:
     def from_json(ring, data):
         if "modules" not in data or "maps" not in data:
             raise ValueError("chain needs 'modules' and 'maps'")
-        mods = [ModulePresentation.from_json(ring, m, abar=True)
+        mods = [ModulePresentation.from_json(ring, m)
                 for m in data["modules"]]
         n = int(data.get("n", len(mods) + 1))
         maps = []
@@ -211,7 +211,7 @@ class ChainMorphism:
 
 
 def zero_chain(ring, n):
-    mods = [ModulePresentation(ring, 0, [], abar=True) for _ in range(n - 1)]
+    mods = [ModulePresentation(ring, 0, []) for _ in range(n - 1)]
     return ChainModule(ring, mods, [[] for _ in range(max(n - 2, 0))], n=n)
 
 
@@ -229,9 +229,9 @@ def staircase_chain(ring, n, j, m=1):
     maps = []
     for i in range(1, n):
         if i < j or j == 0:
-            mods.append(ModulePresentation(ring, 0, [], abar=True))
+            mods.append(ModulePresentation(ring, 0, []))
         else:
-            mods.append(ModulePresentation(ring, m, omega_rows, abar=True))
+            mods.append(ModulePresentation(ring, m, omega_rows))
     for i in range(1, n - 1):
         if i + 1 < j or j == 0:
             maps.append([])
@@ -249,17 +249,15 @@ def cok0(x):
     mods = []
     for i in range(1, n):
         rel = x.compose_range(0, i - 1).m
-        mods.append(ModulePresentation(ring, x.ranks[i], rel, abar=True))
+        mods.append(ModulePresentation(ring, x.ranks[i], rel))
     maps = [x.maps[i].m for i in range(1, n - 1)]
     return ChainModule(ring, mods, maps, n=n)
 
 
-def cok0_morphism(f, source_chain=None, target_chain=None):
+def cok0_morphism(f):
     """Transport a factorization morphism to its chain of induced maps."""
-    src = source_chain if source_chain is not None else cok0(f.source)
-    tgt = target_chain if target_chain is not None else cok0(f.target)
     comps = [f.components[i].m for i in range(1, f.source.n)]
-    return ChainMorphism(src, tgt, comps)
+    return ChainMorphism(cok0(f.source), cok0(f.target), comps)
 
 
 def chain_is_mono(c):
@@ -482,7 +480,11 @@ def _reshape(fld, vec, shapes):
     return out
 
 
-def chain_iso(c, d, rng=None, tries=64):
+# random combinations of the chain-map space that chain_iso tests
+_ISO_TRIES = 64
+
+
+def chain_iso(c, d, rng=None):
     """Decide isomorphism of chains by slot invariants plus a k-linear search.
 
     Differing invariant factors at any slot give a definitive negative.
@@ -515,7 +517,7 @@ def chain_iso(c, d, rng=None, tries=64):
     fld = ring.field
     if rng is None:
         rng = _random.Random(20260814)
-    for attempt in range(tries):
+    for attempt in range(_ISO_TRIES):
         if attempt < len(basis):
             vec = list(basis[attempt])
         else:
@@ -528,7 +530,8 @@ def chain_iso(c, d, rng=None, tries=64):
         if all(kmat_inv(fld, m) is not None for m in mats):
             return ChainIsoResult(True, True, forward=mats)
     return ChainIsoResult(False, False,
-                          reason="no invertible combination in %d tries" % tries)
+                          reason="no invertible combination in %d tries"
+                          % _ISO_TRIES)
 
 
 # -- faithfulness of the chain picture, both routes computed independently --

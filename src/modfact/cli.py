@@ -5,6 +5,12 @@ construction, and emits a machine-readable JSON report (stdout, or the
 --json target) plus a short human summary on stderr.  Reports carry no
 timestamps, so a fixed seed gives byte-identical output.
 
+Each verb declares only the options it reads.  All take --ring and
+--json.  functor adds --i/--a, lift adds --n, chain-iso adds --seed, and
+the randomized verbs recollement and laws add the sampling flags --seed,
+--max-rank, --max-deg and --cases (laws also --suite and --n).  Any
+other flag is a usage error.
+
 Exit codes: 0 pass, 2 property failure, 3 input error, 4 unsupported
 ring operation, 5 chain-iso found no isomorphism within its search
 budget and could not rule one out. Homotopy verdicts are definitive on
@@ -45,11 +51,10 @@ def _ring_for(args):
     return _default_ring()
 
 
-def _scenario(args, cases=None):
-    folds = (args.n,) if args.n else (1, 2, 3, 4)
+def _scenario(args, folds=(1, 2, 3, 4)):
     return Scenario(_ring_for(args), seed=args.seed, folds=folds,
                     max_rank=args.max_rank, max_deg=args.max_deg,
-                    cases=cases if cases is not None else args.cases)
+                    cases=args.cases)
 
 
 def _maybe_ring(args):
@@ -111,6 +116,10 @@ def cmd_functor(args):
         raise jsonio.InputError("unknown functor %r; choose from %s"
                                 % (args.name, ", ".join(sorted(_FUNCTORS))))
     on_obj, on_mor, extra = _FUNCTORS[args.name]
+    for field in ("i", "a"):
+        if field not in extra and getattr(args, field) is not None:
+            raise jsonio.InputError("functor %r takes no --%s"
+                                    % (args.name, field))
     params = []
     for field in extra:
         value = getattr(args, field)
@@ -282,7 +291,7 @@ def cmd_recollement(args):
 
 
 def cmd_laws(args):
-    sc = _scenario(args)
+    sc = _scenario(args, (args.n,)) if args.n else _scenario(args)
     names = None
     if args.suite:
         names = [s.strip() for s in args.suite.split(",") if s.strip()]
@@ -318,94 +327,82 @@ def build_parser():
                     "normal ring element")
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def common(p, cases_default=24):
+    def verb(name, fn, summary):
+        # every verb reads --ring and --json; the others are added per verb
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--ring", metavar="FILE",
                        help="ring description JSON; falls back to a ring "
                             "embedded in the input, or rationals with x^3")
-        p.add_argument("--seed", type=int, default=0, metavar="N")
-        p.add_argument("--n", type=int, default=0, metavar="N",
-                       help="fold count (generators; 0 = mix of 1..4)")
-        p.add_argument("--max-rank", type=int, default=3, metavar="R")
-        p.add_argument("--max-deg", type=int, default=2, metavar="D")
-        p.add_argument("--cases", type=int, default=cases_default, metavar="C",
-                       help="randomized cases per suite")
         p.add_argument("--json", metavar="OUT", default="-",
                        help="write the JSON report here (default stdout)")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("validate", help="check rotation/square/module axioms")
+    def sampling(p):
+        p.add_argument("--seed", type=int, default=0, metavar="N")
+        p.add_argument("--max-rank", type=int, default=3, metavar="R")
+        p.add_argument("--max-deg", type=int, default=2, metavar="D")
+        p.add_argument("--cases", type=int, default=24, metavar="C",
+                       help="randomized cases")
+
+    p = verb("validate", cmd_validate, "check rotation/square/module axioms")
     p.add_argument("paths", nargs="+", metavar="PATH")
-    common(p)
-    p.set_defaults(fn=cmd_validate)
 
-    p = sub.add_parser("functor", help="apply shift/face/degeneracy functors")
+    p = verb("functor", cmd_functor, "apply shift/face/degeneracy functors")
     p.add_argument("name", choices=sorted(_FUNCTORS))
     p.add_argument("path", metavar="PATH")
-    p.add_argument("--i", type=int, default=None, help="slot index")
-    p.add_argument("--a", type=int, default=None, help="shift power")
-    common(p)
-    p.set_defaults(fn=cmd_functor)
+    p.add_argument("--i", type=int, default=None,
+                   help="slot index (face, degeneracy)")
+    p.add_argument("--a", type=int, default=None,
+                   help="shift power (shift-power)")
 
-    p = sub.add_parser("homotopy-check",
-                       help="decide null homotopy and return a witness")
+    p = verb("homotopy-check", cmd_homotopy_check,
+             "decide null homotopy and return a witness")
     p.add_argument("path", metavar="MORPHISM")
-    common(p)
-    p.set_defaults(fn=cmd_homotopy_check)
 
-    p = sub.add_parser("stable-hom",
-                       help="invariant factors of the stable hom module")
+    p = verb("stable-hom", cmd_stable_hom,
+             "invariant factors of the stable hom module")
     p.add_argument("path_x", metavar="X")
     p.add_argument("path_y", metavar="Y")
-    common(p)
-    p.set_defaults(fn=cmd_stable_hom)
 
-    p = sub.add_parser("stably-zero",
-                       help="is the identity null homotopic")
+    p = verb("stably-zero", cmd_stably_zero, "is the identity null homotopic")
     p.add_argument("path", metavar="X")
-    common(p)
-    p.set_defaults(fn=cmd_stably_zero)
 
-    p = sub.add_parser("cok0", help="quotient chain of a factorization")
+    p = verb("cok0", cmd_cok0, "quotient chain of a factorization")
     p.add_argument("path", metavar="X")
-    common(p)
-    p.set_defaults(fn=cmd_cok0)
 
-    p = sub.add_parser("lift", help="rebuild a factorization from a chain")
+    p = verb("lift", cmd_lift, "rebuild a factorization from a chain")
     p.add_argument("path", metavar="CHAIN")
-    common(p)
-    p.set_defaults(fn=cmd_lift)
+    p.add_argument("--n", type=int, default=0, metavar="N",
+                   help="fold count of the result (0 = the chain's)")
 
-    p = sub.add_parser("chain-iso", help="search for a chain isomorphism")
+    p = verb("chain-iso", cmd_chain_iso, "search for a chain isomorphism")
     p.add_argument("path_c", metavar="C")
     p.add_argument("path_d", metavar="D")
-    common(p)
-    p.set_defaults(fn=cmd_chain_iso)
+    p.add_argument("--seed", type=int, default=0, metavar="N",
+                   help="seed of the search over chain maps")
 
-    p = sub.add_parser("phi", help="factorization to matrix-ring module")
+    p = verb("phi", cmd_phi, "factorization to matrix-ring module")
     p.add_argument("path", metavar="X")
-    common(p)
-    p.set_defaults(fn=cmd_phi)
 
-    p = sub.add_parser("psi", help="matrix-ring module to factorization")
+    p = verb("psi", cmd_psi, "matrix-ring module to factorization")
     p.add_argument("path", metavar="GAMMA")
-    common(p)
-    p.set_defaults(fn=cmd_psi)
 
-    p = sub.add_parser("recollement",
-                       help="randomized checks of the quotient/section/"
-                            "inclusion identities")
+    p = verb("recollement", cmd_recollement,
+             "randomized checks of the quotient/section/inclusion identities")
     p.add_argument("fold", type=int, metavar="N")
     p.add_argument("level", type=int, metavar="K")
     p.add_argument("path", nargs="?", default=None, metavar="Z",
                    help="optional object to push through the inclusion")
-    common(p)
-    p.set_defaults(fn=cmd_recollement)
+    sampling(p)
 
-    p = sub.add_parser("laws", help="run the randomized law suites")
+    p = verb("laws", cmd_laws, "run the randomized law suites")
     p.add_argument("--suite", metavar="TAGS",
                    help="comma-separated suite names (default: all; known: %s)"
                         % ", ".join(suite_names()))
-    common(p)
-    p.set_defaults(fn=cmd_laws)
+    p.add_argument("--n", type=int, default=0, metavar="N",
+                   help="fold count of generated objects (0 = mix of 1..4)")
+    sampling(p)
 
     return top
 
@@ -417,9 +414,6 @@ def main(argv=None):
     except UnsupportedRingError as e:
         print("unsupported ring operation: %s" % e, file=sys.stderr)
         return BAD_RING
-    except jsonio.InputError as e:
-        print("input error: %s" % e, file=sys.stderr)
-        return BAD_INPUT
     except (ValueError, OSError) as e:
         print("input error: %s" % e, file=sys.stderr)
         return BAD_INPUT

@@ -80,13 +80,6 @@ def witness_to_json(w):
     return {"components": [h.to_json() for h in w]}
 
 
-def witness_from_json(ring, x, y, data):
-    if "components" not in data:
-        raise ValueError("witness object is missing 'components'")
-    w = [TwistedMatrix.from_json(ring, d) for d in data["components"]]
-    return check_witness(x, y, w)
-
-
 def reconstruct_from_witness(x, y, w):
     """The morphism bounded by w; each summand is a twisted composite.
 

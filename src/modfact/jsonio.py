@@ -2,11 +2,10 @@
 
 Object files use the bare encodings defined next to each class
 (factorizations as ``{"n", "ranks", "maps"}``, chains as ``{"n",
-"modules", "maps"}`` and so on).  Morphism and witness files need
-endpoint context: they either embed it under ``"source"`` / ``"target"``
-keys or the caller passes endpoints loaded from separate files.  A ring
-is normally supplied out of band (the --ring flag), but any file may
-carry a ``"ring"`` key as a fallback.
+"modules", "maps"}`` and so on).  Morphism files embed their endpoints
+under ``"source"`` / ``"target"`` keys.  A ring is normally supplied out
+of band (the --ring flag), but any file may carry a ``"ring"`` key as a
+fallback.
 """
 
 import json
@@ -15,7 +14,6 @@ from .rings import ring_from_json
 from .factorizations import Factorization, Morphism
 from .matrixring import GammaModule
 from .chains import ChainModule
-from .homotopy import witness_from_json
 
 
 class InputError(ValueError):
@@ -70,31 +68,18 @@ def load_factorization(path, ring=None):
         raise InputError("bad factorization in %s: %s" % (path, exc))
 
 
-def load_morphism(path, ring=None, source=None, target=None):
+def load_morphism(path, ring=None):
     data = read_json(path)
     ring = _resolve_ring(data, ring, path)
     try:
-        if source is None:
-            source = Factorization.from_json(ring, data["source"])
-        if target is None:
-            target = Factorization.from_json(ring, data["target"])
+        source = Factorization.from_json(ring, data["source"])
+        target = Factorization.from_json(ring, data["target"])
         return Morphism.from_json(source, target, data)
-    except InputError:
-        raise
     except KeyError as exc:
-        raise InputError("%s: morphism file lacks %s (embed source/target "
-                         "or pass --source/--target)" % (path, exc))
+        raise InputError("%s: morphism file lacks %s (source and target "
+                         "must be embedded)" % (path, exc))
     except (ValueError, TypeError, IndexError) as exc:
         raise InputError("bad morphism in %s: %s" % (path, exc))
-
-
-def load_witness(path, x, y, ring=None):
-    data = read_json(path)
-    ring = _resolve_ring(data, ring if ring is not None else x.ring, path)
-    try:
-        return witness_from_json(ring, x, y, data)
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
-        raise InputError("bad witness in %s: %s" % (path, exc))
 
 
 def load_chain(path, ring=None):

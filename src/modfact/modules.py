@@ -23,7 +23,7 @@ class NotQuotientModule(ValueError):
 
 
 class ModulePresentation:
-    def __init__(self, ring, gens, relations, abar=False):
+    def __init__(self, ring, gens, relations):
         self.ring = ring
         self.gens = gens
         self.relations = [[ring.trim(list(e)) for e in row] for row in relations]
@@ -31,7 +31,6 @@ class ModulePresentation:
             if len(row) != gens:
                 raise ValueError("relation width %d does not match %d generators"
                                  % (len(row), gens))
-        self.abar = abar
         self._lin = None
 
     def __eq__(self, other):
@@ -59,7 +58,7 @@ class ModulePresentation:
         return {"generators": self.gens, "relations": rel.to_json()}
 
     @staticmethod
-    def from_json(ring, data, abar=False):
+    def from_json(ring, data):
         if "generators" not in data or "relations" not in data:
             raise ValueError("presentation needs 'generators' and 'relations'")
         rel = TwistedMatrix.from_json(ring, data["relations"])
@@ -67,7 +66,7 @@ class ModulePresentation:
             raise ValueError("relation matrices carry twist 0")
         if rel.cols != int(data["generators"]):
             raise ValueError("relation width does not match the generator count")
-        return ModulePresentation(ring, int(data["generators"]), rel.m, abar=abar)
+        return ModulePresentation(ring, int(data["generators"]), rel.m)
 
 
 class Linearization:

@@ -274,14 +274,15 @@ def certified_nonzero(x):
     return False
 
 
-def _certified_split(ring, rng, n, tries=32):
+def _certified_split(ring, rng, n):
     """Slot factors with some proper prefix product e, gcd(e, omega/e)
-    a nonunit; None when omega is squarefree so no such split exists."""
+    a nonunit; None when omega is squarefree so no such split exists,
+    or when 32 shuffles of its atoms find none."""
     atoms = omega_atoms(ring)
     omega = ring.monic(list(ring.omega))
     if len(atoms) < 2:
         return None
-    for _ in range(tries):
+    for _ in range(32):
         pool = list(atoms)
         rng.shuffle(pool)
         t = rng.randint(1, len(pool) - 1)
@@ -400,15 +401,6 @@ def default_instances():
     for shape in ([0, 1], [0, 0, 1]):
         out.append(BaseRing(f4, 1, _poly(f4, shape)))
     return out
-
-
-def random_ring(rng, skew=None):
-    pool = default_instances()
-    if skew is True:
-        pool = [r for r in pool if r.sigma_power]
-    elif skew is False:
-        pool = [r for r in pool if not r.sigma_power]
-    return rng.choice(pool)
 
 
 def corrupt_gamma(gm, rng):

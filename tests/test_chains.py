@@ -94,14 +94,14 @@ def test_chain_iso_definitive_negatives():
 
 def test_lift_rejects_bad_chains():
     bad = ChainModule(R5x2, [
-        ModulePresentation(R5x2, 1, [[xx]], abar=True),
-        ModulePresentation(R5x2, 1, [[xx]], abar=True),
+        ModulePresentation(R5x2, 1, [[xx]]),
+        ModulePresentation(R5x2, 1, [[xx]]),
     ], [[[xx]]], n=3)
     ok, slot = chain_is_mono(bad)
     assert not ok and slot == 1
     with pytest.raises(ValueError):
         lift(bad)
-    free = ChainModule(R5x2, [ModulePresentation(R5x2, 1, [], abar=True)], [], n=2)
+    free = ChainModule(R5x2, [ModulePresentation(R5x2, 1, [])], [], n=2)
     with pytest.raises(ValueError):
         lift(free)
 

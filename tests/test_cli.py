@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 import subprocess
@@ -103,6 +104,16 @@ def test_functor_missing_index_is_input_error(paths):
     assert code == 3
 
 
+def test_functor_rejects_a_parameter_it_does_not_take(paths):
+    for name, extra in [("shift", ["--i", "2"]), ("shift-inverse", ["--a", "1"]),
+                        ("shift-power", ["--a", "2", "--i", "0"]),
+                        ("face", ["--i", "1", "--a", "1"]),
+                        ("degeneracy", ["--a", "1"])]:
+        code, out, err = run("functor", name, paths["x.json"], *extra)
+        assert code == 3 and "takes no --" in err, (name, err)
+        assert out == ""
+
+
 def test_homotopy_check_positive(paths):
     rng = paths["rng"]
     fnull, _ = random_null_morphism(rng, paths["x"], paths["y"])
@@ -113,6 +124,14 @@ def test_homotopy_check_positive(paths):
     rep = json.loads(out)
     assert code == 0 and rep["verdict"]["null_homotopic"]
     assert rep["witness_reconstructs"]
+
+
+def test_homotopy_check_needs_embedded_endpoints(paths):
+    fd = jsonio.read_json(paths["f.json"])
+    del fd["source"]
+    code, out, err = run("homotopy-check", paths["wj"]("nosource.json", fd))
+    assert code == 3 and "'source'" in err and "--" not in err
+    assert "Traceback" not in err and out == ""
 
 
 def test_homotopy_check_certified_negative(paths):
@@ -263,3 +282,53 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["passed"]
+
+
+# the options each verb reads, besides --help
+VERB_OPTIONS = {
+    "validate": {"--ring", "--json"},
+    "functor": {"--ring", "--json", "--i", "--a"},
+    "homotopy-check": {"--ring", "--json"},
+    "stable-hom": {"--ring", "--json"},
+    "stably-zero": {"--ring", "--json"},
+    "cok0": {"--ring", "--json"},
+    "lift": {"--ring", "--json", "--n"},
+    "chain-iso": {"--ring", "--json", "--seed"},
+    "phi": {"--ring", "--json"},
+    "psi": {"--ring", "--json"},
+    "recollement": {"--ring", "--json", "--seed", "--max-rank", "--max-deg",
+                    "--cases"},
+    "laws": {"--ring", "--json", "--suite", "--n", "--seed", "--max-rank",
+             "--max-deg", "--cases"},
+}
+
+
+def test_each_verb_declares_only_the_options_it_reads():
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    verbs = sub.choices
+    assert set(verbs) == set(VERB_OPTIONS)
+    total = 0
+    for name, p in verbs.items():
+        opts = [a for a in p._actions if a.option_strings
+                and not isinstance(a, argparse._HelpAction)]
+        assert {s for a in opts for s in a.option_strings} == VERB_OPTIONS[name]
+        total += len(opts)
+    assert total == 38
+
+
+def test_a_flag_the_verb_does_not_read_is_a_usage_error(paths):
+    for argv in (["validate", paths["x.json"], "--cases", "2"],
+                 ["cok0", paths["x.json"], "--seed", "1"],
+                 ["recollement", "3", "1", "--n", "2"],
+                 ["lift", paths["c.json"], "--seed", "1"]):
+        code, out, err = run(*argv)
+        assert code == 3, argv
+        assert "usage:" in err and "unrecognized arguments" in err, argv
+        assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("verb", [None] + sorted(VERB_OPTIONS))
+def test_help_exits_0(verb):
+    code, out, err = run(*([verb] if verb else []), "--help")
+    assert code == 0 and "usage: modfact" in out and err == ""

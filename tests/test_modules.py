@@ -14,16 +14,16 @@ xx = [0, 0, 1]
 
 
 def test_cyclic_quotient_dimensions():
-    m = ModulePresentation(R5x3, 1, [[x_]], abar=True)
+    m = ModulePresentation(R5x3, 1, [[x_]])
     lin = m.linearization()
     assert lin.dim == 1
-    m2 = ModulePresentation(R5x3, 1, [[xx]], abar=True)
+    m2 = ModulePresentation(R5x3, 1, [[xx]])
     assert m2.linearization().dim == 2
     assert m.check_abar() and m2.check_abar()
 
 
 def test_normal_form_is_a_coset_representative():
-    m = ModulePresentation(R5x2, 2, [[x_, one], [[], x_]], abar=True)
+    m = ModulePresentation(R5x2, 2, [[x_, one], [[], x_]])
     lin = m.linearization()
     # x * e0 + e1 is a relation, so its normal form vanishes
     assert lin.normal_form([x_, one]) == [[], []]
@@ -33,16 +33,16 @@ def test_normal_form_is_a_coset_representative():
 
 
 def test_free_directions_are_rejected():
-    free = ModulePresentation(R5x2, 1, [], abar=True)
+    free = ModulePresentation(R5x2, 1, [])
     with pytest.raises(NotQuotientModule):
         free.linearization()
     # relation x^3 does not absorb omega = x^2 acting on the generator
-    loose = ModulePresentation(R5x2, 1, [[[0, 0, 0, 1]]], abar=True)
+    loose = ModulePresentation(R5x2, 1, [[[0, 0, 0, 1]]])
     assert not loose.check_abar()
 
 
 def test_x_matrix_represents_multiplication():
-    m = ModulePresentation(R5x2, 1, [[xx]], abar=True)
+    m = ModulePresentation(R5x2, 1, [[xx]])
     lin = m.linearization()
     xm = lin.x_matrix()
     v = [one]
@@ -54,8 +54,8 @@ def test_x_matrix_represents_multiplication():
 
 def test_presentation_json_roundtrip():
     xs = [RS.field.zero, RS.field.one]
-    m = ModulePresentation(RS, 2, [[xs, [RS.field.one]], [[], xs]], abar=True)
-    back = ModulePresentation.from_json(RS, m.to_json(), abar=True)
+    m = ModulePresentation(RS, 2, [[xs, [RS.field.one]], [[], xs]])
+    back = ModulePresentation.from_json(RS, m.to_json())
     assert back == m
 
 
