@@ -22,7 +22,8 @@ every supported ring.
 
 from .rings import UnsupportedRingError
 from .matrices import (TwistedMatrix, mat_mul, mat_identity, hermite_form,
-                       left_kernel, solve_right, smith_form, invariant_factors)
+                       left_kernel, solve_right, smith_form, invariant_factors,
+                       block_slots, term_image)
 from .modules import (ModulePresentation, kmat_mul, kmat_sub, kmat_is_zero,
                       kmat_nullspace, kmat_inv, kmat_rank)
 from .factorizations import Factorization
@@ -545,7 +546,8 @@ def chain_factors_projective(f):
     is the same as factoring through that cover.  Chain maps out of the
     source into a staircase entering at slot j are freely determined by
     their top component, which turns the question into one exact linear
-    solve over A.  Commutative base rings only.
+    solve over A, assembled by term_image from the blocks' terms.
+    Commutative base rings only.
     """
     ring = f.source.ring
     if not ring.commutative:
@@ -555,85 +557,40 @@ def chain_factors_projective(f):
     n = x.n
     if n == 1:
         return True
-    r_top = x.ranks[n - 1]
-    omega = list(ring.omega)
+    cx, cy = x.compose_range, y.compose_range
 
-    # unknown blocks, in order: U_j (j=1..n-1), A_j (j=1..n-1),
-    # B_j (j=2..n-1), V_i (i=1..n-1)
-    blocks = []
+    # Unknown blocks U_j (j = 1..n-1), A_j (j = 1..n-1), B_j (j = 2..n-1)
+    # and V_i (i = 1..n-1). Equation ("A", j) reads d_X^{0..n-2} U_j +
+    # omega A_j = 0, ("B", j) reads d_X^{j-1..n-2} U_j + omega B_j = 0, and
+    # ("f", i) reads sum_{j <= i} d_X^{i..n-2} U_j d_Y^{j..i-1} +
+    # V_i d_Y^{0..i-1} = f^i.
+    eqs_ab = ([(("A", j), x.ranks[0], y.ranks[j]) for j in range(1, n)]
+              + [(("B", j), x.ranks[j - 1], y.ranks[j]) for j in range(2, n)])
+    eqs_f = [(("f", i), x.ranks[i], y.ranks[i]) for i in range(1, n)]
+    blocks = ([(("U", j), x.ranks[n - 1], y.ranks[j]) for j in range(1, n)]
+              + eqs_ab + [(("V", i), x.ranks[i], y.ranks[0]) for i in range(1, n)])
+    terms = {key: [(key, TwistedMatrix.scalar(ring, r, ring.omega).m,
+                    mat_identity(ring, c), 0)] for key, r, c in eqs_ab}
     for j in range(1, n):
-        blocks.append(("U", j, r_top, y.ranks[j]))
-    for j in range(1, n):
-        blocks.append(("A", j, x.ranks[0], y.ranks[j]))
-    for j in range(2, n):
-        blocks.append(("B", j, x.ranks[j - 1], y.ranks[j]))
-    for i in range(1, n):
-        blocks.append(("V", i, x.ranks[i], y.ranks[0]))
-    sizes = [r * c for (_, _, r, c) in blocks]
-    total = sum(sizes)
+        eye = mat_identity(ring, y.ranks[j])
+        terms[("U", j)] = [(("A", j), cx(0, n - 2).m, eye, 0)]
+        if j >= 2:
+            terms[("U", j)].append((("B", j), cx(j - 1, n - 2).m, eye, 0))
+        terms[("U", j)] += [(("f", i), cx(i, n - 2).m, cy(j, i - 1).m, 0)
+                            for i in range(j, n)]
+        terms[("V", j)] = [(("f", j), mat_identity(ring, x.ranks[j]),
+                            cy(0, j - 1).m, 0)]
+    slots = block_slots(blocks)
 
-    rx_full = x.compose_range(0, n - 2).m
-
-    def unpack(coeffs):
-        out = {}
-        pos = 0
-        for (kind, j, r, cc), sz in zip(blocks, sizes):
-            m = [[coeffs[pos + a * cc + b] for b in range(cc)] for a in range(r)]
-            pos += sz
-            out[(kind, j)] = m
-        return out
-
-    def equations(vals):
-        rows = []
-        for j in range(1, n):
-            u = vals[("U", j)]
-            amat = vals[("A", j)]
-            lhs = mat_mul(ring, rx_full, u)
-            for a in range(x.ranks[0]):
-                for b in range(y.ranks[j]):
-                    rows.append(ring.add(lhs[a][b], ring.mul(omega, amat[a][b])))
-        for j in range(2, n):
-            u = vals[("U", j)]
-            bmat = vals[("B", j)]
-            lhs = mat_mul(ring, x.compose_range(j - 1, n - 2).m, u)
-            for a in range(x.ranks[j - 1]):
-                for b in range(y.ranks[j]):
-                    rows.append(ring.add(lhs[a][b], ring.mul(omega, bmat[a][b])))
-        for i in range(1, n):
-            acc = [[[] for _ in range(y.ranks[i])] for _ in range(x.ranks[i])]
-            for j in range(1, i + 1):
-                u = vals[("U", j)]
-                term = mat_mul(ring, x.compose_range(i, n - 2).m, u)
-                term = mat_mul(ring, term, y.compose_range(j, i - 1).m)
-                for a in range(x.ranks[i]):
-                    for b in range(y.ranks[i]):
-                        acc[a][b] = ring.add(acc[a][b], term[a][b])
-            vterm = mat_mul(ring, vals[("V", i)], y.compose_range(0, i - 1).m)
-            for a in range(x.ranks[i]):
-                for b in range(y.ranks[i]):
-                    rows.append(ring.add(acc[a][b], vterm[a][b]))
-        return rows
-
-    target = []
-    for j in range(1, n):
-        target += [[] for _ in range(x.ranks[0] * y.ranks[j])]
-    for j in range(2, n):
-        target += [[] for _ in range(x.ranks[j - 1] * y.ranks[j])]
-    for i in range(1, n):
-        fm = f.components[i].m
-        for a in range(x.ranks[i]):
-            for b in range(y.ranks[i]):
-                target.append(list(fm[a][b]))
-
-    if total == 0:
+    target = [[] for _, r, c in eqs_ab for _ in range(r * c)]
+    target += [list(p) for i in range(1, n) for row in f.components[i].m
+               for p in row]
+    if not slots:
         return all(not e for e in target)
-    rows = []
-    for t in range(total):
-        unit = [[] for _ in range(total)]
-        unit[t] = [ring.field.one]
-        rows.append(equations(unpack(unit)))
-    sol = solve_right(ring, rows, [target])
-    return sol is not None
+    image = term_image(ring, eqs_ab + eqs_f, terms, slots)
+    one = ring.from_int(1)
+    return solve_right(ring, [image(u, one) for u in range(len(slots))],
+                       [target]) is not None
 
 
 def faithfulness_report(f):

@@ -112,9 +112,6 @@ _FUNCTORS = {
 
 
 def cmd_functor(args):
-    if args.name not in _FUNCTORS:
-        raise jsonio.InputError("unknown functor %r; choose from %s"
-                                % (args.name, ", ".join(sorted(_FUNCTORS))))
     on_obj, on_mor, extra = _FUNCTORS[args.name]
     for field in ("i", "a"):
         if field not in extra and getattr(args, field) is not None:

@@ -19,11 +19,14 @@ exactly by Hermite form, a skew one by a single prime-field solve modulo
 omega completed by an explicit h^{n-1} (_solve_mod_omega).
 
 Each decider hands a solve engine its linear map as image(u, poly), the
-morphism that poly placed in unknown u alone maps to. The witness map is
-assembled directly from the memoized composites of x and y, one outer
-product per slot (_witness_image), without running
-reconstruct_from_witness; the trivial-factorization maps are built by
-their construction. The engines only solve. Every positive answer is
+morphism that poly placed in unknown u alone maps to. Every such map,
+like the HomSpace constraints and chains.chain_factors_projective, is a
+sum of terms L sigma^t(X_k) R in its unknown blocks X_k, so one assembler
+(matrices.term_image) builds each image as outer products from a table
+of terms: the witness map from the memoized composites of x and y
+(_witness_image) without running reconstruct_from_witness, the
+trivial-factorization maps from one trivial_hom and counit per block
+(_lambda_image). The engines only solve. Every positive answer is
 rebuilt from the solution and compared bit for bit with f: a witness
 through reconstruct_from_witness, a factorization by composing it with
 the counit. stable_hom takes its relations from the same images: the
@@ -33,8 +36,9 @@ ideal='theta0'.
 
 from .fields import PrimeField
 from .rings import UnsupportedRingError
-from .matrices import (TwistedMatrix, twisted_compose, mat_mul, solve_right,
-                       left_kernel, smith_form)
+from .matrices import (TwistedMatrix, twisted_compose, mat_mul, mat_identity,
+                       solve_right, left_kernel, smith_form, block_slots,
+                       term_image)
 from .modules import kmat_solve, prime_coords, from_prime_coords, prime_degree
 from .factorizations import Morphism, theta, direct_sum
 
@@ -213,18 +217,6 @@ def _flatten_polys(f):
     return vec
 
 
-def _counit_image(unit_count, build_g, eps):
-    """image(u, poly) of coeffs -> build_g(coeffs) then eps, probed through
-    that construction one unknown at a time."""
-
-    def image(u, poly):
-        coeffs = [[]] * unit_count
-        coeffs[u] = poly
-        return _flatten_polys(build_g(coeffs).then(eps))
-
-    return image
-
-
 def _solve_exact(ring, unit_count, image, f):
     """Polys c_u with sum_u image(u, c_u) == f, or None; image A-linear.
 
@@ -313,13 +305,13 @@ def _solve(f, unit_count, image, top):
 
 # -- decider one: solve the reconstruction formula --
 
+def _hom_blocks(x, y):
+    """The blocks (i, r_i(x), r_i(y)) of a morphism x -> y, slot by slot."""
+    return [(i, x.ranks[i], y.ranks[i]) for i in range(x.n)]
+
+
 def _witness_slots(x, y):
-    slots = []
-    for j, (r, c, _) in enumerate(witness_shapes(x, y)):
-        for a in range(r):
-            for b in range(c):
-                slots.append((j, a, b))
-    return slots
+    return block_slots((j, r, c) for j, (r, c, _) in enumerate(witness_shapes(x, y)))
 
 
 def _witness_image(x, y, slots):
@@ -328,47 +320,25 @@ def _witness_image(x, y, slots):
     f^i gets exactly one summand from h^j, the composite L h^j R of
     reconstruct_from_witness. Composites are associative, so with t the
     twist of h^j and t_R that of R the summand is
-    sigma^{t+t_R}(L) sigma^{t_R}(h^j) R. A witness whose one nonzero
-    entry is p at slot (j, a, b) therefore maps to the outer product of
-    column a of sigma^{t+t_R}(L), sigma^{t_R}(p) and row b of R, taken for
-    every i. The factors of each j are composed on first use.
+    sigma^{t+t_R}(L) sigma^{t_R}(h^j) R, one term of term_image for each
+    i and j.
     """
     n = x.n
-    ring = x.ring
-    shapes = witness_shapes(x, y)
-    factors = {}
-
-    def factors_of(j):
-        out = factors.get(j)
-        if out is None:
-            t = shapes[j][2]
-            out = []
-            for i in range(n):
-                if j >= i:
-                    left = x.compose_range(i, j - 1)
-                    right = twisted_compose(y.compose_range(j + 1, n - 1),
-                                            y.compose_range(0, i - 1))
-                else:
-                    left = twisted_compose(x.compose_range(i, n - 1),
-                                           x.compose_range(0, j - 1))
-                    right = y.compose_range(j + 1, i - 1)
-                out.append((left.sigma_entries(t + right.twist).m, right.m,
-                            right.twist))
-            factors[j] = out
-        return out
-
-    def image(u, poly):
-        j, a, b = slots[u]
-        vec = []
-        for left, right, twist in factors_of(j):
-            p = ring.apply_sigma(poly, twist)
-            row = right[b]
-            for lrow in left:
-                lp = ring.mul(lrow[a], p)
-                vec.extend(ring.mul(lp, q) for q in row)
-        return vec
-
-    return image
+    terms = []
+    for j, (_, _, t) in enumerate(witness_shapes(x, y)):
+        terms.append([])
+        for i in range(n):
+            if j >= i:
+                left = x.compose_range(i, j - 1)
+                right = twisted_compose(y.compose_range(j + 1, n - 1),
+                                        y.compose_range(0, i - 1))
+            else:
+                left = twisted_compose(x.compose_range(i, n - 1),
+                                       x.compose_range(0, j - 1))
+                right = y.compose_range(j + 1, i - 1)
+            terms[j].append((i, left.sigma_entries(t + right.twist).m, right.m,
+                             right.twist))
+    return term_image(x.ring, _hom_blocks(x, y), terms, slots)
 
 
 def _witness_from_coeffs(x, y, slots, coeffs):
@@ -494,39 +464,47 @@ def trivial_sum_counit(y, indices):
 def _lambda_slots(x, y, indices):
     """Unknowns (i, a, b) of the r_{i-1}(x) x r_i(y) parameters, block by
     block in the order of indices, each block row-major."""
-    n = x.n
-    slots = []
+    return block_slots((i, x.ranks[(i - 1) % x.n], y.ranks[i]) for i in indices)
+
+
+def _lambda_image(x, eps, indices, slots):
+    """image(u, poly) of the parameters to g then eps, eps the counit of
+    trivial_sum_counit(y, indices) and g the morphism their trivial_homs
+    make. At slot j, block i adds L sigma^t(lambda) R: L is slot j of
+    trivial_hom(x, i, I), R the rows of theta^i(A^{r_i y}) in slot j of
+    eps, and t = -1 on the slots trivial_hom fills from the wrap-around
+    square (j >= i > 0), 0 elsewhere."""
+    ring, n, y = x.ring, x.n, eps.target
+    terms = {}
+    top = 0
     for i in indices:
-        for a in range(x.ranks[(i - 1) % n]):
-            for b in range(y.ranks[i]):
-                slots.append((i, a, b))
-    return slots
+        m = y.ranks[i]
+        g = trivial_hom(x, i, TwistedMatrix.identity(ring, x.ranks[(i - 1) % n]))
+        terms[i] = [(j, g.components[j].m, eps.components[j].m[top:top + m],
+                     -1 if 0 < i <= j else 0) for j in range(n)]
+        top += m
+    return term_image(ring, _hom_blocks(x, y), terms, slots)
 
 
-def _lambda_build(x, y, t, indices, slots):
-    """build_g: the parameters' entries, in slot order, to the morphism
-    x -> t whose blocks are the trivial_homs of those parameters."""
-    ring = x.ring
-    n = x.n
-
-    def build(coeffs):
-        mats = {i: [[[] for _ in range(y.ranks[i])] for _ in range(x.ranks[(i - 1) % n])]
-                for i in indices}
-        for (i, a, b), poly in zip(slots, coeffs):
-            mats[i][a][b] = poly
-        parts = [trivial_hom(x, i, TwistedMatrix(
-            ring, mats[i], 0, rows=x.ranks[(i - 1) % n], cols=y.ranks[i]))
-            for i in indices]
-        comps = []
-        for j in range(n):
-            block = [[] for _ in range(x.ranks[j])]
-            for g in parts:
-                for rr, row in enumerate(g.components[j].m):
-                    block[rr] = block[rr] + row
-            comps.append(TwistedMatrix(ring, block, 0, rows=x.ranks[j], cols=t.ranks[j]))
-        return Morphism(x, t, comps)
-
-    return build
+def _lambda_morphism(x, y, t, indices, slots, coeffs):
+    """The morphism x -> t whose blocks are the trivial_homs of the
+    parameters with entries coeffs, in slot order."""
+    ring, n = x.ring, x.n
+    mats = {i: [[[] for _ in range(y.ranks[i])] for _ in range(x.ranks[(i - 1) % n])]
+            for i in indices}
+    for (i, a, b), poly in zip(slots, coeffs):
+        mats[i][a][b] = poly
+    parts = [trivial_hom(x, i, TwistedMatrix(
+        ring, mats[i], 0, rows=x.ranks[(i - 1) % n], cols=y.ranks[i]))
+        for i in indices]
+    comps = []
+    for j in range(n):
+        block = [[] for _ in range(x.ranks[j])]
+        for g in parts:
+            for rr, row in enumerate(g.components[j].m):
+                block[rr] = block[rr] + row
+        comps.append(TwistedMatrix(ring, block, 0, rows=x.ranks[j], cols=t.ranks[j]))
+    return Morphism(x, t, comps)
 
 
 def _factors_through(f, indices):
@@ -536,12 +514,10 @@ def _factors_through(f, indices):
     x, y = f.source, f.target
     t, eps = trivial_sum_counit(y, indices)
     slots = _lambda_slots(x, y, indices)
-    build_g = _lambda_build(x, y, t, indices, slots)
-    image = _counit_image(len(slots), build_g, eps)
-    coeffs = _solve(f, len(slots), image, 0)
+    coeffs = _solve(f, len(slots), _lambda_image(x, eps, indices, slots), 0)
     if coeffs is None:
         return TrivialFactorization(False)
-    g = build_g(coeffs)
+    g = _lambda_morphism(x, y, t, indices, slots, coeffs)
     assert g.is_valid()
     if not _rebuilds(f, g.then(eps), "factorization"):
         return TrivialFactorization(False)
@@ -575,42 +551,28 @@ class HomSpace:
         self.x = x
         self.y = y
         self.ring = ring
-        self.slots = []
-        for i in range(x.n):
-            for a in range(x.ranks[i]):
-                for b in range(y.ranks[i]):
-                    self.slots.append((i, a, b))
-        rows = []
-        for u in range(len(self.slots)):
-            coeffs = [[]] * len(self.slots)
-            coeffs[u] = ring.from_int(1)
-            rows.append(self._defect_vec(self._components(coeffs)))
-        self.constraints = rows
-        self.basis_rows = left_kernel(ring, rows) if rows else []
+        n = x.n
+        self.slots = block_slots(_hom_blocks(x, y))
+        # square i is d_X^i H^{i+1} - sigma^t(H^i) d_Y^i, t the twist of d_Y^i
+        squares = [(i, x.ranks[i], y.ranks[(i + 1) % n]) for i in range(n)]
+        minus = ring.from_int(-1)
+        terms = [[((i - 1) % n, x.maps[i - 1].m, mat_identity(ring, y.ranks[i]), 0),
+                  (i, TwistedMatrix.scalar(ring, x.ranks[i], minus).m,
+                   y.maps[i].m, y.maps[i].twist)] for i in range(n)]
+        image = term_image(ring, squares, terms, self.slots)
+        one = ring.from_int(1)
+        self.constraints = [image(u, one) for u in range(len(self.slots))]
+        self.basis_rows = left_kernel(ring, self.constraints) if self.slots else []
         self.basis = [self.from_coords(r) for r in self.basis_rows]
 
-    def _components(self, coeffs):
+    def from_coords(self, row):
         x, y, ring = self.x, self.y, self.ring
         mats = [[[[] for _ in range(y.ranks[i])] for _ in range(x.ranks[i])]
                 for i in range(x.n)]
-        for (i, a, b), poly in zip(self.slots, coeffs):
-            mats[i][a][b] = poly
-        return [TwistedMatrix(ring, m, 0, rows=x.ranks[i], cols=y.ranks[i])
-                for i, m in enumerate(mats)]
-
-    def _defect_vec(self, comps):
-        x, y = self.x, self.y
-        vec = []
-        for i in range(x.n):
-            lhs = x.maps[i].then(comps[(i + 1) % x.n])
-            rhs = comps[i].then(y.maps[i])
-            for row in lhs.sub(rhs).m:
-                vec.extend(row)
-        return vec
-
-    def from_coords(self, row):
-        return Morphism(self.x, self.y, self._components([self.ring.trim(c)
-                                                          for c in row]))
+        for (i, a, b), poly in zip(self.slots, row):
+            mats[i][a][b] = ring.trim(poly)
+        return Morphism(x, y, [TwistedMatrix(ring, m, 0, rows=x.ranks[i], cols=y.ranks[i])
+                               for i, m in enumerate(mats)])
 
     def combination(self, coeffs):
         """The morphism sum_k coeffs[k] * basis[k]."""
@@ -720,9 +682,8 @@ def stable_hom(x, y, ideal="all"):
         slots = _witness_slots(x, y)
         image = _witness_image(x, y, slots)
     else:
-        t, eps = trivial_sum_counit(y, [0])
         slots = _lambda_slots(x, y, [0])
-        image = _counit_image(len(slots), _lambda_build(x, y, t, [0], slots), eps)
+        image = _lambda_image(x, trivial_sum_counit(y, [0])[1], [0], slots)
     one = x.ring.from_int(1)
     rel = hom._vector_coordinates([image(u, one) for u in range(len(slots))])
     assert rel is not None, "null morphism escaped the hom space"

@@ -111,10 +111,8 @@ def sniff_kind(data):
         return "gamma"
     if "ranks" in data:
         return "factorization"
-    if "components" in data and "source" in data:
-        return "morphism"
     if "components" in data:
-        return "witness-or-morphism"
+        return "morphism"
     return "unknown"
 
 

@@ -9,6 +9,10 @@ The raw helpers at the bottom (hermite_form, solve_right, left_kernel,
 smith_form) work on bare coefficient-list matrices. Hermite reduction only
 uses left row operations and right division of entries, so it is valid
 over the skew instances as well; Smith form asserts commutativity.
+term_image assembles every A-linear system that the homotopy deciders,
+HomSpace and the chain checks solve: each is a sum of terms
+L sigma^t(X_k) R in unknown blocks X_k, built entry by entry as outer
+products.
 """
 
 
@@ -208,6 +212,49 @@ def mat_mul(ring, a, b, shape=None):
                 if brow[j]:
                     orow[j] = ring.add(orow[j], ring.mul(f, brow[j]))
     return out
+
+
+def block_slots(blocks):
+    """The unknowns (k, a, b) of the blocks (k, rows, cols), block by block
+    in the given order, each block row-major."""
+    return [(k, a, b) for k, rows, cols in blocks
+            for a in range(rows) for b in range(cols)]
+
+
+def term_image(ring, outs, terms, slots):
+    """image(u, poly) of the map X |-> sum of L sigma^t(X_k) R over terms.
+
+    slots[u] = (k, a, b) is entry (a, b) of the unknown block X_k, and
+    terms[k] lists the (o, L, R, t) by which X_k reaches output block o.
+    The output is the blocks (o, rows, cols) of outs flattened in that
+    order, each row-major. An X_k whose one nonzero entry is p at (a, b)
+    adds, for each of its terms, the outer product of column a of L,
+    sigma^t(p) and row b of R to block o.
+    """
+    offsets = {}
+    total = 0
+    for o, rows, cols in outs:
+        offsets[o] = (total, cols)
+        total += rows * cols
+
+    def image(u, poly):
+        k, a, b = slots[u]
+        vec = [[]] * total
+        for o, left, right, t in terms[k]:
+            pos, width = offsets[o]
+            p = ring.apply_sigma(poly, t)
+            row = right[b]
+            for lrow in left:
+                if lrow[a]:
+                    lp = ring.mul(lrow[a], p)
+                    for v, q in enumerate(row, pos):
+                        if q:
+                            prod = ring.mul(lp, q)
+                            vec[v] = ring.add(vec[v], prod) if vec[v] else prod
+                pos += width
+        return vec
+
+    return image
 
 
 def mat_identity(ring, n):

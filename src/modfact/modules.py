@@ -8,7 +8,8 @@ x-action and for any A-linear map given on generators.
 
 The k-matrix helpers at the bottom (kmat_*) work over a coefficient field
 and back the finite-dimensional searches in chains.py and the skew solver
-modulo omega in homotopy.py. One Gauss-Jordan routine, _kmat_eliminate,
+modulo omega in homotopy.py, which solves over the prime field the A-linear
+systems that matrices.term_image assembles. One Gauss-Jordan routine, _kmat_eliminate,
 does all their elimination: kmat_rank runs it on a copy of the matrix,
 kmat_solve and kmat_nullspace on the matrix with an identity beside it,
 which records the row transform, and kmat_inv is kmat_solve against the
@@ -123,9 +124,6 @@ class Linearization:
                 poly.append(fld.zero)
             poly[t] = fld.add(poly[t], c)
         return [self.ring.trim(p) for p in v]
-
-    def zero_coords(self):
-        return [self.ring.field.zero] * self.dim
 
     def x_matrix(self):
         """Row b = coords of x * basis_b.

@@ -31,11 +31,6 @@ from .chains import cok0, lift
 # ---------------------------------------------------------------------------
 # commutative polynomial helpers
 
-def poly_derivative(ring, f):
-    fld = ring.field
-    return ring.trim([fld.mul(fld.from_int(i), f[i]) for i in range(1, len(f))])
-
-
 def poly_gcd(ring, f, g):
     """Monic gcd by Euclid; commutative rings only."""
     if ring.sigma_power:
@@ -126,8 +121,9 @@ def random_split(ring, rng, n, atoms=None):
 # ---------------------------------------------------------------------------
 # object generators
 
-def random_diagonal(ring, rng, n, rank):
-    cols = [random_split(ring, rng, n) for _ in range(rank)]
+def _diagonal(ring, n, cols):
+    """The object whose slot-i map is diagonal with entries cols[a][i]."""
+    rank = len(cols)
     maps = []
     for i in range(n):
         entries = [[cols[a][i] if a == b else [] for b in range(rank)]
@@ -136,6 +132,10 @@ def random_diagonal(ring, rng, n, rank):
     x = Factorization(ring, [rank] * n, maps)
     x.assert_valid()
     return x
+
+
+def random_diagonal(ring, rng, n, rank):
+    return _diagonal(ring, n, [random_split(ring, rng, n) for _ in range(rank)])
 
 
 def _elementary(ring, r, i, j, a):
@@ -213,16 +213,6 @@ def conjugate(x, units):
     out = Factorization(x.ring, list(x.ranks), maps)
     out.assert_valid()
     return out
-
-
-def conjugating_isomorphism(x, units):
-    """The isomorphism conjugate(x, units) -> x and its inverse."""
-    y = conjugate(x, units)
-    fwd = Morphism(y, x, [units[i][1] for i in range(x.n)])
-    back = Morphism(x, y, [units[i][0] for i in range(x.n)])
-    fwd.assert_valid()
-    back.assert_valid()
-    return y, fwd, back
 
 
 def random_conjugate(x, rng, max_deg=1):
@@ -311,14 +301,8 @@ def random_nonzero_object(ring, rng, n, max_rank=3, max_deg=2):
     cols = [split]
     for _ in range(rng.randrange(max_rank)):
         cols.append(random_split(ring, rng, n))
-    rank = len(cols)
-    maps = []
-    for i in range(n):
-        entries = [[cols[a][i] if a == b else [] for b in range(rank)]
-                   for a in range(rank)]
-        maps.append(TwistedMatrix(ring, entries, 1 if i == n - 1 else 0))
-    x = Factorization(ring, [rank] * n, maps)
-    if rng.random() < 0.3 and rank < max_rank:
+    x = _diagonal(ring, n, cols)
+    if rng.random() < 0.3 and len(cols) < max_rank:
         x = direct_sum([x, theta(ring, n, rng.randrange(n))])
     if rng.random() < 0.7:
         x = random_conjugate(x, rng, max_deg=min(max_deg, 1))

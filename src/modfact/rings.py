@@ -80,9 +80,6 @@ class BaseRing:
     def is_zero(self, f):
         return not f
 
-    def eq(self, f, g):
-        return self.trim(list(f)) == self.trim(list(g))
-
     def from_field(self, c):
         return [] if self.field.is_zero(c) else [c]
 

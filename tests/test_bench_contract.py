@@ -1,0 +1,52 @@
+"""The names bench/tracer.py wraps and the attributes its hooks read.
+
+A refactor that renames a traced function or method fails here instead
+of in a traced benchmark run (``bench/run.py --trace 1``).
+"""
+
+import importlib
+import os
+import types
+
+import pytest
+
+from modfact import homotopy
+from modfact.factorizations import Morphism
+
+from common import X2
+
+TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                           "tracer.py")
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    # executed from its source, so nothing is written beside it
+    mod = types.ModuleType("bench_tracer")
+    with open(TRACER_PATH) as fh:
+        exec(compile(fh.read(), TRACER_PATH, "exec"), mod.__dict__)
+    return mod
+
+
+def test_every_traced_function_resolves(tracer):
+    for mod_name, fn_name, *_ in tracer.FUNCTIONS:
+        fn = getattr(importlib.import_module("modfact." + mod_name), fn_name, None)
+        assert callable(fn), "modfact.%s.%s" % (mod_name, fn_name)
+
+
+def test_every_traced_method_is_defined_on_its_class(tracer):
+    # Tracer.install reads the method from the class's own __dict__
+    for mod_name, cls_name, meth, *_ in tracer.METHODS:
+        cls = getattr(importlib.import_module("modfact." + mod_name), cls_name)
+        assert callable(cls.__dict__.get(meth)), "%s.%s" % (cls_name, meth)
+
+
+def test_hooks_read_attributes_that_exist(tracer):
+    tr = tracer.Tracer()
+    verdict = homotopy.is_p_null_homotopic(Morphism.identity(X2))
+    assert isinstance(homotopy.HomotopyVerdict.bounded, bool)
+    tracer._verdict_after(tr, (), verdict)
+    assert isinstance(X2._ranges, dict)
+    X2.compose_range(0, 0)
+    tracer._compose_before(tr, (X2, 0, 0))
+    assert tr.counters["factorizations.Factorization.compose_range.hits"] == 1

@@ -7,6 +7,7 @@ from modfact.matrices import mat_mul
 from modfact.factorizations import Morphism, theta, omega_morphism
 from modfact.modules import ModulePresentation
 import modfact.homotopy as ho
+from modfact import randomgen as rg
 from modfact.chains import (ChainModule, ChainMorphism, zero_chain,
                             staircase_chain, cok0, cok0_morphism,
                             chain_is_mono, lift, chain_iso,
@@ -129,6 +130,26 @@ def test_faithfulness_on_constructed_nulls():
             rep = faithfulness_report(f)
             assert rep["null_homotopic"] and rep["null_agree"], X.ranks
             assert rep["zero_agree"], X.ranks
+
+
+def test_projective_factoring_agrees_with_null_homotopy():
+    # both verdicts on random morphisms, and on identities of certified
+    # stably nonzero objects, so that negatives are covered too
+    rng2 = random.Random(14)
+    verdicts = set()
+    for ring in [r for r in rg.default_instances() if r.commutative]:
+        for n in [1, 2, 2, 3, 3, 3, 4, 4, 4]:
+            x = rg.random_object(ring, rng2, n, max_rank=2)
+            y = rg.random_object(ring, rng2, n, max_rank=2)
+            fs = [rg.random_morphism(rng2, x, y), rg.random_morphism(rng2, x, x)]
+            if n >= 2:
+                z = rg.random_nonzero_object(ring, rng2, n, max_rank=2)
+                fs.append(Morphism.identity(z))
+            for f in fs:
+                null = ho.is_p_null_homotopic(f).null
+                assert chain_factors_projective(f) == null, (ring.omega, n)
+                verdicts.add(null)
+    assert verdicts == {True, False}
 
 
 def test_skew_rings_are_guarded():

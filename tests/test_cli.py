@@ -127,11 +127,14 @@ def test_homotopy_check_positive(paths):
 
 
 def test_homotopy_check_needs_embedded_endpoints(paths):
+    # validate and functor sniff the file as a morphism and name the key too
     fd = jsonio.read_json(paths["f.json"])
     del fd["source"]
-    code, out, err = run("homotopy-check", paths["wj"]("nosource.json", fd))
-    assert code == 3 and "'source'" in err and "--" not in err
-    assert "Traceback" not in err and out == ""
+    path = paths["wj"]("nosource.json", fd)
+    for verb in (["homotopy-check"], ["validate"], ["functor", "shift"]):
+        code, out, err = run(*verb, path)
+        assert code == 3 and "'source'" in err and "--" not in err, verb
+        assert "Traceback" not in err and out == ""
 
 
 def test_homotopy_check_certified_negative(paths):
@@ -318,13 +321,15 @@ def test_each_verb_declares_only_the_options_it_reads():
 
 
 def test_a_flag_the_verb_does_not_read_is_a_usage_error(paths):
-    for argv in (["validate", paths["x.json"], "--cases", "2"],
-                 ["cok0", paths["x.json"], "--seed", "1"],
-                 ["recollement", "3", "1", "--n", "2"],
-                 ["lift", paths["c.json"], "--seed", "1"]):
+    unread = "unrecognized arguments"
+    for argv, why in ((["validate", paths["x.json"], "--cases", "2"], unread),
+                      (["cok0", paths["x.json"], "--seed", "1"], unread),
+                      (["recollement", "3", "1", "--n", "2"], unread),
+                      (["lift", paths["c.json"], "--seed", "1"], unread),
+                      (["functor", "nope", paths["x.json"]], "invalid choice")):
         code, out, err = run(*argv)
         assert code == 3, argv
-        assert "usage:" in err and "unrecognized arguments" in err, argv
+        assert "usage:" in err and why in err, argv
         assert "Traceback" not in err and out == ""
 
 

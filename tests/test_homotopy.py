@@ -217,6 +217,51 @@ def test_witness_image_matches_reconstruction():
                     assert image(u, p) == ho._flatten_polys(f)
 
 
+def test_trivial_sum_image_matches_its_construction():
+    # one polynomial in one parameter slot, assembled from the term table,
+    # against the morphism its trivial_homs make, followed by the counit
+    rng2 = random.Random(12)
+    for ring in rg.default_instances():
+        for n in range(1, 5):
+            for _ in range(2):
+                x = rg.random_object(ring, rng2, n, max_rank=2)
+                y = rg.random_object(ring, rng2, n, max_rank=2)
+                for indices in (range(n), [0]):
+                    t, eps = ho.trivial_sum_counit(y, indices)
+                    slots = ho._lambda_slots(x, y, indices)
+                    image = ho._lambda_image(x, eps, indices, slots)
+                    for _ in range(3 if slots else 0):
+                        u = rng2.randrange(len(slots))
+                        p = ring.random_poly(rng2, 3)
+                        coeffs = [[] for _ in slots]
+                        coeffs[u] = p
+                        g = ho._lambda_morphism(x, y, t, indices, slots, coeffs)
+                        assert image(u, p) == ho._flatten_polys(g.then(eps))
+
+
+def test_hom_space_constraints_are_the_square_defects():
+    # row u is the defect d_X^i H^{i+1} - H^i d_Y^i, square by square, of
+    # the components with a single 1 at slot u
+    rng2 = random.Random(13)
+    for ring in [r for r in rg.default_instances() if r.commutative]:
+        for n in range(1, 5):
+            for _ in range(2):
+                x = rg.random_object(ring, rng2, n, max_rank=2)
+                y = rg.random_object(ring, rng2, n, max_rank=2)
+                hom = ho.HomSpace(x, y)
+                assert len(hom.constraints) == len(hom.slots)
+                for u, row in enumerate(hom.constraints):
+                    coords = [[] for _ in hom.slots]
+                    coords[u] = ring.from_int(1)
+                    g = hom.from_coords(coords)
+                    want = []
+                    for i in range(n):
+                        lhs = x.maps[i].then(g.components[(i + 1) % n])
+                        rhs = g.components[i].then(y.maps[i])
+                        want += [p for r in lhs.sub(rhs).m for p in r]
+                    assert row == want
+
+
 def test_stable_hom_representatives_are_morphisms():
     rng2 = random.Random(5)
     rq = ring_q([0, 0, 0, 1])
