@@ -11,8 +11,7 @@ import random
 
 from modfact.fields import PrimeField
 from modfact.rings import BaseRing
-from modfact.factorizations import (theta, shift, shift_inverse, shift_power,
-                                    face, degeneracy)
+from modfact.factorizations import theta, shift, shift_inverse, face, degeneracy
 from modfact.randomgen import random_object
 
 ring = BaseRing(PrimeField(5), 0, [0, 0, 0, 1])  # omega = x^3
@@ -24,7 +23,7 @@ print("object ranks:", x.ranks)
 
 # 2. the shift is invertible and n-periodic up to a twist
 assert shift_inverse(shift(x)) == x
-assert shift_power(x, x.n) == x.sigma_twist(-1)
+assert shift(shift(shift(x))) == x.sigma_twist(-1)
 print("shift inverts; n-fold shift is the twist")
 
 # 3. every face is split by the matching degeneracy

@@ -11,10 +11,10 @@ cokernel chains (chains), recollement assembly (recollement), JSON I/O
 
 from .fields import RationalField, PrimeField, ExtensionField, field_from_json
 from .rings import BaseRing, NotNormalError, ring_from_json
-from .matrices import TwistedMatrix, twisted_compose
+from .matrices import TwistedMatrix
 
 __all__ = [
     "RationalField", "PrimeField", "ExtensionField", "field_from_json",
     "BaseRing", "NotNormalError", "ring_from_json",
-    "TwistedMatrix", "twisted_compose",
+    "TwistedMatrix",
 ]

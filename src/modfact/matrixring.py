@@ -5,15 +5,18 @@ with omega-divisibility below the diagonal. We store that module as the
 transpose tuple of components (X^{n-1}, ..., X^0) plus one structure map
 per off-diagonal position, all as raw twist-0 matrices:
 
-    f_{ij} = d_X^{n-j, n-i-1}                      for i < j,
-    f_{ij} = d_X^{n-j, n-1} * d_X^{0, n-i-1}       for j < i,
+    f_{ij} = d_X^{n-j, n-i-1}       for i < j,
+    f_{ij} = d_X^{n-j, 2n-i-1}      for j < i,
 
-with 1-based i, j. The second line stores the matrix of the omega-twisted
-action, so the corner f_{n,1} is exactly the matrix of the last map. The
-functor phi fills the grid from a factorization, psi reads the
-factorization back off the superdiagonal and the corner, and validation
-is the round trip: rebuild from the read-off object and compare every
-entry, so any corrupted structure map is caught.
+with 1-based i, j and d_X^{a, b} = x.compose_range(a, b), the composite
+of the maps a..b with indices mod n; both are the arc from slot n-j to
+slot n-i. For j < i the range runs past slot n-1, so it stores the
+matrix of the omega-twisted action, and the corner f_{n,1} is exactly
+the matrix of the last map. The functor phi fills the grid from a
+factorization, psi reads the factorization back off the superdiagonal
+and the corner, and validation is the round trip: rebuild from the
+read-off object and compare every entry, so any corrupted structure map
+is caught.
 """
 
 from .matrices import TwistedMatrix, mat_mul
@@ -130,15 +133,9 @@ def phi(x):
     maps = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            if i == j:
-                continue
-            if i < j:
-                raw = x.compose_range(n - j, n - i - 1).m
-            else:
-                raw = mat_mul(ring, x.compose_range(n - j, n - 1).m,
-                              x.compose_range(0, n - i - 1).m)
-            maps[(i, j)] = TwistedMatrix(ring, raw, 0,
-                                         rows=ranks[j - 1], cols=ranks[i - 1])
+            if i != j:
+                maps[(i, j)] = TwistedMatrix(ring, x.arc(n - j, n - i).m, 0,
+                                             rows=ranks[j - 1], cols=ranks[i - 1])
     return GammaModule(ring, ranks, maps)
 
 

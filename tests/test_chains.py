@@ -11,7 +11,9 @@ from modfact import randomgen as rg
 from modfact.chains import (ChainModule, ChainMorphism, zero_chain,
                             staircase_chain, cok0, cok0_morphism,
                             chain_is_mono, lift, chain_iso,
-                            chain_factors_projective, faithfulness_report)
+                            chain_factors_projective, faithfulness_report,
+                            _chain_map_space, _reshape)
+from modfact.modules import kmat_identity, kmat_rank
 
 from common import R5x2, R5x3, RS, X2, X3, X2Q, X2b, X3b, XSneg, mk, x_, one
 
@@ -83,6 +85,47 @@ def test_conjugated_object_gives_isomorphic_chain():
         mat_mul(R5x3, mat_mul(R5x3, P, X3diag.maps[i].m), P) for i in range(3)
     ])
     assert chain_iso(cok0(X3diag), cok0(Xp)).found
+
+
+def _kmul(fld, a, b, cols):
+    # a * b with the width given, as a factor may have no rows
+    out = [[fld.zero] * cols for _ in a]
+    for r, arow in zip(out, a):
+        for p, brow in zip(arow, b):
+            for j in range(cols):
+                r[j] = fld.add(r[j], fld.mul(p, brow[j]))
+    return out
+
+
+def test_chain_map_space_is_the_chain_maps():
+    # every basis element commutes with x and with the chain maps, the
+    # basis is independent, and an endomorphism space holds the identity
+    rng2 = random.Random(15)
+    for ring in [r for r in rg.default_instances() if r.commutative]:
+        fld = ring.field
+        for n in range(2, 5):
+            x = rg.random_object(ring, rng2, n, max_rank=3)
+            y = rg.random_object(ring, rng2, n, max_rank=3)
+            for c, d in ((cok0(x), cok0(x)), (cok0(x), cok0(y))):
+                basis, shapes = _chain_map_space(c, d)
+                lc = [m.linearization() for m in c.modules]
+                ld = [m.linearization() for m in d.modules]
+                for vec in basis:
+                    hs = _reshape(fld, vec, shapes)
+                    for s, (h, (_, w)) in enumerate(zip(hs, shapes)):
+                        assert (_kmul(fld, lc[s].x_matrix(), h, w)
+                                == _kmul(fld, h, ld[s].x_matrix(), w))
+                    for s in range(len(c.maps)):
+                        sc = lc[s].map_matrix(lc[s + 1], c.maps[s])
+                        sd = ld[s].map_matrix(ld[s + 1], d.maps[s])
+                        w = shapes[s + 1][1]
+                        assert (_kmul(fld, sc, hs[s + 1], w)
+                                == _kmul(fld, hs[s], sd, w))
+                assert kmat_rank(fld, basis) == len(basis)
+                if c == d and basis:
+                    eye = [e for a, _ in shapes for row in kmat_identity(fld, a)
+                           for e in row]
+                    assert kmat_rank(fld, basis + [eye]) == len(basis)
 
 
 def test_chain_iso_definitive_negatives():

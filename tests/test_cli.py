@@ -9,7 +9,8 @@ import pytest
 
 from modfact import jsonio
 from modfact import cli
-from modfact.factorizations import Factorization, Morphism, theta
+from modfact.factorizations import (Factorization, Morphism, theta, shift,
+                                    shift_morphism)
 from modfact.matrices import TwistedMatrix
 from modfact.matrixring import phi
 from modfact.chains import cok0
@@ -97,6 +98,29 @@ def test_functor_verbs(paths):
         assert "result" in json.loads(out)
     code, out, err = run("functor", "face", paths["f.json"], "--i", "0")
     assert code == 0
+
+
+def test_shift_power_of_a_huge_exponent_answers_at_once(paths):
+    # shift^(n e) is the identity, e the degree of the field over its prime
+    # field, so the exponent is reduced before any shift runs
+    rng = random.Random(23)
+    xs = random_object(F4, rng, 2, max_rank=2)
+    skew = paths["wj"]("xs.json", dict(xs.to_json(), ring=F4.to_json()))
+    f = jsonio.load_morphism(paths["f.json"])
+    for path, obj, period in ((paths["x.json"], paths["x"], 3),
+                              (paths["f.json"], f, 3), (skew, xs, 4)):
+        for a in (10 ** 12, -10 ** 12):
+            t0 = time.perf_counter()
+            code, out, err = run("functor", "shift-power", path, "--a", str(a))
+            assert code == 0 and time.perf_counter() - t0 < 1.0, (path, a, err)
+            want = obj
+            for _ in range(a % period):
+                want = (shift_morphism if obj is f else shift)(want)
+            want_json = want.to_json()
+            if obj is f:
+                want_json.update(source=want.source.to_json(),
+                                 target=want.target.to_json())
+            assert json.loads(out)["result"] == want_json, (path, a)
 
 
 def test_functor_missing_index_is_input_error(paths):

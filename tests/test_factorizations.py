@@ -7,7 +7,8 @@ import hypothesis.strategies as st
 from modfact.matrices import TwistedMatrix
 from modfact.factorizations import (Factorization, Morphism, theta,
                                     theta_morphism, omega_morphism, shift,
-                                    shift_inverse, shift_power, shift_morphism,
+                                    shift_inverse, shift_power,
+                                    shift_power_morphism, shift_morphism,
                                     face, face_morphism, degeneracy,
                                     degeneracy_morphism, direct_sum,
                                     direct_sum_morphism, summand_inclusion,
@@ -60,8 +61,75 @@ def test_shift_inverts(ring, seed, n):
     x = robj(ring, seed, n)
     assert shift_inverse(shift(x)) == x
     assert shift(shift_inverse(x)) == x
-    # n applications of the shift twist the identity
-    assert shift_power(x, x.n) == x.sigma_twist(-1)
+    # n applications of the shift twist the identity (one at a time, as
+    # shift_power reduces its exponent by this period)
+    full = x
+    for _ in range(x.n):
+        full = shift(full)
+    assert full == x.sigma_twist(-1)
+
+
+def _fold(x, i, j):
+    out = TwistedMatrix.identity(x.ring, x.ranks[i % x.n], 0)
+    for k in range(i, j + 1):
+        out = out.then(x.maps[k % x.n])
+    return out
+
+
+def test_compose_range_is_the_fold_of_the_maps_around_the_cycle():
+    # every range, those that run past slot n-1 through the twisted last
+    # map included, against a left fold of maps[k % n] (the identity for
+    # an empty range); a fresh copy asks for the ranges in reverse, so the
+    # memo cannot lean on the order of the calls
+    rng = random.Random(21)
+    for ring in rg.default_instances():
+        for n in range(1, 5):
+            x = rg.random_object(ring, rng, n, max_rank=2)
+            fresh = Factorization(ring, x.ranks, x.maps)
+            pairs = [(i, j) for i in range(n + 1) for j in range(i - 1, i + n)]
+            for i, j in pairs:
+                assert x.compose_range(i, j) == _fold(x, i, j), (i, j)
+            for i, j in reversed(pairs):
+                assert fresh.compose_range(i, j) == _fold(x, i, j), (i, j)
+            for i in range(n + 1):
+                with pytest.raises(ValueError):
+                    x.compose_range(i, i + n)
+                with pytest.raises(ValueError):
+                    x.compose_range(i, i - 2)
+            with pytest.raises(ValueError):
+                x.compose_range(n + 1, n + 1)
+            # an arc walks forward from slot a until it reaches slot b
+            for a in range(n):
+                for b in range(n):
+                    want = TwistedMatrix.identity(ring, x.ranks[a], 0)
+                    k = a
+                    while k % n != b:
+                        want = want.then(x.maps[k % n])
+                        k += 1
+                    assert x.arc(a, b) == want, (a, b)
+
+
+def test_shift_power_reduces_by_the_period():
+    # shift^(n e) is the identity, e the degree of the field over its prime
+    # field; shift_power reduces its exponent by that period, so a huge
+    # exponent costs no more than a small one
+    rng = random.Random(22)
+    for ring in rg.default_instances():
+        e = getattr(ring.field, "e", 1)
+        for n in range(1, 5):
+            x = rg.random_object(ring, rng, n, max_rank=2)
+            f = rg.random_morphism(rng, x, x, max_deg=1)
+            y, g = x, f
+            for _ in range(n * e):
+                y, g = shift(y), shift_morphism(g)
+            assert y == x and g == f
+            for a in range(-5, 9):
+                y, g = x, f
+                for _ in range(a % (n * e)):
+                    y, g = shift(y), shift_morphism(g)
+                for big in (a + 10 ** 12 * n * e, a - 10 ** 12 * n * e):
+                    assert shift_power(x, big) == y, (n, a)
+                    assert shift_power_morphism(f, big) == g, (n, a)
 
 
 @given(st.sampled_from(RINGS), seeds, folds)

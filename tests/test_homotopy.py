@@ -229,7 +229,7 @@ def test_trivial_sum_image_matches_its_construction():
                 for indices in (range(n), [0]):
                     t, eps = ho.trivial_sum_counit(y, indices)
                     slots = ho._lambda_slots(x, y, indices)
-                    image = ho._lambda_image(x, eps, indices, slots)
+                    image = ho._lambda_image(x, y, indices, slots)
                     for _ in range(3 if slots else 0):
                         u = rng2.randrange(len(slots))
                         p = ring.random_poly(rng2, 3)
