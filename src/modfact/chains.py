@@ -278,7 +278,7 @@ def chain_is_mono(c):
 
 # -- rebuilding a factorization from a chain --
 
-def lift(c, n=None):
+def lift(c):
     """A factorization whose quotient chain is isomorphic to c.
 
     The top module is covered minimally through its Smith form; preimages of
@@ -290,10 +290,7 @@ def lift(c, n=None):
     ring = c.ring
     if not ring.commutative:
         raise UnsupportedRingError("lift needs the commutative case")
-    if n is None:
-        n = c.n
-    if n != c.n:
-        raise ValueError("chain has %d slots, expected n = %d" % (c.n, n))
+    n = c.n
     if n == 1:
         return Factorization(ring, [0], [TwistedMatrix(ring, [], 1, 0, 0)])
     if not c.check_torsion():
@@ -468,8 +465,11 @@ def chain_iso(c, d, rng=None):
     Differing invariant factors at any slot give a definitive negative.
     Otherwise random combinations of the chain-map space are tested for
     slotwise invertibility; success returns the forward components as
-    k-matrices over the common basis.  Exhausting the budget without a hit
-    is reported as non-definitive.
+    k-matrices over the common basis.  When the budget runs out without a
+    hit, the k-dimensions of Hom(C,C), Hom(C,D), Hom(D,C) and Hom(D,D) are
+    compared: an isomorphism, composed on either side, makes all four
+    spaces isomorphic, so any difference is a definitive negative.  Equal
+    dimensions are reported as non-definitive.
     """
     import random as _random
     ring = c.ring
@@ -507,6 +507,12 @@ def chain_iso(c, d, rng=None):
         mats = _reshape(fld, vec, shapes)
         if all(kmat_inv(fld, m) is not None for m in mats):
             return ChainIsoResult(True, True, forward=mats)
+    dims = (len(_chain_map_space(c, c)[0]), len(basis),
+            len(_chain_map_space(d, c)[0]), len(_chain_map_space(d, d)[0]))
+    if len(set(dims)) > 1:
+        return ChainIsoResult(False, True, reason="chain-map dimensions differ: "
+                              "Hom(C,C) %d, Hom(C,D) %d, Hom(D,C) %d, Hom(D,D) %d"
+                              % dims)
     return ChainIsoResult(False, False,
                           reason="no invertible combination in %d tries"
                           % _ISO_TRIES)

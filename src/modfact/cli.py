@@ -6,10 +6,10 @@ construction, and emits a machine-readable JSON report (stdout, or the
 timestamps, so a fixed seed gives byte-identical output.
 
 Each verb declares only the options it reads.  All take --ring and
---json.  functor adds --i/--a, lift adds --n, chain-iso adds --seed, and
-the randomized verbs recollement and laws add the sampling flags --seed,
---max-rank, --max-deg and --cases (laws also --suite and --n).  Any
-other flag is a usage error.
+--json.  functor adds --i/--a, chain-iso adds --seed, and the randomized
+verbs recollement and laws add the sampling flags --seed, --max-rank,
+--max-deg and --cases (laws also --suite and --n).  Any other flag is a
+usage error.
 
 Exit codes: 0 pass, 2 property failure, 3 input error, 4 unsupported
 ring operation, 5 chain-iso found no isomorphism within its search
@@ -199,7 +199,7 @@ def cmd_cok0(args):
 def cmd_lift(args):
     ring = _maybe_ring(args)
     c = jsonio.load_chain(args.path, ring)
-    x = lift(c, args.n if args.n else None)
+    x = lift(c)
     report = {"command": "lift", "factorization": x.to_json()}
     human = ["lifted to a fold %d factorization of rank %d" % (x.n, x.ranks[0])]
     return PASS, report, human
@@ -370,8 +370,6 @@ def build_parser():
 
     p = verb("lift", cmd_lift, "rebuild a factorization from a chain")
     p.add_argument("path", metavar="CHAIN")
-    p.add_argument("--n", type=int, default=0, metavar="N",
-                   help="fold count of the result (0 = the chain's)")
 
     p = verb("chain-iso", cmd_chain_iso, "search for a chain isomorphism")
     p.add_argument("path_c", metavar="C")

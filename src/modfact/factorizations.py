@@ -13,7 +13,6 @@ data is an explicit matrix formula.
 """
 
 from .matrices import TwistedMatrix, mat_mul
-from .modules import prime_degree
 
 
 class Factorization:
@@ -290,7 +289,7 @@ def _reduced_power(ring, n, a):
     """a reduced into (-p/2, p/2] for p = n e, e the degree of the field over
     its prime field: shift^n is sigma_twist(-1) and sigma^e is the
     identity, so shift^p is the identity on objects and on morphisms."""
-    p = n * prime_degree(ring.field)
+    p = n * ring.field.e
     a %= p
     return a - p if 2 * a > p else a
 

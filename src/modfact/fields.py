@@ -1,11 +1,14 @@
 """Exact coefficient fields: rationals, prime fields, and finite extensions.
 
-Every field object exposes the same small protocol (zero, one, add, sub,
-neg, mul, inv, frob, from_int, is_zero, elem_to_json, elem_from_json) so
-the polynomial layer in rings.py never needs to branch on the field kind.
-Elements are plain Python values: for the rationals an int when integral
-and a reduced Fraction otherwise, int in range(p) for a prime field, tuple
-of e ints for F_{p^e}.
+Every field object exposes the same small protocol (zero, one, e, card,
+add, sub, neg, mul, inv, frob, from_int, is_zero, elem_to_json,
+elem_from_json) so the polynomial layer in rings.py never needs to branch
+on the field kind. e is the degree over the prime field: 1 for the
+rationals and for F_p, so frobenius has period e everywhere. card is the
+number of elements, None for the rationals. Elements are plain Python
+values: for the rationals an int when integral and a reduced Fraction
+otherwise, int in range(p) for a prime field, tuple of e ints in range(p)
+for F_{p^e}, which is the element's own coordinate vector over F_p.
 """
 
 from fractions import Fraction
@@ -158,6 +161,7 @@ class RationalField:
     kind = "rationals"
     char = 0
     card = None
+    e = 1
     zero = 0
     one = 1
 
@@ -236,6 +240,7 @@ class RationalField:
 
 class PrimeField:
     kind = "prime"
+    e = 1
 
     def __init__(self, p):
         if not is_prime(p):

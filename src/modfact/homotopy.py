@@ -47,7 +47,7 @@ from .rings import UnsupportedRingError
 from .matrices import (TwistedMatrix, mat_mul, mat_identity,
                        solve_right, left_kernel, smith_form, block_slots,
                        term_image)
-from .modules import kmat_solve, prime_coords, from_prime_coords, prime_degree
+from .modules import kmat_solve
 from .factorizations import Morphism, theta, direct_sum
 
 
@@ -226,12 +226,13 @@ def _solve_exact(ring, unit_count, image, f):
     return [ring.trim(c) for c in sol[0]]
 
 
-def _flatten_fp(fld, dmax, vec):
+def _flatten_fp(fld, m, vec):
+    """The F_p coordinates of the coefficients below x^m of each poly in
+    vec: an element of F_q is its own tuple of coordinates over F_p."""
     out = []
     for poly in vec:
-        for d in range(dmax + 1):
-            c = poly[d] if d < len(poly) else fld.zero
-            out.extend(prime_coords(fld, c))
+        for d in range(m):
+            out.extend(poly[d] if d < len(poly) else fld.zero)
     return out
 
 
@@ -246,33 +247,30 @@ def _solve_mod_omega(ring, unit_count, image, f, top):
     omega is normal, so (omega) = A omega = omega A, and writing c_u =
     c_low + omega c_high with deg c_low < deg omega shows that f must be
     image(c_low) modulo omega: one prime-field system, with an unknown
-    per u, per x^d below deg omega and per unit of F_q over F_p. With a
-    solution the remainder f - image(c_low), for a morphism f, is a
+    per u, per x^d below deg omega and per unit of F_q over F_p. On a skew
+    ring normality forces omega = c x^m (BaseRing checks it) and q omega
+    has no term below x^m, so the residue modulo omega is the part below
+    x^m: no entry is divided. An element of F_q = F_{p^e} is its own tuple
+    of e coordinates over F_p (fields.py), so the system reads them off
+    directly and its solution, in range(p), groups back into elements.
+
+    With a solution the remainder f - image(c_low), for a morphism f, is a
     morphism with top component K omega; as d_y^{n-1} d_y^0 ... d_y^{n-2}
     = omega I, the block K d_y^{n-1} maps onto all of it and is added to
     the top block. As in _solve_exact, the caller verifies.
     """
     fld = ring.field
-    e = prime_degree(fld)
+    e = fld.e
     m = ring.omega_deg
-    units = [(u, d, c) for u in range(unit_count) for d in range(m)
-             for c in range(e)]
-    rows = []
-    for u, d, c in units:
-        coords = [0] * e
-        coords[c] = 1
-        cand = image(u, [fld.zero] * d + [from_prime_coords(fld, coords)])
-        rows.append(_flatten_fp(fld, m - 1, map(ring.quotient_reduce, cand)))
+    units = [tuple(int(i == c) for i in range(e)) for c in range(e)]
+    rows = [_flatten_fp(fld, m, image(u, [fld.zero] * d + [unit]))
+            for u in range(unit_count) for d in range(m) for unit in units]
     target = _flatten_polys(f)
-    rhs = _flatten_fp(fld, m - 1, map(ring.quotient_reduce, target))
-    sol = kmat_solve(PrimeField(fld.p), rows, [rhs])
+    sol = kmat_solve(PrimeField(fld.p), rows, [_flatten_fp(fld, m, target)])
     if sol is None:
         return None
-    coeff_coords = [[[0] * e for _ in range(m)] for _ in range(unit_count)]
-    for (u, d, c), val in zip(units, sol[0]):
-        coeff_coords[u][d][c] = val % fld.p
-    coeffs = [ring.trim([from_prime_coords(fld, coords) for coords in cc])
-              for cc in coeff_coords]
+    elems = [tuple(sol[0][k:k + e]) for k in range(0, len(sol[0]), e)]
+    coeffs = [ring.trim(elems[u * m:(u + 1) * m]) for u in range(unit_count)]
     rest = target
     for u, poly in enumerate(coeffs):
         if poly:

@@ -59,13 +59,18 @@ def _resolve_ring(data, ring, path):
     raise InputError("%s: no ring supplied and none embedded" % path)
 
 
-def load_factorization(path, ring=None):
+def _load(path, ring, from_json, noun):
+    """from_json(ring, data) on the file at path; InputError names the noun."""
     data = read_json(path)
     ring = _resolve_ring(data, ring, path)
     try:
-        return Factorization.from_json(ring, data)
+        return from_json(ring, data)
     except (KeyError, ValueError, TypeError, IndexError) as exc:
-        raise InputError("bad factorization in %s: %s" % (path, exc))
+        raise InputError("bad %s in %s: %s" % (noun, path, exc))
+
+
+def load_factorization(path, ring=None):
+    return _load(path, ring, Factorization.from_json, "factorization")
 
 
 def load_morphism(path, ring=None):
@@ -83,21 +88,11 @@ def load_morphism(path, ring=None):
 
 
 def load_chain(path, ring=None):
-    data = read_json(path)
-    ring = _resolve_ring(data, ring, path)
-    try:
-        return ChainModule.from_json(ring, data)
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
-        raise InputError("bad chain in %s: %s" % (path, exc))
+    return _load(path, ring, ChainModule.from_json, "chain")
 
 
 def load_gamma(path, ring=None):
-    data = read_json(path)
-    ring = _resolve_ring(data, ring, path)
-    try:
-        return GammaModule.from_json(ring, data)
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
-        raise InputError("bad gamma data in %s: %s" % (path, exc))
+    return _load(path, ring, GammaModule.from_json, "gamma data")
 
 
 def sniff_kind(data):

@@ -500,7 +500,7 @@ def _chain_lift(sc, rng, rep):
     for _ in range(sc.cases):
         n = rng.choice(_folds(sc, low=2))
         c = rg.random_chain(ring, rng, n, sc.max_rank, sc.max_deg)
-        x = lift(c, n)
+        x = lift(c)
         rep.case(x.is_valid(), "lift output is a valid factorization")
         facs = [e for e in invariant_factors(ring, c.modules[-1].relations)
                 if e]
@@ -508,7 +508,7 @@ def _chain_lift(sc, rng, rep):
                  "lift rank matches the nonunit invariant factors")
         res = chain_iso(cok0(x), c)
         rep.case(bool(res.found), "cokernel of the lift is chain isomorphic")
-    z = lift(cok0(theta(ring, max(_folds(sc, low=2)), 0)), None)
+    z = lift(cok0(theta(ring, max(_folds(sc, low=2)), 0)))
     rep.case(z.ranks[0] == 0, "zero chain lifts to the zero object")
 
 

@@ -285,25 +285,3 @@ def kmat_inv(fld, m):
     sol = kmat_solve(fld, m, kmat_identity(fld, n))
     return sol
 
-
-# -- prime-subfield flattening (for semilinear systems) --
-
-def prime_coords(fld, a):
-    """Coordinates of a field element over the prime subfield F_p."""
-    if getattr(fld, "kind", None) == "finite":
-        return [c % fld.p for c in a]
-    if getattr(fld, "kind", None) == "prime":
-        return [a % fld.p]
-    raise ValueError("prime flattening needs a finite field")
-
-
-def from_prime_coords(fld, coords):
-    if getattr(fld, "kind", None) == "finite":
-        return tuple(c % fld.p for c in coords)
-    if getattr(fld, "kind", None) == "prime":
-        return coords[0] % fld.p
-    raise ValueError("prime flattening needs a finite field")
-
-
-def prime_degree(fld):
-    return getattr(fld, "e", 1)

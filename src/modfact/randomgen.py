@@ -226,7 +226,7 @@ def random_object(ring, rng, n, max_rank=3, max_deg=2):
     x = random_diagonal(ring, rng, n, rank)
     if not ring.sigma_power and n >= 2 and rng.random() < 0.2:
         try:
-            lifted = lift(cok0(x), n)
+            lifted = lift(cok0(x))
             if lifted.ranks[0] > 0:
                 x = lifted
         except ValueError:

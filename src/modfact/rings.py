@@ -10,7 +10,7 @@ induced automorphism acts coefficientwise by frob^(s*m); apply_sigma
 implements exactly that map (and the identity in the commutative case).
 """
 
-from .fields import RationalField, field_from_json
+from .fields import field_from_json
 
 
 class UnsupportedRingError(ValueError):
@@ -24,13 +24,9 @@ class NotNormalError(ValueError):
 class BaseRing:
     def __init__(self, field, sigma_power=0, omega=None):
         self.field = field
-        if isinstance(field, RationalField):
-            if sigma_power != 0:
-                raise ValueError("a frobenius power needs a finite coefficient field")
-            self.sigma_power = 0
-        else:
-            e = getattr(field, "e", 1)
-            self.sigma_power = sigma_power % e
+        if field.card is None and sigma_power != 0:
+            raise ValueError("a frobenius power needs a finite coefficient field")
+        self.sigma_power = sigma_power % field.e
         self.commutative = self.sigma_power == 0
         if omega is None:
             raise ValueError("omega is required")
@@ -189,10 +185,6 @@ class BaseRing:
             if not r:
                 break
         return self.trim(q), r
-
-    def quotient_reduce(self, f):
-        """Canonical representative of f in A/(omega), degree below deg(omega)."""
-        return self.right_quo_rem(f, self.omega)[1]
 
     def monic(self, f):
         """Left-scale f to leading coefficient 1 (unit scaling keeps row spans)."""

@@ -4,12 +4,15 @@ Everything here is deterministic; tests that want randomness seed their own
 random.Random instances so failures reproduce.
 """
 
+import random
 from fractions import Fraction
 
 from modfact.fields import RationalField, PrimeField, ExtensionField
 from modfact.rings import BaseRing
 from modfact.matrices import TwistedMatrix
 from modfact.factorizations import Factorization
+from modfact.chains import cok0
+from modfact.randomgen import random_object
 
 
 def ring_q(omega):
@@ -61,6 +64,8 @@ u4 = (0, 1)
 u4sq = (1, 1)
 RS = BaseRing(F4, 1, [(0, 0), (0, 0), (1, 0)])  # F_4[x; Frob], omega = x^2
 RS1 = BaseRing(F4, 1, [(0, 0), (1, 0)])         # omega = x
+F9 = ExtensionField(3, 2)
+RS9 = BaseRing(F9, 1, [F9.zero, F9.zero, F9.from_int(2)])  # F_9[x; Frob], omega = 2 x^2
 xs = [F4.zero, F4.one]
 
 # skew rank-2 with unit off-diagonals: stably trivial
@@ -70,3 +75,12 @@ XS = mk(RS, [2, 2], [
 ])
 # skew (x, x): not stably trivial; the mod-omega deciders say so definitively
 XSneg = mk(RS, [1, 1], [[[xs]], [[xs]]])
+
+
+def equal_invariant_pair(seed):
+    """Two random fold-3 cok0 chains over F_2 with omega = x^2 whose slot
+    invariants agree; for seeds 19 and 219 they are not isomorphic."""
+    ring = BaseRing(PrimeField(2), 0, [0, 0, 1])
+    rng = random.Random(seed)
+    return (cok0(random_object(ring, rng, 3, 3, 2)),
+            cok0(random_object(ring, rng, 3, 3, 2)))

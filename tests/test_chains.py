@@ -15,7 +15,8 @@ from modfact.chains import (ChainModule, ChainMorphism, zero_chain,
                             _chain_map_space, _reshape)
 from modfact.modules import kmat_identity, kmat_rank
 
-from common import R5x2, R5x3, RS, X2, X3, X2Q, X2b, X3b, XSneg, mk, x_, one
+from common import (R5x2, R5x3, RS, X2, X3, X2Q, X2b, X3b, XSneg, mk, x_, one,
+                    equal_invariant_pair)
 
 rng = random.Random(11)
 xx = [0, 0, 1]
@@ -134,6 +135,15 @@ def test_chain_iso_definitive_negatives():
     assert not res.found and res.definitive
     res = chain_iso(cok0(X2), zero_chain(R5x2, 2))
     assert not res.found and res.definitive
+    # equal slot invariants, no invertible chain map among the tries: the
+    # chain-map dimensions differ, which rules an isomorphism out
+    for seed, dims in ((19, (8, 8, 8, 9)), (219, (4, 4, 4, 5))):
+        c, d = equal_invariant_pair(seed)
+        assert c.slot_invariants() == d.slot_invariants()
+        res = chain_iso(c, d)
+        assert not res.found and res.definitive
+        assert res.reason == ("chain-map dimensions differ: Hom(C,C) %d, "
+                              "Hom(C,D) %d, Hom(D,C) %d, Hom(D,D) %d" % dims)
 
 
 def test_lift_rejects_bad_chains():

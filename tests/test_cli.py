@@ -18,6 +18,8 @@ from modfact.randomgen import (default_instances, random_object,
                                random_morphism, random_null_morphism,
                                random_nonzero_object, corrupt_gamma)
 
+from common import equal_invariant_pair
+
 INST = default_instances()
 Q2 = INST[0]
 F4 = [r for r in INST if not r.commutative][0]
@@ -249,6 +251,12 @@ def test_chain_iso_definitive_mismatch_exits_2(paths):
     op = paths["wj"]("other.json", dict(other.to_json(), ring=Q2.to_json()))
     code, out, err = run("chain-iso", cpath, op)
     assert code == 2
+    # equal slot invariants, told apart by their chain-map dimensions
+    c, d = equal_invariant_pair(19)
+    cp, dp = (paths["wj"](name, dict(ch.to_json(), ring=ch.ring.to_json()))
+              for name, ch in (("eq-c.json", c), ("eq-d.json", d)))
+    code, out, err = run("chain-iso", cp, dp)
+    assert code == 2 and json.loads(out)["result"]["definitive"]
 
 
 def test_phi_psi_roundtrip_and_corruption(paths):
@@ -319,7 +327,7 @@ VERB_OPTIONS = {
     "stable-hom": {"--ring", "--json"},
     "stably-zero": {"--ring", "--json"},
     "cok0": {"--ring", "--json"},
-    "lift": {"--ring", "--json", "--n"},
+    "lift": {"--ring", "--json"},
     "chain-iso": {"--ring", "--json", "--seed"},
     "phi": {"--ring", "--json"},
     "psi": {"--ring", "--json"},
@@ -341,7 +349,7 @@ def test_each_verb_declares_only_the_options_it_reads():
                 and not isinstance(a, argparse._HelpAction)]
         assert {s for a in opts for s in a.option_strings} == VERB_OPTIONS[name]
         total += len(opts)
-    assert total == 38
+    assert total == 37
 
 
 def test_a_flag_the_verb_does_not_read_is_a_usage_error(paths):
@@ -350,6 +358,7 @@ def test_a_flag_the_verb_does_not_read_is_a_usage_error(paths):
                       (["cok0", paths["x.json"], "--seed", "1"], unread),
                       (["recollement", "3", "1", "--n", "2"], unread),
                       (["lift", paths["c.json"], "--seed", "1"], unread),
+                      (["lift", paths["c.json"], "--n", "2"], unread),
                       (["functor", "nope", paths["x.json"]], "invalid choice")):
         code, out, err = run(*argv)
         assert code == 3, argv

@@ -10,7 +10,7 @@ import modfact.homotopy as ho
 from modfact.fields import ExtensionField
 from modfact.rings import BaseRing
 
-from common import (R5x2, R5x3, RQ2, RS, RS1, X2, X3, X2Q, X2b, XS, XSneg,
+from common import (R5x2, R5x3, RQ2, RS, RS1, RS9, X2, X3, X2Q, X2b, XS, XSneg,
                     mk, one, ring_q)
 
 rng = random.Random(7)
@@ -284,10 +284,40 @@ def test_stable_hom_representatives_are_morphisms():
 
 def _skew_instances():
     # the stock F_4 rings, whose induced automorphism is an involution or
-    # the identity, and an F_8 ring where it has order 3
+    # the identity, an F_8 ring where it has order 3, and an F_9 ring whose
+    # omega = 2 x^2 is not monic
     f8 = ExtensionField(2, 3)
     return [r for r in rg.default_instances() if not r.commutative] + [
-        BaseRing(f8, 1, [f8.zero, f8.zero, f8.one])]
+        BaseRing(f8, 1, [f8.zero, f8.zero, f8.one]), RS9]
+
+
+def test_skew_decisions_divide_only_to_complete(monkeypatch):
+    # a residue modulo omega = c x^m is a truncation, so the only division
+    # in a skew decision is the completion's quotient by omega of each
+    # entry of the r_{n-1}(x) x r_{n-1}(y) top block
+    calls = []
+    real = BaseRing.right_quo_rem
+
+    def counting(self, f, g):
+        calls.append(g)
+        return real(self, f, g)
+
+    rng2 = random.Random(31)
+    for ring in _skew_instances():
+        for n in (1, 2, 3):
+            x = rg.random_object(ring, rng2, n, max_rank=2)
+            y = rg.random_object(ring, rng2, n, max_rank=2)
+            null, _ = rg.random_null_morphism(rng2, x, y)
+            for f in (null, rg.random_morphism(rng2, x, y), Morphism.identity(x)):
+                top = f.source.ranks[-1] * f.target.ranks[-1]
+                for decide in (ho.is_p_null_homotopic, ho.factors_through_trivials,
+                               ho.factors_through_theta0):
+                    del calls[:]
+                    with monkeypatch.context() as mp:
+                        mp.setattr(BaseRing, "right_quo_rem", counting)
+                        verdict = bool(decide(f))
+                    assert len(calls) == (top if verdict else 0)
+                    assert all(g == ring.omega for g in calls)
 
 
 def test_skew_deciders_complete_multiples_of_omega():

@@ -8,7 +8,7 @@ from modfact.fields import (RationalField, PrimeField, ExtensionField, field_fro
                             is_prime, MR_LIMIT)
 from modfact.rings import BaseRing, NotNormalError, ring_from_json
 
-from common import R5x3, RQ2, RS, RS1
+from common import R5x3, RQ2, RS, RS1, RS9
 
 
 def coeffs(ring):
@@ -89,16 +89,15 @@ def test_division_identities(data):
     assert len(r) < len(g)
 
 
-@given(ring_polys)
+@given(st.sampled_from([RS, RS1, RS9]).flatmap(
+    lambda r: st.tuples(st.just(r), polys(r, max_len=7))))
 @settings(max_examples=60, deadline=None)
-def test_quotient_reduce_is_idempotent(data):
-    ring, f, g, h = data
-    red = ring.quotient_reduce(f)
-    assert len(red) <= ring.omega_deg
-    assert ring.quotient_reduce(red) == red
-    # reduction is additive
-    fg = ring.quotient_reduce(ring.add(f, g))
-    assert fg == ring.quotient_reduce(ring.add(red, ring.quotient_reduce(g)))
+def test_skew_residue_mod_omega_is_truncation(data):
+    # on a skew ring omega = c x^m, so the residue is the part below x^m;
+    # homotopy._solve_mod_omega takes residues this way
+    ring, f = data
+    m = ring.omega_deg
+    assert ring.right_quo_rem(f, ring.omega)[1] == ring.trim(f[:m])
 
 
 def test_commutative_ring_has_trivial_sigma():
