@@ -13,11 +13,11 @@ of theta^0 objects, and it induces a map factoring through a projective
 chain exactly when it is null-homotopic.  Both directions are computed
 independently and compared, nothing is inferred from one side alone.
 
-Everything that needs Smith normal form (lift, chain_iso,
-chain_factors_projective) is restricted to the commutative base rings and
-raises UnsupportedRingError over a skew one.  cok0 itself, morphism
-transport and the mono test only use Hermite elimination and work over
-every supported ring.
+lift and chain_iso need Smith normal forms, and chain_factors_projective
+solves a left-A-linear system by Hermite form, which needs commutativity:
+all three raise UnsupportedRingError over a skew base ring.  cok0 itself,
+morphism transport and the mono test only use Hermite elimination and
+work over every supported ring.
 """
 
 from .rings import UnsupportedRingError

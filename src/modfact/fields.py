@@ -230,9 +230,14 @@ class RationalField:
         return str(Fraction(a))
 
     def elem_from_json(self, data):
-        if not isinstance(data, str):
-            raise ValueError("rational elements encode as strings: %r" % (data,))
-        return _canonical(Fraction(data))
+        # an exponent would let a few characters ask for 10^(10^9)
+        if not isinstance(data, str) or "e" in data or "E" in data:
+            raise ValueError("rational elements encode as strings with no "
+                             "exponent: %r" % (data,))
+        try:
+            return _canonical(Fraction(data))
+        except ZeroDivisionError:
+            raise ValueError("zero denominator: %r" % (data,)) from None
 
     def to_json(self):
         return {"kind": "rationals"}
@@ -303,9 +308,7 @@ class PrimeField:
         return a % self.p
 
     def elem_from_json(self, data):
-        if not isinstance(data, int) or isinstance(data, bool):
-            raise ValueError("prime field elements encode as ints: %r" % (data,))
-        return data % self.p
+        return json_int(data, "a prime field element") % self.p
 
     def to_json(self):
         return {"kind": "prime", "p": self.p}
@@ -458,10 +461,18 @@ class ExtensionField:
         if not isinstance(data, list) or len(data) != self.e:
             raise ValueError("F_%d^%d elements encode as length-%d int arrays"
                              % (self.p, self.e, self.e))
-        return tuple(int(x) % self.p for x in data)
+        return tuple(json_int(x, "a coordinate") % self.p for x in data)
 
     def to_json(self):
         return {"kind": "finite", "p": self.p, "e": self.e, "modulus": list(self.modulus)}
+
+
+def json_int(value, name):
+    """value if it is a JSON integer; a float, a string or a bool (an int
+    subclass, hence the exact type test) is a ValueError, never truncated."""
+    if type(value) is not int:
+        raise ValueError("%s must be an integer, not %r" % (name, value))
+    return value
 
 
 def field_from_json(data):
@@ -471,7 +482,10 @@ def field_from_json(data):
     if kind == "rationals":
         return RationalField()
     if kind == "prime":
-        return PrimeField(int(data["p"]))
+        return PrimeField(json_int(data["p"], "p"))
     if kind == "finite":
-        return ExtensionField(int(data["p"]), int(data["e"]), data.get("modulus"))
+        modulus = data.get("modulus")
+        return ExtensionField(
+            json_int(data["p"], "p"), json_int(data["e"], "e"),
+            modulus and [json_int(c, "a modulus coefficient") for c in modulus])
     raise ValueError("unknown field kind %r" % (kind,))

@@ -59,40 +59,48 @@ def _resolve_ring(data, ring, path):
     raise InputError("%s: no ring supplied and none embedded" % path)
 
 
-def _load(path, ring, from_json, noun):
-    """from_json(ring, data) on the file at path; InputError names the noun."""
-    data = read_json(path)
+def _morphism_from_json(ring, data):
+    source = Factorization.from_json(ring, data["source"])
+    target = Factorization.from_json(ring, data["target"])
+    return Morphism.from_json(source, target, data)
+
+
+# kind -> (from_json(ring, data), the noun its errors name)
+_BUILDERS = {
+    "factorization": (Factorization.from_json, "factorization"),
+    "morphism": (_morphism_from_json, "morphism"),
+    "chain": (ChainModule.from_json, "chain"),
+    "gamma": (GammaModule.from_json, "gamma data"),
+}
+
+
+def _build(kind, data, path, ring):
+    """The object of the given kind from the data parsed out of path."""
+    from_json, noun = _BUILDERS[kind]
     ring = _resolve_ring(data, ring, path)
     try:
         return from_json(ring, data)
     except (KeyError, ValueError, TypeError, IndexError) as exc:
+        if kind == "morphism" and isinstance(exc, KeyError):
+            raise InputError("%s: morphism file lacks %s (source and target "
+                             "must be embedded)" % (path, exc))
         raise InputError("bad %s in %s: %s" % (noun, path, exc))
 
 
 def load_factorization(path, ring=None):
-    return _load(path, ring, Factorization.from_json, "factorization")
+    return _build("factorization", read_json(path), path, ring)
 
 
 def load_morphism(path, ring=None):
-    data = read_json(path)
-    ring = _resolve_ring(data, ring, path)
-    try:
-        source = Factorization.from_json(ring, data["source"])
-        target = Factorization.from_json(ring, data["target"])
-        return Morphism.from_json(source, target, data)
-    except KeyError as exc:
-        raise InputError("%s: morphism file lacks %s (source and target "
-                         "must be embedded)" % (path, exc))
-    except (ValueError, TypeError, IndexError) as exc:
-        raise InputError("bad morphism in %s: %s" % (path, exc))
+    return _build("morphism", read_json(path), path, ring)
 
 
 def load_chain(path, ring=None):
-    return _load(path, ring, ChainModule.from_json, "chain")
+    return _build("chain", read_json(path), path, ring)
 
 
 def load_gamma(path, ring=None):
-    return _load(path, ring, GammaModule.from_json, "gamma data")
+    return _build("gamma", read_json(path), path, ring)
 
 
 def sniff_kind(data):
@@ -101,8 +109,8 @@ def sniff_kind(data):
         return "unknown"
     if "modules" in data:
         return "chain"
-    if "maps" in data and data["maps"] and isinstance(data["maps"][0], dict) \
-            and "row" in data["maps"][0]:
+    maps = data.get("maps")
+    if isinstance(maps, list) and maps and isinstance(maps[0], dict) and "row" in maps[0]:
         return "gamma"
     if "ranks" in data:
         return "factorization"
@@ -115,12 +123,6 @@ def load_any(path, ring=None):
     """Load an object file of sniffed kind; returns (kind, object)."""
     data = read_json(path)
     kind = sniff_kind(data)
-    if kind == "chain":
-        return kind, load_chain(path, ring)
-    if kind == "gamma":
-        return kind, load_gamma(path, ring)
-    if kind == "factorization":
-        return kind, load_factorization(path, ring)
-    if kind == "morphism":
-        return kind, load_morphism(path, ring)
-    raise InputError("%s: cannot tell what kind of object this is" % path)
+    if kind not in _BUILDERS:
+        raise InputError("%s: cannot tell what kind of object this is" % path)
+    return kind, _build(kind, data, path, ring)

@@ -3,9 +3,10 @@
 Each suite draws its cases from its own generator seeded by the scenario
 seed and the suite name, checks bit-exact identities, and reports the
 case count plus any failures, so a report is fully determined by the
-scenario.  Suites needing commutative-only machinery (Smith forms, the
-exact homotopy solver) are skipped with a reason on skew scenarios; an
-applicable suite that runs zero cases fails the whole run.
+scenario.  Suites needing commutative-only machinery (Smith forms and the
+certificates built on them, Hom modules, projective chain factoring) are
+skipped with a reason on skew scenarios; an applicable suite that runs
+zero cases fails the whole run.
 """
 
 import random
@@ -487,8 +488,7 @@ def _cokernel_chain(sc, rng, rep):
         rhs = cok0_morphism(f).then(cok0_morphism(g))
         rep.case(lhs.components == rhs.components,
                  "zeroth cokernel respects composition")
-        rep.case(cok0_morphism(omega_morphism(x)).is_zero_map()
-                 if ring.commutative else True,
+        rep.case(cok0_morphism(omega_morphism(x)).is_zero_map(),
                  "omega scaling dies in the cokernels")
 
 

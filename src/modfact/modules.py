@@ -9,11 +9,13 @@ x-action and for any A-linear map given on generators.
 The k-matrix helpers at the bottom (kmat_*) work over a coefficient field
 and back the finite-dimensional searches in chains.py and the skew solver
 modulo omega in homotopy.py, which solves over the prime field the A-linear
-systems that matrices.term_image assembles. One Gauss-Jordan routine, _kmat_eliminate,
-does all their elimination: kmat_rank runs it on a copy of the matrix,
-kmat_solve and kmat_nullspace on the matrix with an identity beside it,
-which records the row transform, and kmat_inv is kmat_solve against the
-identity.
+systems that matrices.term_image assembles. One Gauss-Jordan routine,
+_kmat_eliminate, runs once per call: on a copy of m for kmat_rank, on m^T
+for kmat_nullspace and on [m^T | rhs^T] for kmat_solve (X m = rhs is
+m^T X^T = rhs^T); kmat_inv is kmat_solve against the identity. Answers are
+read off the reduced echelon form, so they depend on the system alone: an
+unknown whose row of m depends on the rows before it is 0 in a solution,
+and the null-space basis is the reduced one.
 """
 
 from .matrices import TwistedMatrix, hermite_form, mat_mul
@@ -224,64 +226,48 @@ def _kmat_eliminate(fld, m, cols):
     return pivots
 
 
-def _with_identity(fld, m):
-    """[m | I]: eliminating the m part leaves the row transform beside it."""
-    rows = len(m)
-    return [list(m[i]) + [fld.one if j == i else fld.zero for j in range(rows)]
-            for i in range(rows)]
-
-
 def kmat_rank(fld, m):
     work = [list(r) for r in m]
     return len(_kmat_eliminate(fld, work, len(m[0]) if m else 0))
 
 
 def kmat_solve(fld, m, rhs):
-    """X with X * m = rhs over the field, or None. One output row per rhs row."""
+    """X with X * m = rhs over the field, or None. One output row per rhs
+    row: pivot t takes row t's rhs entries, the other unknowns are 0."""
     rows = len(m)
     cols = len(m[0]) if m else (len(rhs[0]) if rhs else 0)
-    aug = _with_identity(fld, m)
-    piv_of_col = {c: r for r, c in enumerate(_kmat_eliminate(fld, aug, cols))}
-    out = []
-    for brow in rhs:
-        if len(brow) != cols:
-            raise ValueError("rhs width mismatch")
-        resid = list(brow)
-        y = [fld.zero] * rows
-        for col in range(cols):
-            if fld.is_zero(resid[col]):
-                continue
-            r = piv_of_col.get(col)
-            if r is None:
-                return None
-            c = resid[col]
-            y[r] = c
-            resid = [fld.sub(a, fld.mul(c, b)) for a, b in zip(resid, aug[r][:cols])]
-        if any(not fld.is_zero(e) for e in resid):
-            return None
-        # y are coordinates in the echelon rows; pull back through the transform
-        xrow = [fld.zero] * rows
-        for r, c in enumerate(y):
-            if fld.is_zero(c):
-                continue
-            for j in range(rows):
-                xrow[j] = fld.add(xrow[j], fld.mul(c, aug[r][cols + j]))
-        out.append(xrow)
+    if any(len(brow) != cols for brow in rhs):
+        raise ValueError("rhs width mismatch")
+    aug = [list(col) for col in zip(*m, *rhs)]
+    pivots = _kmat_eliminate(fld, aug, rows)
+    if any(not fld.is_zero(e) for row in aug[len(pivots):] for e in row[rows:]):
+        return None
+    out = [[fld.zero] * rows for _ in rhs]
+    for row, u in zip(aug, pivots):
+        for xrow, e in zip(out, row[rows:]):
+            xrow[u] = e
     return out
 
 
 def kmat_nullspace(fld, m):
-    """Basis of rows v with v * m = 0."""
-    cols = len(m[0]) if m else 0
-    aug = _with_identity(fld, m)
-    rank = len(_kmat_eliminate(fld, aug, cols))
-    return [row[cols:] for row in aug[rank:]]
+    """Basis of rows v with v * m = 0: one per pivotless column f of the
+    reduced m^T, 1 at f, -(row t at f) at pivot t, 0 elsewhere."""
+    rows = len(m)
+    red = [list(col) for col in zip(*m)]
+    pivots = _kmat_eliminate(fld, red, rows)
+    basis = []
+    for f in sorted(set(range(rows)) - set(pivots)):
+        v = [fld.zero] * rows
+        v[f] = fld.one
+        for row, u in zip(red, pivots):
+            v[u] = fld.neg(row[f])
+        basis.append(v)
+    return basis
 
 
 def kmat_inv(fld, m):
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValueError("inverse of a non-square matrix")
-    sol = kmat_solve(fld, m, kmat_identity(fld, n))
-    return sol
+    return kmat_solve(fld, m, kmat_identity(fld, n))
 

@@ -10,7 +10,7 @@ induced automorphism acts coefficientwise by frob^(s*m); apply_sigma
 implements exactly that map (and the identity in the commutative case).
 """
 
-from .fields import field_from_json
+from .fields import field_from_json, json_int
 
 
 class UnsupportedRingError(ValueError):
@@ -240,6 +240,6 @@ def ring_from_json(data):
         if key not in data:
             raise ValueError("ring spec is missing %r" % key)
     field = field_from_json(data["field"])
-    sigma_power = int(data.get("sigma_power", 0))
+    sigma_power = json_int(data.get("sigma_power", 0), "sigma_power")
     omega = [field.elem_from_json(c) for c in data["omega"]]
     return BaseRing(field, sigma_power, omega)

@@ -9,6 +9,7 @@ import pytest
 
 from modfact import jsonio
 from modfact import cli
+from modfact.rings import ring_from_json
 from modfact.factorizations import (Factorization, Morphism, theta, shift,
                                     shift_morphism)
 from modfact.matrices import TwistedMatrix
@@ -370,3 +371,38 @@ def test_a_flag_the_verb_does_not_read_is_a_usage_error(paths):
 def test_help_exits_0(verb):
     code, out, err = run(*([verb] if verb else []), "--help")
     assert code == 0 and "usage: modfact" in out and err == ""
+
+
+def test_hostile_numbers_and_kinds_are_input_errors(paths):
+    wj = paths["wj"]
+    q = Q2.to_json()
+    f5 = {"field": {"kind": "prime", "p": 5}, "omega": [0, 0, 1]}
+    x = paths["x"].to_json()
+    x5 = random_object(ring_from_json(f5), random.Random(3), 2).to_json()
+    x4 = random_object(F4X2, random.Random(3), 2).to_json()
+
+    def entry(obj, value):
+        # the obj with its first map's first entry replaced by [value]
+        out = json.loads(json.dumps(obj))
+        out["maps"][0]["entries"][0][0] = [value]
+        return out
+
+    cases = {
+        "zero denominator in an entry": ([wj("h1.json", dict(entry(x, "1/0"), ring=q))], None),
+        "zero denominator in omega": ([paths["x.json"]], dict(q, omega=["0", "0", "1/0"])),
+        "exponent in an entry": ([wj("h2.json", dict(entry(x, "1e3"), ring=q))], None),
+        "exponent in omega": ([paths["x.json"]], dict(q, omega=["0", "0", "1e2"])),
+        "float p": ([wj("h3.json", x5)], dict(f5, field={"kind": "prime", "p": 5.5})),
+        "string p": ([wj("h4.json", x5)], dict(f5, field={"kind": "prime", "p": "5"})),
+        "bool sigma_power": ([wj("h5.json", x4)], dict(F4X2.to_json(), sigma_power=True)),
+        "float F_4 coordinate": ([wj("h6.json", entry(x4, [1.0, 0]))], F4X2.to_json()),
+        "maps as an object": ([wj("h7.json", {"maps": {"a": 1}})], None),
+        "maps as a number": ([wj("h8.json", {"maps": 5})], None),
+    }
+    for what, (files, ring) in cases.items():
+        extra = ["--ring", wj("hring.json", ring)] if ring else []
+        start = time.perf_counter()
+        code, out, err = run("validate", *files, *extra)
+        assert code == 3 and "input error" in err, (what, code, err)
+        assert "Traceback" not in err and out == "", what
+        assert time.perf_counter() - start < 1, what

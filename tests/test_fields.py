@@ -72,3 +72,14 @@ def test_rational_canonical_form_edges():
     draws = [Q.random(random.Random(s)) for s in range(20)]
     assert draws == [random.Random(s).randint(-3, 3) for s in range(20)]
     assert all(type(c) is int for c in draws)
+
+
+def test_rational_json_refuses_exponents_and_zero_denominators():
+    # Fraction would build 10^n for "1en" and raise ZeroDivisionError for
+    # "1/0"; both are malformed input, a ValueError
+    for bad in ("1e5", "2E-3", "1.5e2", "1/0", "-3/0", " 0/0 "):
+        with pytest.raises(ValueError):
+            Q.elem_from_json(bad)
+    assert_canonical(Q.elem_from_json("0.5"), Fraction(1, 2))
+    assert_canonical(Q.elem_from_json("-1.25"), Fraction(-5, 4))
+    assert_canonical(Q.elem_from_json(" 4/2 "), 2)

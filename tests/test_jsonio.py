@@ -67,3 +67,24 @@ def test_wrong_kind_and_missing_file_raise(tmp_path, ring, obj):
         jsonio.load_ring(str(tmp_path / "x.json"))
     with pytest.raises(jsonio.InputError):
         jsonio.load_factorization(str(tmp_path / "missing.json"), ring)
+
+
+def test_load_any_parses_each_file_once(tmp_path, ring, obj, monkeypatch):
+    f, _ = rg.random_null_morphism(random.Random(5), obj, obj)
+    mor = dict(f.to_json(), source=obj.to_json(), target=obj.to_json())
+    files = {"factorization": obj.to_json(), "morphism": mor,
+             "chain": cok0(obj).to_json(), "gamma": phi(obj).to_json()}
+    single = {"factorization": jsonio.load_factorization,
+              "morphism": jsonio.load_morphism,
+              "chain": jsonio.load_chain, "gamma": jsonio.load_gamma}
+    real = jsonio.read_json
+    reads = []
+    monkeypatch.setattr(jsonio, "read_json",
+                        lambda path: reads.append(path) or real(path))
+    for kind, data in files.items():
+        path = str(tmp_path / (kind + ".json"))
+        jsonio.write_json(data, path)
+        del reads[:]
+        got_kind, got = jsonio.load_any(path, ring)
+        assert got_kind == kind and reads == [path]
+        assert got == single[kind](path, ring)

@@ -65,3 +65,15 @@ def test_suite_registry_has_expected_members():
                  "chain-lift", "cokernel-faithful", "classical-sanity",
                  "stable-face", "recollement", "skew-soundness"]:
         assert want in names
+
+
+def test_omega_scaling_check_runs_on_skew_rings(monkeypatch):
+    # with omega scaling swapped for the identity the check must fail
+    # wherever a cokernel chain is nonzero, skew rings included
+    from modfact import laws
+    from modfact.factorizations import Morphism
+    sc = Scenario(SKEW, seed=3, folds=(2, 3), max_rank=2, max_deg=2, cases=5)
+    assert run_suites(sc, names=["cokernel-chain"])["passed"]
+    monkeypatch.setattr(laws, "omega_morphism", Morphism.identity)
+    (rep,) = run_suites(sc, names=["cokernel-chain"])["suites"]
+    assert "omega scaling dies in the cokernels" in rep["failures"]

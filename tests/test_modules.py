@@ -179,3 +179,34 @@ def test_kmat_inv_inverts_exactly_the_full_rank_squares(fld):
             assert _same(fld, _product(fld, m, inv, n), kmat_identity(fld, n))
             assert _same(fld, _product(fld, inv, m, n), kmat_identity(fld, n))
     assert singular > 5
+
+
+def _dependent_rows(fld, m):
+    """Rows i of m with rank(m[:i+1]) == rank(m[:i])."""
+    ranks = [kmat_rank(fld, m[:i]) for i in range(len(m) + 1)]
+    return [i for i in range(len(m)) if ranks[i + 1] == ranks[i]]
+
+
+@pytest.mark.parametrize("fld", [PrimeField(2), PrimeField(5), RationalField()],
+                         ids=["f2", "f5", "q"])
+def test_kmat_answers_are_the_reduced_ones(fld):
+    # X * m = rhs and v * m = 0 are read off the reduced echelon form of
+    # m^T: a dependent row of m is a pivotless unknown, 0 in the solution,
+    # and the null-space vector of a dependent row is 1 there and 0 at
+    # every other dependent row
+    rng = random.Random(43)
+    deficient = 0
+    for _ in range(300):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        m = _random_kmat(fld, rng, rows, cols)
+        dep = _dependent_rows(fld, m)
+        deficient += bool(dep)
+        coeffs = [[_entry(fld, rng) for _ in range(rows)] for _ in range(2)]
+        x = kmat_solve(fld, m, _product(fld, coeffs, m, cols))
+        assert all(fld.is_zero(row[i]) for row in x for i in dep)
+        ns = kmat_nullspace(fld, m)
+        assert len(ns) == len(dep)
+        for v, i in zip(ns, dep):
+            want = [[fld.one if j == i else fld.zero for j in dep]]
+            assert _same(fld, [[v[j] for j in dep]], want)
+    assert deficient > 150

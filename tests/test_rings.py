@@ -164,3 +164,23 @@ def test_is_prime_matches_trial_division_and_rejects_pseudoprimes():
         assert is_prime(n)
     with pytest.raises(ValueError):
         is_prime(MR_LIMIT)
+
+
+def test_ring_specs_take_only_json_integers():
+    good = RS.to_json()
+    assert ring_from_json(good) == RS
+    bad = [
+        {"field": {"kind": "prime", "p": 5.5}, "omega": [0, 0, 1]},
+        {"field": {"kind": "prime", "p": "5"}, "omega": [0, 0, 1]},
+        {"field": {"kind": "prime", "p": True}, "omega": [0, 1]},
+        dict(good, sigma_power=True),
+        dict(good, sigma_power=1.0),
+        dict(good, field=dict(good["field"], e=2.0)),
+        dict(good, field=dict(good["field"], modulus=[1, 1.5, 1])),
+        dict(good, field=dict(good["field"], modulus=[1, 1, True])),
+        dict(good, omega=[[0, 0], [0, 0], [1.0, 0]]),
+        dict(good, omega=[[0, 0], [0, 0], ["1", 0]]),
+    ]
+    for data in bad:
+        with pytest.raises(ValueError):
+            ring_from_json(data)
