@@ -20,6 +20,7 @@ morphism transport and the mono test only use Hermite elimination and
 work over every supported ring.
 """
 
+from .fields import json_int
 from .rings import UnsupportedRingError
 from .matrices import (TwistedMatrix, mat_mul, mat_identity, hermite_form,
                        left_kernel, solve_right, smith_form, invariant_factors,
@@ -102,7 +103,7 @@ class ChainModule:
             raise ValueError("chain needs 'modules' and 'maps'")
         mods = [ModulePresentation.from_json(ring, m)
                 for m in data["modules"]]
-        n = int(data.get("n", len(mods) + 1))
+        n = json_int(data.get("n", len(mods) + 1), "n")
         maps = []
         for i, m in enumerate(data["maps"]):
             tm = TwistedMatrix.from_json(ring, m)

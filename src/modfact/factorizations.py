@@ -12,6 +12,7 @@ morphism action, plus the two adjunction transports whose unit/counit
 data is an explicit matrix formula.
 """
 
+from .fields import json_int
 from .matrices import TwistedMatrix, mat_mul
 
 
@@ -101,8 +102,8 @@ class Factorization:
         for key in ("n", "ranks", "maps"):
             if key not in data:
                 raise ValueError("factorization object is missing %r" % key)
-        ranks = [int(r) for r in data["ranks"]]
-        if int(data["n"]) != len(ranks):
+        ranks = [json_int(r, "a rank") for r in data["ranks"]]
+        if json_int(data["n"], "n") != len(ranks):
             raise ValueError("declared fold count does not match the rank list")
         maps = [TwistedMatrix.from_json(ring, d) for d in data["maps"]]
         return Factorization(ring, ranks, maps)

@@ -9,6 +9,11 @@ number of elements, None for the rationals. Elements are plain Python
 values: for the rationals an int when integral and a reduced Fraction
 otherwise, int in range(p) for a prime field, tuple of e ints in range(p)
 for F_{p^e}, which is the element's own coordinate vector over F_p.
+
+F_{p^e} computes by log, antilog and Zech tables built when the field is
+made, so each operation is a few lookups; that needs canonical tuples as
+operands. The tables grow with q = p^e, so q is capped at MAX_CARD = 4096
+and a larger field is a ValueError, raised before any modulus search.
 """
 
 from fractions import Fraction
@@ -19,6 +24,12 @@ from math import gcd
 # (Sorenson & Webster, Math. Comp. 86, 2017); larger p are refused.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_LIMIT = 3317044064679887385961981
+
+# the largest F_{p^e} whose log, antilog and Zech tables are built: F_{2^12}
+# builds in well under a second, and 2^MAX_E = MAX_CARD bounds e before
+# p ** e is formed
+MAX_E = 12
+MAX_CARD = 2 ** MAX_E
 
 
 def is_prime(n):
@@ -44,7 +55,7 @@ def is_prime(n):
 
 
 # dense polynomials over F_p as int lists, low degree first; only used to
-# run the arithmetic of F_{p^e} itself
+# test a modulus and to build the tables of F_{p^e}
 
 def _ptrim(f):
     while f and f[-1] == 0:
@@ -74,42 +85,6 @@ def _pmod(f, m, p):
                 f[shift + i] = (f[shift + i] - c * a) % p
         f.pop()
     return _ptrim(f)
-
-
-def _psub(f, g, p):
-    n = max(len(f), len(g))
-    f = f + [0] * (n - len(f))
-    g = g + [0] * (n - len(g))
-    return _ptrim([(a - b) % p for a, b in zip(f, g)])
-
-
-def _pdivmod(f, g, p):
-    q = [0] * max(1, len(f) - len(g) + 1)
-    r = list(f)
-    inv_lead = pow(g[-1], -1, p)
-    while len(r) >= len(g):
-        c = (r[-1] * inv_lead) % p
-        shift = len(r) - len(g)
-        q[shift] = c
-        for i, a in enumerate(g):
-            r[shift + i] = (r[shift + i] - c * a) % p
-        _ptrim(r)
-        if not r:
-            break
-    return _ptrim(q), r
-
-
-def _pxgcd(f, g, p):
-    # returns (d, s, t) with s*f + t*g = d, all over F_p
-    r0, r1 = _ptrim(list(f)), _ptrim(list(g))
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-        t0, t1 = t1, _psub(t0, _pmul(q, t1, p), p)
-    return r0, s0, t0
 
 
 def _irreducible(f, p):
@@ -315,7 +290,14 @@ class PrimeField:
 
 
 class ExtensionField:
-    """F_{p^e} = F_p[u]/(modulus), elements stored as tuples of e ints."""
+    """F_{p^e} = F_p[u]/(modulus), elements stored as tuples of e ints.
+
+    Arithmetic is by table (Lidl & Niederreiter, Finite Fields, ch. 9): with
+    g the first primitive element of elements(), exp lists g^i twice over,
+    log maps each element to its exponent (zero to None) and zech[i] is
+    log(1 + g^i), None where that sum is zero. Every operation is then a
+    few lookups that return canonical tuples.
+    """
 
     kind = "finite"
 
@@ -324,6 +306,11 @@ class ExtensionField:
             raise ValueError("not a prime: %r" % (p,))
         if e < 2:
             raise ValueError("use PrimeField for e = 1")
+        # checked before any modulus search; e > MAX_E exceeds the cap at
+        # p = 2 already, so p ** e is never formed for a huge e
+        if e > MAX_E or p ** e > MAX_CARD:
+            raise ValueError("F_%d^%d is larger than the field size cap q <= %d"
+                             % (p, e, MAX_CARD))
         if modulus is None:
             modulus = self._default_modulus(p, e)
         modulus = [c % p for c in modulus]
@@ -339,8 +326,7 @@ class ExtensionField:
         self.zero = (0,) * e
         self.one = tuple([1] + [0] * (e - 1))
         self.gen = tuple([0, 1] + [0] * (e - 2))
-        # frobenius x -> x^(p^k) is F_p-linear; cache images of the power basis
-        self._frob_basis = self._build_frob_tables()
+        self._build_tables()
 
     @staticmethod
     def _default_modulus(p, e):
@@ -355,23 +341,33 @@ class ExtensionField:
                 return cand
         raise AssertionError("unreachable: irreducibles of every degree exist")
 
-    def _build_frob_tables(self):
-        # tables[k][i] = (u^i)^(p^k); frobenius is F_p-linear in the coefficients
-        basis = [tuple([0] * i + [1] + [0] * (self.e - 1 - i)) for i in range(self.e)]
-        tables = [basis]
-        for k in range(1, self.e):
-            tables.append([self._pow_raw(b, self.p) for b in tables[k - 1]])
-        return tables
-
-    def _pow_raw(self, a, n):
-        out = self.one
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+    def _build_tables(self):
+        p, e, n = self.p, self.e, self.card - 1
+        for g in self.elements():
+            if g == self.zero:
+                continue
+            # the powers of g until they return to 1; g is primitive when
+            # that takes all q - 1 steps
+            gl = _ptrim(list(g))
+            powers = [self.one]
+            x = gl
+            while x != [1]:
+                powers.append(tuple(x + [0] * (e - len(x))))
+                x = _pmod(_pmul(x, gl, p), self.modulus, p)
+            if len(powers) == n:
+                break
+        self._exp = powers + powers
+        log = {a: i for i, a in enumerate(powers)}
+        log[self.zero] = None
+        self._log = log
+        self._zech = [log[((a[0] + 1) % p,) + a[1:]] for a in powers]
+        # log(-1) is 0 at p = 2 and (q - 1) / 2 otherwise, so log(1 - g^i)
+        # = zech[i + log(-1)]: the Zech table turned by log(-1)
+        self._log_neg_one = h = 0 if p == 2 else n // 2
+        self._zech_neg = self._zech[h:] + self._zech[:h]
+        # frobenius x -> x^(p^k) multiplies the exponent by p^k
+        self._frob_mult = [pow(p, k, n) for k in range(e)]
+        self._order = n
 
     def __eq__(self, other):
         return (isinstance(other, ExtensionField) and other.p == self.p
@@ -380,33 +376,51 @@ class ExtensionField:
     def __hash__(self):
         return hash(("field", self.p, self.e, tuple(self.modulus)))
 
+    # add, sub, neg, mul, inv and frob look up their operands' logs first,
+    # so a tuple that is not a canonical element is a KeyError, never a
+    # wrong answer
+
     def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        log = self._log
+        i, j = log[a], log[b]
+        if i is None:
+            return b
+        if j is None:
+            return a
+        # g^i + g^j = g^i (1 + g^(j-i)); a negative j - i indexes from the
+        # end of the q - 1 entries, which is j - i modulo q - 1
+        z = self._zech[j - i]
+        return self.zero if z is None else self._exp[i + z]
 
     def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+        log = self._log
+        i, j = log[a], log[b]
+        if j is None:
+            return a
+        if i is None:
+            return self._exp[j + self._log_neg_one]
+        z = self._zech_neg[j - i]
+        return self.zero if z is None else self._exp[i + z]
 
     def neg(self, a):
-        return tuple((-x) % self.p for x in a)
+        i = self._log[a]
+        return self.zero if i is None else self._exp[i + self._log_neg_one]
 
     def mul(self, a, b):
-        prod = _pmul(list(a), list(b), self.p)
-        red = _pmod(prod, self.modulus, self.p)
-        return tuple(red + [0] * (self.e - len(red)))
+        log = self._log
+        i, j = log[a], log[b]
+        if i is None or j is None:
+            return self.zero
+        return self._exp[i + j]
 
     def inv(self, a):
-        f = _ptrim(list(a))
-        if not f:
+        i = self._log[a]
+        if i is None:
             raise ZeroDivisionError("inverse of 0 in F_%d^%d" % (self.p, self.e))
-        d, s, _ = _pxgcd(f, self.modulus, self.p)
-        # d is a nonzero constant since the modulus is irreducible
-        c = pow(d[0], -1, self.p)
-        s = [(c * x) % self.p for x in s]
-        s = _pmod(s, self.modulus, self.p)
-        return tuple(s + [0] * (self.e - len(s)))
+        return self._exp[self._order - i]
 
     def is_zero(self, a):
-        return all(x % self.p == 0 for x in a)
+        return a == self.zero
 
     def from_int(self, n):
         return tuple([n % self.p] + [0] * (self.e - 1))
@@ -419,15 +433,10 @@ class ExtensionField:
         return tuple(int(x) % self.p for x in a)
 
     def frob(self, a, power=1):
-        power %= self.e
-        if power == 0:
-            return tuple(x % self.p for x in a)
-        table = self._frob_basis[power]
-        out = self.zero
-        for i, c in enumerate(a):
-            if c % self.p:
-                out = self.add(out, tuple((c * t) % self.p for t in table[i]))
-        return out
+        i = self._log[a]
+        if i is None:
+            return self.zero
+        return self._exp[i * self._frob_mult[power % self.e] % self._order]
 
     def random(self, rng):
         return tuple(rng.randrange(self.p) for _ in range(self.e))

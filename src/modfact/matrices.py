@@ -15,6 +15,8 @@ L sigma^t(X_k) R in unknown blocks X_k, built entry by entry as outer
 products.
 """
 
+from .fields import json_int
+
 
 class TwistedMatrix:
     __slots__ = ("ring", "rows", "cols", "twist", "m")
@@ -169,12 +171,12 @@ class TwistedMatrix:
         for key in ("rows", "cols", "twist", "entries"):
             if key not in data:
                 raise ValueError("matrix object is missing %r" % key)
-        rows, cols = int(data["rows"]), int(data["cols"])
+        rows, cols = json_int(data["rows"], "rows"), json_int(data["cols"], "cols")
         entries = data["entries"]
         if len(entries) != rows or any(len(row) != cols for row in entries):
             raise ValueError("entry grid does not match the declared %dx%d shape" % (rows, cols))
         m = [[ring.poly_from_json(e) for e in row] for row in entries]
-        return TwistedMatrix(ring, m, int(data["twist"]), rows, cols)
+        return TwistedMatrix(ring, m, json_int(data["twist"], "twist"), rows, cols)
 
 
 # -- raw matrices: bare lists of coefficient-list polynomials --

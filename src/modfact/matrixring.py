@@ -19,6 +19,7 @@ read-off object and compare every entry, so any corrupted structure map
 is caught.
 """
 
+from .fields import json_int
 from .matrices import TwistedMatrix, mat_mul
 from .factorizations import Factorization, Morphism
 
@@ -71,8 +72,9 @@ class GammaModule:
         maps = {}
         for item in data["maps"]:
             mat = TwistedMatrix.from_json(ring, item["matrix"])
-            maps[(int(item["row"]), int(item["col"]))] = mat
-        return GammaModule(ring, [int(r) for r in data["ranks"]], maps)
+            maps[(json_int(item["row"], "row"), json_int(item["col"], "col"))] = mat
+        return GammaModule(ring, [json_int(r, "a rank") for r in data["ranks"]],
+                           maps)
 
 
 class GammaMorphism:

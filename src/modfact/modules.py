@@ -18,6 +18,7 @@ unknown whose row of m depends on the rows before it is 0 in a solution,
 and the null-space basis is the reduced one.
 """
 
+from .fields import json_int
 from .matrices import TwistedMatrix, hermite_form, mat_mul
 
 
@@ -67,9 +68,10 @@ class ModulePresentation:
         rel = TwistedMatrix.from_json(ring, data["relations"])
         if rel.twist != 0:
             raise ValueError("relation matrices carry twist 0")
-        if rel.cols != int(data["generators"]):
+        gens = json_int(data["generators"], "generators")
+        if rel.cols != gens:
             raise ValueError("relation width does not match the generator count")
-        return ModulePresentation(ring, int(data["generators"]), rel.m)
+        return ModulePresentation(ring, gens, rel.m)
 
 
 class Linearization:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import random
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import time
 
 import pytest
 
+import modfact
 from modfact import jsonio
 from modfact import cli
 from modfact.rings import ring_from_json
@@ -312,10 +314,15 @@ def test_laws_default_ring(paths):
 
 
 def test_module_entry_point_runs():
+    # pytest's own pythonpath setting does not reach a child process, so
+    # hand it the directory this modfact was imported from
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modfact.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "modfact.cli", "laws",
                            "--cases", "1", "--n", "2",
                            "--suite", "ring-laws"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["passed"]
 
@@ -387,6 +394,26 @@ def test_hostile_numbers_and_kinds_are_input_errors(paths):
         out["maps"][0]["entries"][0][0] = [value]
         return out
 
+    def twisted(obj, twist):
+        out = json.loads(json.dumps(obj))
+        out["maps"][0]["twist"] = twist
+        return out
+
+    t2 = theta(Q2, 2, 0)
+    t2j = dict(t2.to_json(), ring=q)
+    gamma = dict(phi(t2).to_json(), ring=q)
+    chain = dict(cok0(t2).to_json(), ring=q)
+
+    def gamma_row(row):
+        out = json.loads(json.dumps(gamma))
+        out["maps"][0]["row"] = row
+        return out
+
+    def chain_gens(extra):
+        out = json.loads(json.dumps(chain))
+        out["modules"][0]["generators"] += extra
+        return out
+
     cases = {
         "zero denominator in an entry": ([wj("h1.json", dict(entry(x, "1/0"), ring=q))], None),
         "zero denominator in omega": ([paths["x.json"]], dict(q, omega=["0", "0", "1/0"])),
@@ -398,6 +425,14 @@ def test_hostile_numbers_and_kinds_are_input_errors(paths):
         "float F_4 coordinate": ([wj("h6.json", entry(x4, [1.0, 0]))], F4X2.to_json()),
         "maps as an object": ([wj("h7.json", {"maps": {"a": 1}})], None),
         "maps as a number": ([wj("h8.json", {"maps": 5})], None),
+        # structural integers are never truncated: each of these loaded as
+        # t2 or its phi and cok0 when they went through int()
+        "float n": ([wj("h9.json", dict(t2j, n=2.7))], None),
+        "float ranks": ([wj("h10.json", dict(t2j, ranks=[1.5, 1.5]))], None),
+        "float twist": ([wj("h11.json", twisted(t2j, 0.9))], None),
+        "float gamma row": ([wj("h12.json", gamma_row(1.0))], None),
+        "float generators": ([wj("h13.json", chain_gens(0.5))], None),
+        "float chain n": ([wj("h14.json", dict(chain, n=float(chain["n"])))], None),
     }
     for what, (files, ring) in cases.items():
         extra = ["--ring", wj("hring.json", ring)] if ring else []
@@ -406,3 +441,18 @@ def test_hostile_numbers_and_kinds_are_input_errors(paths):
         assert code == 3 and "input error" in err, (what, code, err)
         assert "Traceback" not in err and out == "", what
         assert time.perf_counter() - start < 1, what
+
+
+def test_oversized_fields_are_input_errors(paths):
+    wj = paths["wj"]
+    x4 = wj("o4.json", random_object(F4X2, random.Random(3), 2).to_json())
+    for field in ({"kind": "finite", "p": 2, "e": 32},
+                  {"kind": "finite", "p": 2, "e": 64},
+                  {"kind": "finite", "p": 1000003, "e": 2},
+                  {"kind": "finite", "p": 10007, "e": 4}):
+        ring = {"field": field, "sigma_power": 1, "omega": [0, 0, 1]}
+        start = time.perf_counter()
+        code, out, err = run("validate", x4, "--ring", wj("oring.json", ring))
+        assert code == 3 and "field size cap" in err, (field, code, err)
+        assert "Traceback" not in err and out == "", field
+        assert time.perf_counter() - start < 1, field

@@ -1,11 +1,13 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from modfact.fields import RationalField
+from modfact.fields import (RationalField, ExtensionField, MAX_CARD,
+                            field_from_json)
 
 Q = RationalField()
 
@@ -83,3 +85,102 @@ def test_rational_json_refuses_exponents_and_zero_denominators():
     assert_canonical(Q.elem_from_json("0.5"), Fraction(1, 2))
     assert_canonical(Q.elem_from_json("-1.25"), Fraction(-5, 4))
     assert_canonical(Q.elem_from_json(" 4/2 "), 2)
+
+
+# -- F_{p^e} --------------------------------------------------------------
+
+def schoolbook_mul(a, b, modulus, p):
+    """a * b in F_p[u]/(modulus) by long multiplication, then reduction
+    with u^e = -(modulus[0] + ... + modulus[e-1] u^(e-1))."""
+    e = len(modulus) - 1
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(len(prod) - 1, e - 1, -1):
+        c, prod[k] = prod[k], 0
+        for i in range(e):
+            prod[k - e + i] -= c * modulus[i]
+    return tuple(c % p for c in prod[:e])
+
+
+# F_16 mod x^4+x^3+x^2+x+1 is irreducible but u has order 5, so the table
+# build must find its primitive element elsewhere
+EXT_FIELDS = [(2, 2, None), (2, 3, None), (3, 2, None), (5, 2, None),
+              (3, 3, None), (2, 4, [1, 1, 1, 1, 1])]
+
+
+def assert_element(F, a):
+    assert type(a) is tuple and len(a) == F.e
+    assert all(type(c) is int and 0 <= c < F.p for c in a)
+
+
+@pytest.mark.parametrize("p,e,modulus", EXT_FIELDS)
+def test_extension_tables_match_schoolbook_arithmetic(p, e, modulus):
+    F = ExtensionField(p, e, modulus)
+    mod = F.modulus
+    elems = list(F.elements())
+    assert len(set(elems)) == F.card == p ** e
+    if modulus is not None:
+        # u^5 = 1: u is not primitive in F_16 under this modulus
+        x = F.one
+        for _ in range(5):
+            x = schoolbook_mul(x, F.gen, mod, p)
+        assert x == F.one
+    assert F.zero == (0,) * e and F.one == (1,) + (0,) * (e - 1)
+    for a in elems:
+        assert F.is_zero(a) == (a == F.zero)
+        assert_element(F, F.neg(a))
+        assert F.neg(a) == tuple((-c) % p for c in a)
+        # frobenius x -> x^(p^k) by repeated multiplication, for k up to
+        # the period e and for k shifted by the period either way
+        power = a
+        for k in range(e + 1):
+            for shift in (k, k - e, k + e):
+                got = F.frob(a, shift)
+                assert_element(F, got)
+                assert got == power, (a, shift)
+            step = F.one
+            for _ in range(p):
+                step = schoolbook_mul(step, power, mod, p)
+            power = step
+        if a == F.zero:
+            with pytest.raises(ZeroDivisionError):
+                F.inv(a)
+        else:
+            inv = F.inv(a)
+            assert_element(F, inv)
+            assert schoolbook_mul(a, inv, mod, p) == F.one
+        for b in elems:
+            for got, want in ((F.add(a, b), tuple((x + y) % p for x, y in zip(a, b))),
+                              (F.sub(a, b), tuple((x - y) % p for x, y in zip(a, b))),
+                              (F.mul(a, b), schoolbook_mul(a, b, mod, p))):
+                assert_element(F, got)
+                assert got == want, (a, b)
+
+
+def test_largest_field_builds_and_multiplies():
+    rng = random.Random(0)
+    F = ExtensionField(2, 12)
+    assert F.card == MAX_CARD == 4096
+    for _ in range(200):
+        a, b = F.random(rng), F.random(rng)
+        assert F.mul(a, b) == schoolbook_mul(a, b, F.modulus, 2)
+        assert F.add(a, b) == tuple(x ^ y for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "finite", "p": 2, "e": 13},
+    {"kind": "finite", "p": 2, "e": 32},
+    {"kind": "finite", "p": 2, "e": 64},
+    {"kind": "finite", "p": 2, "e": 10 ** 18},
+    {"kind": "finite", "p": 4099, "e": 2},
+    {"kind": "finite", "p": 1000003, "e": 2},
+    {"kind": "finite", "p": 10007, "e": 4},
+    {"kind": "finite", "p": 2, "e": 32, "modulus": [1] + [0] * 31 + [1]},
+])
+def test_oversized_fields_are_refused_at_once(spec):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="field size cap"):
+        field_from_json(spec)
+    assert time.perf_counter() - start < 1
