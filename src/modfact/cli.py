@@ -9,7 +9,15 @@ Each verb declares only the options it reads.  All take --ring and
 --json.  functor adds --i/--a, chain-iso adds --seed, and the randomized
 verbs recollement and laws add the sampling flags --seed, --max-rank,
 --max-deg and --cases (laws also --suite and --n).  Any other flag is a
-usage error.
+usage error, and so is a negative --max-rank, --max-deg, --cases or --n.
+
+The parser is built on every call, from the VERBS table that declares
+each verb once: its name, handler, summary and arguments.  When the
+first argument names a verb, build_parser makes the top parser with that
+one subparser, so a call pays for the verb it runs; for anything else
+(no arguments, --help, an unknown word) it builds them all, for the
+listing and the messages that name every verb.  The modules only laws
+and recollement use are imported when those verbs run.
 
 Exit codes: 0 pass, 2 property failure, 3 input error, 4 unsupported
 ring operation, 5 chain-iso found no isomorphism within its search
@@ -31,8 +39,6 @@ from .homotopy import (is_p_null_homotopic, is_stably_zero, stable_hom,
                        reconstruct_from_witness)
 from .matrixring import phi, psi, validate_gamma
 from .chains import cok0, lift, chain_iso, chain_is_mono
-from .recollement import recollement
-from .laws import Scenario, run_suites, suite_names
 from . import jsonio
 from . import randomgen as rg
 
@@ -52,6 +58,7 @@ def _ring_for(args):
 
 
 def _scenario(args, folds=(1, 2, 3, 4)):
+    from .laws import Scenario
     return Scenario(_ring_for(args), seed=args.seed, folds=folds,
                     max_rank=args.max_rank, max_deg=args.max_deg,
                     cases=args.cases)
@@ -239,6 +246,7 @@ def cmd_psi(args):
 
 
 def cmd_recollement(args):
+    from .recollement import recollement
     sc = _scenario(args)
     rec = recollement(args.fold, args.level)
     rng = random.Random("%s:recollement:%d:%d" % (sc.seed, args.fold,
@@ -288,6 +296,7 @@ def cmd_recollement(args):
 
 
 def cmd_laws(args):
+    from .laws import run_suites
     sc = _scenario(args, (args.n,)) if args.n else _scenario(args)
     names = None
     if args.suite:
@@ -317,108 +326,128 @@ class _Parser(argparse.ArgumentParser):
         self.exit(BAD_INPUT, "%s: error: %s\n" % (self.prog, message))
 
 
-def build_parser():
+def _nonnegative(text):
+    # sizes and counts: a negative one is a usage error, and a non-integer
+    # gets the message argparse gives for type=int
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, not %d" % value)
+    return value
+
+
+def _suite_help():
+    from .laws import suite_names
+    return ("comma-separated suite names (default: all; known: %s)"
+            % ", ".join(suite_names()))
+
+
+# every verb reads --ring and --json
+_COMMON = (
+    ("--ring", dict(metavar="FILE",
+                    help="ring description JSON; falls back to a ring "
+                         "embedded in the input, or rationals with x^3")),
+    ("--json", dict(metavar="OUT", default="-",
+                    help="write the JSON report here (default stdout)")),
+)
+
+_SAMPLING = (
+    ("--seed", dict(type=int, default=0, metavar="N")),
+    ("--max-rank", dict(type=_nonnegative, default=3, metavar="R")),
+    ("--max-deg", dict(type=_nonnegative, default=2, metavar="D")),
+    ("--cases", dict(type=_nonnegative, default=24, metavar="C",
+                     help="randomized cases")),
+)
+
+# Each verb once, in listing order: name, handler, summary and the
+# arguments it reads besides --ring and --json.  A callable help is called
+# when the verb's parser is built.
+VERBS = (
+    ("validate", cmd_validate, "check rotation/square/module axioms",
+     (("paths", dict(nargs="+", metavar="PATH")),)),
+    ("functor", cmd_functor, "apply shift/face/degeneracy functors",
+     (("name", dict(choices=sorted(_FUNCTORS))),
+      ("path", dict(metavar="PATH")),
+      ("--i", dict(type=int, default=None,
+                   help="slot index (face, degeneracy)")),
+      ("--a", dict(type=int, default=None,
+                   help="shift power (shift-power)")))),
+    ("homotopy-check", cmd_homotopy_check,
+     "decide null homotopy and return a witness",
+     (("path", dict(metavar="MORPHISM")),)),
+    ("stable-hom", cmd_stable_hom,
+     "invariant factors of the stable hom module",
+     (("path_x", dict(metavar="X")), ("path_y", dict(metavar="Y")))),
+    ("stably-zero", cmd_stably_zero, "is the identity null homotopic",
+     (("path", dict(metavar="X")),)),
+    ("cok0", cmd_cok0, "quotient chain of a factorization",
+     (("path", dict(metavar="X")),)),
+    ("lift", cmd_lift, "rebuild a factorization from a chain",
+     (("path", dict(metavar="CHAIN")),)),
+    ("chain-iso", cmd_chain_iso, "search for a chain isomorphism",
+     (("path_c", dict(metavar="C")), ("path_d", dict(metavar="D")),
+      ("--seed", dict(type=int, default=0, metavar="N",
+                      help="seed of the search over chain maps")))),
+    ("phi", cmd_phi, "factorization to matrix-ring module",
+     (("path", dict(metavar="X")),)),
+    ("psi", cmd_psi, "matrix-ring module to factorization",
+     (("path", dict(metavar="GAMMA")),)),
+    ("recollement", cmd_recollement,
+     "randomized checks of the quotient/section/inclusion identities",
+     (("fold", dict(type=int, metavar="N")),
+      ("level", dict(type=int, metavar="K")),
+      ("path", dict(nargs="?", default=None, metavar="Z",
+                    help="optional object to push through the inclusion")))
+     + _SAMPLING),
+    ("laws", cmd_laws, "run the randomized law suites",
+     (("--suite", dict(metavar="TAGS", help=_suite_help)),
+      ("--n", dict(type=_nonnegative, default=0, metavar="N",
+                   help="fold count of generated objects (0 = mix of 1..4)")))
+     + _SAMPLING),
+)
+
+
+def build_parser(verb=None):
+    """The parser of the named verb alone, or of every verb when verb names
+    none (None, a flag such as --help, an unknown word)."""
     top = _Parser(
         prog="modfact",
         description="exact computations with n-fold factorizations of a "
                     "normal ring element")
-    sub = top.add_subparsers(dest="verb", required=True)
-
-    def verb(name, fn, summary):
-        # every verb reads --ring and --json; the others are added per verb
+    chosen = [v for v in VERBS if v[0] == verb]
+    # With one verb built, spell out the listing of all of them, so that the
+    # top usage printed on unrecognized arguments keeps its bytes.  The full
+    # parser lists its own choices and names the argument "verb" in errors.
+    listing = "{%s}" % ",".join(v[0] for v in VERBS) if chosen else None
+    sub = top.add_subparsers(dest="verb", required=True, metavar=listing)
+    for name, fn, summary, arguments in chosen or VERBS:
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--ring", metavar="FILE",
-                       help="ring description JSON; falls back to a ring "
-                            "embedded in the input, or rationals with x^3")
-        p.add_argument("--json", metavar="OUT", default="-",
-                       help="write the JSON report here (default stdout)")
+        for flag, kwargs in _COMMON + arguments:
+            if callable(kwargs.get("help")):
+                kwargs = dict(kwargs, help=kwargs["help"]())
+            p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)
-        return p
-
-    def sampling(p):
-        p.add_argument("--seed", type=int, default=0, metavar="N")
-        p.add_argument("--max-rank", type=int, default=3, metavar="R")
-        p.add_argument("--max-deg", type=int, default=2, metavar="D")
-        p.add_argument("--cases", type=int, default=24, metavar="C",
-                       help="randomized cases")
-
-    p = verb("validate", cmd_validate, "check rotation/square/module axioms")
-    p.add_argument("paths", nargs="+", metavar="PATH")
-
-    p = verb("functor", cmd_functor, "apply shift/face/degeneracy functors")
-    p.add_argument("name", choices=sorted(_FUNCTORS))
-    p.add_argument("path", metavar="PATH")
-    p.add_argument("--i", type=int, default=None,
-                   help="slot index (face, degeneracy)")
-    p.add_argument("--a", type=int, default=None,
-                   help="shift power (shift-power)")
-
-    p = verb("homotopy-check", cmd_homotopy_check,
-             "decide null homotopy and return a witness")
-    p.add_argument("path", metavar="MORPHISM")
-
-    p = verb("stable-hom", cmd_stable_hom,
-             "invariant factors of the stable hom module")
-    p.add_argument("path_x", metavar="X")
-    p.add_argument("path_y", metavar="Y")
-
-    p = verb("stably-zero", cmd_stably_zero, "is the identity null homotopic")
-    p.add_argument("path", metavar="X")
-
-    p = verb("cok0", cmd_cok0, "quotient chain of a factorization")
-    p.add_argument("path", metavar="X")
-
-    p = verb("lift", cmd_lift, "rebuild a factorization from a chain")
-    p.add_argument("path", metavar="CHAIN")
-
-    p = verb("chain-iso", cmd_chain_iso, "search for a chain isomorphism")
-    p.add_argument("path_c", metavar="C")
-    p.add_argument("path_d", metavar="D")
-    p.add_argument("--seed", type=int, default=0, metavar="N",
-                   help="seed of the search over chain maps")
-
-    p = verb("phi", cmd_phi, "factorization to matrix-ring module")
-    p.add_argument("path", metavar="X")
-
-    p = verb("psi", cmd_psi, "matrix-ring module to factorization")
-    p.add_argument("path", metavar="GAMMA")
-
-    p = verb("recollement", cmd_recollement,
-             "randomized checks of the quotient/section/inclusion identities")
-    p.add_argument("fold", type=int, metavar="N")
-    p.add_argument("level", type=int, metavar="K")
-    p.add_argument("path", nargs="?", default=None, metavar="Z",
-                   help="optional object to push through the inclusion")
-    sampling(p)
-
-    p = verb("laws", cmd_laws, "run the randomized law suites")
-    p.add_argument("--suite", metavar="TAGS",
-                   help="comma-separated suite names (default: all; known: %s)"
-                        % ", ".join(suite_names()))
-    p.add_argument("--n", type=int, default=0, metavar="N",
-                   help="fold count of generated objects (0 = mix of 1..4)")
-    sampling(p)
-
     return top
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         code, report, human = args.fn(args)
+        report["exit_code"] = code
+        jsonio.write_json(report, args.json)
     except UnsupportedRingError as e:
         print("unsupported ring operation: %s" % e, file=sys.stderr)
         return BAD_RING
     except (ValueError, OSError) as e:
         print("input error: %s" % e, file=sys.stderr)
         return BAD_INPUT
-    report["exit_code"] = code
-    if args.json == "-":
-        jsonio.write_json(report)
-        out = sys.stderr
-    else:
-        jsonio.write_json(report, args.json)
-        out = sys.stdout
+    # the summary goes wherever the report does not
+    out = sys.stderr if args.json == "-" else sys.stdout
     for line in human:
         print(line, file=out)
     return code

@@ -36,8 +36,11 @@ def write_json(data, path=None):
     if path is None or path == "-":
         print(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError("cannot write %s: %s" % (path, exc))
 
 
 def load_ring(path):

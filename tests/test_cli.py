@@ -456,3 +456,143 @@ def test_oversized_fields_are_input_errors(paths):
         assert code == 3 and "field size cap" in err, (field, code, err)
         assert "Traceback" not in err and out == "", field
         assert time.perf_counter() - start < 1, field
+
+
+def test_unwritable_json_target_is_input_error(paths):
+    target = str(paths["tmp"] / "no-such-dir" / "out.json")
+    code, out, err = run("validate", paths["x.json"], "--json", target)
+    assert code == 3 and err.startswith("input error: cannot write " + target)
+    assert "Traceback" not in err and out == ""
+
+
+def test_negative_sampling_values_are_usage_errors():
+    for argv in (["laws", "--n", "-1", "--cases", "2"], ["laws", "--cases", "-3"],
+                 ["laws", "--max-rank", "-1"], ["laws", "--max-deg", "-2"],
+                 ["recollement", "3", "1", "--cases", "-2"],
+                 ["recollement", "3", "1", "--max-rank", "-1"],
+                 ["recollement", "3", "1", "--max-deg", "-1"]):
+        code, out, err = run(*argv)
+        assert code == 3 and out == "", argv
+        assert "usage: modfact %s" % argv[0] in err and "must be >= 0" in err, argv
+    code, out, err = run("laws", "--cases", "two")
+    assert code == 3 and "argument --cases: invalid int value: 'two'" in err
+    # zero is still a value: --n 0 means a mix of folds
+    code, out, err = run("laws", "--n", "0", "--cases", "1", "--suite", "ring-laws")
+    assert code == 0 and json.loads(out)["passed"], err
+
+
+# an accepted command line of each verb
+SAMPLE_ARGV = {
+    "validate": ["a.json", "b.json", "--ring", "r.json"],
+    "functor": ["face", "x.json", "--i", "1", "--json", "o.json"],
+    "homotopy-check": ["f.json"],
+    "stable-hom": ["x.json", "y.json"],
+    "stably-zero": ["x.json"],
+    "cok0": ["x.json"],
+    "lift": ["c.json"],
+    "chain-iso": ["c.json", "d.json", "--seed", "4"],
+    "phi": ["x.json"],
+    "psi": ["g.json"],
+    "recollement": ["3", "1", "z.json", "--cases", "5", "--max-deg", "1"],
+    "laws": ["--suite", "adjunction", "--n", "2", "--max-rank", "2", "--seed", "9"],
+}
+
+
+def _parse(parser, argv):
+    """(exit code, stdout, stderr, namespace) of parser.parse_args(argv)."""
+    import io
+    from contextlib import redirect_stdout, redirect_stderr
+    out, err = io.StringIO(), io.StringIO()
+    ns, code = None, None
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            ns = vars(parser.parse_args(argv))
+    except SystemExit as e:
+        code = e.code
+    return code, out.getvalue(), err.getvalue(), ns
+
+
+def _verbs(top):
+    (sub,) = [a for a in top._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_one_verb_parser_matches_the_full_one():
+    assert [v[0] for v in cli.VERBS] == list(SAMPLE_ARGV)
+    full = cli.build_parser()
+    total = 0
+    for verb, sample in SAMPLE_ARGV.items():
+        one = cli.build_parser(verb)
+        assert list(_verbs(one)) == [verb]
+        opts = [a for a in _verbs(one)[verb]._actions if a.option_strings
+                and not isinstance(a, argparse._HelpAction)]
+        assert {s for a in opts for s in a.option_strings} == VERB_OPTIONS[verb]
+        total += len(opts)
+        # same namespace, help text and usage errors; on an unrecognized
+        # flag the top parser's usage, which names every verb, is printed
+        for argv in ([verb] + sample, [verb, "--help"], [verb, "--ring"],
+                     [verb] + sample + ["--zzz"]):
+            assert _parse(one, argv) == _parse(full, argv), argv
+    assert total == 37
+
+
+TOP_USAGE = """\
+usage: modfact [-h]
+               {validate,functor,homotopy-check,stable-hom,stably-zero,cok0,lift,chain-iso,phi,psi,recollement,laws}
+               ...
+"""
+
+TOP_HELP = TOP_USAGE + """
+exact computations with n-fold factorizations of a normal ring element
+
+positional arguments:
+  {validate,functor,homotopy-check,stable-hom,stably-zero,cok0,lift,chain-iso,phi,psi,recollement,laws}
+    validate            check rotation/square/module axioms
+    functor             apply shift/face/degeneracy functors
+    homotopy-check      decide null homotopy and return a witness
+    stable-hom          invariant factors of the stable hom module
+    stably-zero         is the identity null homotopic
+    cok0                quotient chain of a factorization
+    lift                rebuild a factorization from a chain
+    chain-iso           search for a chain isomorphism
+    phi                 factorization to matrix-ring module
+    psi                 matrix-ring module to factorization
+    recollement         randomized checks of the quotient/section/inclusion
+                        identities
+    laws                run the randomized law suites
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def test_top_level_listing_and_messages(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run() == (3, "", TOP_USAGE + "modfact: error: the following "
+                                         "arguments are required: verb\n")
+    assert run("--help") == (0, TOP_HELP, "")
+    assert run("-h") == (0, TOP_HELP, "")
+    choices = ", ".join("'%s'" % v[0] for v in cli.VERBS)
+    assert run("nope") == (3, "", TOP_USAGE + "modfact: error: argument verb: "
+                           "invalid choice: 'nope' (choose from %s)\n" % choices)
+    code, out, err = run("cok0", "x.json", "--cases", "2")
+    assert (code, out) == (3, "") and err == (
+        TOP_USAGE + "modfact: error: unrecognized arguments: --cases 2\n")
+
+
+def test_cli_imports_laws_and_recollement_only_for_their_verbs():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modfact.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, modfact.cli; print(sorted(m for m in sys.modules "
+             "if m in ('modfact.laws', 'modfact.recollement')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+    proc = subprocess.run([sys.executable, "-m", "modfact.cli", "laws", "--help"],
+                          capture_output=True, text=True, env=env)
+    from modfact.laws import suite_names
+    assert proc.returncode == 0 and len(suite_names()) > 1
+    # help text wraps at spaces and hyphens alike
+    assert ("known:" + ",".join(suite_names()) + ")") in "".join(proc.stdout.split())
