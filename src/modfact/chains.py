@@ -31,6 +31,13 @@ from .factorizations import Factorization
 from . import homotopy
 
 
+def _check_map_count(modules, maps):
+    want = max(len(modules) - 1, 0)
+    if len(maps) != want:
+        raise ValueError("a chain of %d modules carries %d maps, not %d"
+                         % (len(modules), want, len(maps)))
+
+
 class ChainModule:
     """A chain M^1 -> M^2 -> ... -> M^{n-1} of omega-torsion modules.
 
@@ -47,9 +54,7 @@ class ChainModule:
         if self.n != len(self.modules) + 1:
             raise ValueError("n = %d does not match %d modules"
                              % (self.n, len(self.modules)))
-        if len(self.maps) != max(len(self.modules) - 1, 0):
-            raise ValueError("a chain of %d modules carries %d maps"
-                             % (len(self.modules), max(len(self.modules) - 1, 0)))
+        _check_map_count(self.modules, self.maps)
         for mod in self.modules:
             if mod.ring != ring:
                 raise ValueError("chain modules live over one ring")
@@ -104,6 +109,7 @@ class ChainModule:
         mods = [ModulePresentation.from_json(ring, m)
                 for m in data["modules"]]
         n = json_int(data.get("n", len(mods) + 1), "n")
+        _check_map_count(mods, data["maps"])
         maps = []
         for i, m in enumerate(data["maps"]):
             tm = TwistedMatrix.from_json(ring, m)

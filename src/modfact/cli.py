@@ -9,7 +9,8 @@ Each verb declares only the options it reads.  All take --ring and
 --json.  functor adds --i/--a, chain-iso adds --seed, and the randomized
 verbs recollement and laws add the sampling flags --seed, --max-rank,
 --max-deg and --cases (laws also --suite and --n).  Any other flag is a
-usage error, and so is a negative --max-rank, --max-deg, --cases or --n.
+usage error, and so is a negative --max-deg or --n, and a --max-rank or
+--cases below 1.
 
 The parser is built on every call, from the VERBS table that declares
 each verb once: its name, handler, summary and arguments.  When the
@@ -326,16 +327,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(BAD_INPUT, "%s: error: %s\n" % (self.prog, message))
 
 
-def _nonnegative(text):
-    # sizes and counts: a negative one is a usage error, and a non-integer
+def _at_least(low):
+    # sizes and counts: one below low is a usage error, and a non-integer
     # gets the message argparse gives for type=int
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0, not %d" % value)
-    return value
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be >= %d, not %d" % (low, value))
+        return value
+    return parse
 
 
 def _suite_help():
@@ -355,9 +358,9 @@ _COMMON = (
 
 _SAMPLING = (
     ("--seed", dict(type=int, default=0, metavar="N")),
-    ("--max-rank", dict(type=_nonnegative, default=3, metavar="R")),
-    ("--max-deg", dict(type=_nonnegative, default=2, metavar="D")),
-    ("--cases", dict(type=_nonnegative, default=24, metavar="C",
+    ("--max-rank", dict(type=_at_least(1), default=3, metavar="R")),
+    ("--max-deg", dict(type=_at_least(0), default=2, metavar="D")),
+    ("--cases", dict(type=_at_least(1), default=24, metavar="C",
                      help="randomized cases")),
 )
 
@@ -403,7 +406,7 @@ VERBS = (
      + _SAMPLING),
     ("laws", cmd_laws, "run the randomized law suites",
      (("--suite", dict(metavar="TAGS", help=_suite_help)),
-      ("--n", dict(type=_nonnegative, default=0, metavar="N",
+      ("--n", dict(type=_at_least(0), default=0, metavar="N",
                    help="fold count of generated objects (0 = mix of 1..4)")))
      + _SAMPLING),
 )

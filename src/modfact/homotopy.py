@@ -22,11 +22,14 @@ trivial object are free on one component, which makes that system linear
 too. factors_through_theta0 is the same decider on the summand theta^0
 alone, the smaller ideal of the cokernel correspondence: both hand
 _factors_through the list of trivial summands, range(n) or [0]. Every
-decider is definitive over every base ring: a commutative base is solved
-exactly by Hermite form, a skew one by a single prime-field solve modulo
-omega completed by an explicit h^{n-1} (_solve_mod_omega).
+decider is definitive over every base ring, by one argument: omega is
+normal, so a morphism lies in the image of a decider's map exactly when
+it does modulo omega. _solve decides that with one linear system over a
+field (the ring's own when it is commutative, F_p when it is skew) and
+completes a solution by an explicit h^{n-1}. No decider takes a Hermite
+form; HomSpace and stable_hom do.
 
-Each decider hands a solve engine its linear map as image(u, poly), the
+Each decider hands the engine its linear map as image(u, poly), the
 morphism that poly placed in unknown u alone maps to. Every such map,
 like the HomSpace constraints and chains.chain_factors_projective, is a
 sum of terms L sigma^t(X_k) R in its unknown blocks X_k, so one assembler
@@ -34,7 +37,7 @@ sum of terms L sigma^t(X_k) R in its unknown blocks X_k, so one assembler
 of terms read off the arcs of x and y: the witness map (_witness_image)
 without running reconstruct_from_witness, and the trivial-factorization
 maps (_lambda_image) without building a trivial_hom, counit or theta per
-block. The engines only solve. Every positive answer is
+block. The engine only solves. Every positive answer is
 rebuilt from the solution and compared bit for bit with f: a witness
 through reconstruct_from_witness, a factorization by composing it with
 the counit. stable_hom takes its relations from the same images: the
@@ -75,10 +78,6 @@ def check_witness(x, y, w):
     return w
 
 
-def zero_witness(x, y):
-    return [TwistedMatrix.zero(x.ring, r, c, t) for r, c, t in witness_shapes(x, y)]
-
-
 def random_witness(rng, x, y, max_deg=2):
     ring = x.ring
     out = []
@@ -110,38 +109,6 @@ def reconstruct_from_witness(x, y, w):
                 acc = acc.add(term)
         comps.append(acc)
     return Morphism(x, y, comps)
-
-
-# -- witness transport (homotopy is a two-sided ideal, constructively) --
-
-def witness_precompose(u, w):
-    """Witness for u f given a witness w for f: X -> Y and u: W -> X."""
-    return [c.then(h) for c, h in zip(u.components, w)]
-
-
-def witness_postcompose(w, v):
-    """Witness for f v given a witness w for f: X -> Y and v: Y -> Z."""
-    n = len(w)
-    return [h.then(v.components[(j + 1) % n]) for j, h in enumerate(w)]
-
-
-def witness_shift(x, y, w):
-    """Witness for shift(f) given a witness w for f: the components rotate,
-    the old top picks up sigma^{-1}, and the old h^0 lands at twist 0."""
-    n = x.n
-    if n == 1:
-        return [w[0].sigma_entries(-1)]
-    out = [w[j + 1] for j in range(n - 2)]
-    out.append(w[n - 1].sigma_entries(-1).with_twist(-1))
-    out.append(w[0].with_twist(0))
-    return out
-
-
-def witness_direct_sum(ws):
-    """Witness for a direct sum of morphisms from witnesses of the parts."""
-    n = len(ws[0])
-    ring = ws[0][0].ring
-    return [TwistedMatrix.direct_sum(ring, [w[j] for w in ws]) for j in range(n)]
 
 
 # -- verdicts --
@@ -197,7 +164,7 @@ class TrivialFactorization:
         return out
 
 
-# -- shared linear-solve engines --
+# -- the linear-solve engine, one for every ring --
 #
 # image(u, poly) returns the entries of its morphism flattened as
 # _flatten_polys does: component by component, row by row.
@@ -210,66 +177,85 @@ def _flatten_polys(f):
     return vec
 
 
-def _solve_exact(ring, unit_count, image, f):
-    """Polys c_u with sum_u image(u, c_u) == f, or None; image A-linear.
-
-    The system has one row image(u, 1) per unknown and is solved by
-    Hermite form over the commutative base, so None is a definitive no.
-    Nothing is verified here: the caller rebuilds its answer from c and
-    compares it with f (a witness through reconstruct_from_witness).
-    """
-    one = ring.from_int(1)
-    rows = [image(u, one) for u in range(unit_count)]
-    sol = solve_right(ring, rows, [_flatten_polys(f)])
-    if sol is None:
-        return None
-    return [ring.trim(c) for c in sol[0]]
+def _residue(ring, p):
+    """The deg omega coefficients of p modulo omega, zeros included: a
+    truncation when omega = c x^m, since c x^m A has no term below x^m."""
+    m = ring.omega_deg
+    if not ring.omega_monomial:
+        p = ring.right_quo_rem(p, ring.omega)[1]
+    return p[:m] + [ring.field.zero] * (m - len(p))
 
 
-def _flatten_fp(fld, m, vec):
-    """The F_p coordinates of the coefficients below x^m of each poly in
-    vec: an element of F_q is its own tuple of coordinates over F_p."""
-    out = []
-    for poly in vec:
-        for d in range(m):
-            out.extend(poly[d] if d < len(poly) else fld.zero)
-    return out
+def _times_x(ring, r):
+    """x r modulo omega for a commutative ring and a residue r of
+    _residue's form: shift up, then take away c omega / lc(omega), c the
+    coefficient pushed to x^m; it drops off when omega = c x^m."""
+    fld = ring.field
+    out = [fld.zero] + r[:-1]
+    c = r[-1]
+    if ring.omega_monomial or fld.is_zero(c):
+        return out
+    c = fld.mul(c, fld.inv(ring.lc(ring.omega)))
+    return [fld.sub(a, fld.mul(c, w)) for a, w in zip(out, ring.omega)]
 
 
-def _solve_mod_omega(ring, unit_count, image, f, top):
+def _solve(f, unit_count, image, top):
     """Polys c_u with sum_u image(u, c_u) == f, or None, a definitive no.
 
-    image must be additive, prime-subfield homogeneous, and map omega*A
-    into entries divisible by omega. The unknowns from top on form a
-    row-major r_{n-1}(x) x r_0(y) block whose image is the morphism that
-    reconstruct_from_witness bounds with that block as h^{n-1}.
+    image must be additive, homogeneous over the field solved over, and
+    map omega*A into entries divisible by omega. The unknowns from top on
+    form a row-major r_{n-1}(x) x r_0(y) block whose image is the morphism
+    that reconstruct_from_witness bounds with that block as h^{n-1}.
 
     omega is normal, so (omega) = A omega = omega A, and writing c_u =
-    c_low + omega c_high with deg c_low < deg omega shows that f must be
-    image(c_low) modulo omega: one prime-field system, with an unknown
-    per u, per x^d below deg omega and per unit of F_q over F_p. On a skew
-    ring normality forces omega = c x^m (BaseRing checks it) and q omega
-    has no term below x^m, so the residue modulo omega is the part below
-    x^m: no entry is divided. An element of F_q = F_{p^e} is its own tuple
-    of e coordinates over F_p (fields.py), so the system reads them off
-    directly and its solution, in range(p), groups back into elements.
+    c_low + omega c_high with deg c_low < deg omega = m shows that f must
+    be image(c_low) modulo omega: one linear system, with an unknown per
+    u and per x^d below x^m. A commutative ring solves it over its field,
+    and image(u, x^d) = x^d image(u, 1), so the residues of row (u, d)
+    are those of row (u, d - 1) times x (_times_x). A skew ring solves it
+    over F_p, with an unknown per unit of F_q = F_{p^e} too: an element
+    is its own tuple of e coordinates (fields.py), read off each residue
+    of image(u, unit x^d) and grouped back from the solution.
 
     With a solution the remainder f - image(c_low), for a morphism f, is a
     morphism with top component K omega; as d_y^{n-1} d_y^0 ... d_y^{n-2}
     = omega I, the block K d_y^{n-1} maps onto all of it and is added to
-    the top block. As in _solve_exact, the caller verifies.
+    the top block. Nothing is verified here: the caller rebuilds its
+    answer from the coefficients and compares it with f.
     """
+    ring = f.ring
     fld = ring.field
-    e = fld.e
     m = ring.omega_deg
-    units = [tuple(int(i == c) for i in range(e)) for c in range(e)]
-    rows = [_flatten_fp(fld, m, image(u, [fld.zero] * d + [unit]))
-            for u in range(unit_count) for d in range(m) for unit in units]
     target = _flatten_polys(f)
-    sol = kmat_solve(PrimeField(fld.p), rows, [_flatten_fp(fld, m, target)])
+    if ring.commutative:
+        kfld, e = fld, 1
+
+        def flat(vec):
+            return [c for p in vec for c in _residue(ring, p)]
+
+        rows = []
+        for u in range(unit_count):
+            res = [_residue(ring, p) for p in image(u, ring.one)]
+            for d in range(m):
+                if d:
+                    res = [_times_x(ring, r) for r in res]
+                rows.append([c for r in res for c in r])
+    else:
+        kfld, e = PrimeField(fld.p), fld.e
+        pad = [fld.zero] * m
+
+        def flat(vec):
+            # omega = c x^m on a skew ring: each residue is a truncation
+            return [a for p in vec for c in (p + pad)[:m] for a in c]
+
+        units = [tuple(int(i == c) for i in range(e)) for c in range(e)]
+        rows = [flat(image(u, [fld.zero] * d + [unit]))
+                for u in range(unit_count) for d in range(m) for unit in units]
+    sol = kmat_solve(kfld, rows, [flat(target)])
     if sol is None:
         return None
-    elems = [tuple(sol[0][k:k + e]) for k in range(0, len(sol[0]), e)]
+    elems = sol[0] if e == 1 else [tuple(sol[0][k:k + e])
+                                   for k in range(0, len(sol[0]), e)]
     coeffs = [ring.trim(elems[u * m:(u + 1) * m]) for u in range(unit_count)]
     rest = target
     for u, poly in enumerate(coeffs):
@@ -283,15 +269,6 @@ def _solve_mod_omega(ring, unit_count, image, f, top):
     for i, p in enumerate(p for row in block for p in row):
         coeffs[top + i] = ring.add(coeffs[top + i], p)
     return coeffs
-
-
-def _solve(f, unit_count, image, top):
-    """Coefficients from the engine that suits f's ring, or None; either
-    way the answer is definitive."""
-    ring = f.ring
-    if ring.commutative:
-        return _solve_exact(ring, unit_count, image, f)
-    return _solve_mod_omega(ring, unit_count, image, f, top)
 
 
 # -- decider one: solve the reconstruction formula --

@@ -39,9 +39,13 @@ class Scenario:
         self.ring = ring
         self.seed = seed
         self.folds = tuple(n for n in folds if n >= 1) or (2,)
-        self.max_rank = max(1, max_rank)
-        self.max_deg = max(0, max_deg)
-        self.cases = max(1, cases)
+        for name, value, low in (("max_rank", max_rank, 1), ("max_deg", max_deg, 0),
+                                 ("cases", cases, 1)):
+            if value < low:
+                raise ValueError("%s must be >= %d, not %d" % (name, low, value))
+        self.max_rank = max_rank
+        self.max_deg = max_deg
+        self.cases = cases
 
     def to_json(self):
         return {"ring": self.ring.to_json(), "seed": self.seed,

@@ -7,15 +7,16 @@ canonical normal form for cosets, a finite k-basis, and matrices for the
 x-action and for any A-linear map given on generators.
 
 The k-matrix helpers at the bottom (kmat_*) work over a coefficient field
-and back the finite-dimensional searches in chains.py and the skew solver
-modulo omega in homotopy.py, which solves over the prime field the A-linear
-systems that matrices.term_image assembles. One Gauss-Jordan routine,
-_kmat_eliminate, runs once per call: on a copy of m for kmat_rank, on m^T
-for kmat_nullspace and on [m^T | rhs^T] for kmat_solve (X m = rhs is
-m^T X^T = rhs^T); kmat_inv is kmat_solve against the identity. Answers are
-read off the reduced echelon form, so they depend on the system alone: an
-unknown whose row of m depends on the rows before it is 0 in a solution,
-and the null-space basis is the reduced one.
+and back the finite-dimensional searches in chains.py and the one
+homotopy engine in homotopy.py, which solves modulo omega the A-linear
+systems that matrices.term_image assembles: over the ring's field when it
+is commutative, over the prime field when it is skew. One Gauss-Jordan
+routine, _kmat_eliminate, runs once per call: on a copy of m for
+kmat_rank, on m^T for kmat_nullspace and on [m^T | rhs^T] for kmat_solve
+(X m = rhs is m^T X^T = rhs^T); kmat_inv is kmat_solve against the
+identity. Answers are read off the reduced echelon form, so they depend
+on the system alone: an unknown whose row of m depends on the rows before
+it is 0 in a solution, and the null-space basis is the reduced one.
 """
 
 from .fields import json_int
@@ -200,7 +201,8 @@ def kmat_is_zero(fld, a):
 def _kmat_eliminate(fld, m, cols):
     """Gauss-Jordan on the first cols columns of m, in place: every pivot
     is 1, alone in its column, and the row operations run across whole
-    rows, so columns beyond cols record them. Returns the pivot columns;
+    rows, so columns beyond cols record them. Each operation touches only
+    the columns where the pivot row is nonzero. Returns the pivot columns;
     pivot t sits in row t and the rows below the last pivot vanish on the
     first cols columns."""
     rows = len(m)
@@ -215,12 +217,17 @@ def _kmat_eliminate(fld, m, cols):
         if sel is None:
             continue
         m[top], m[sel] = m[sel], m[top]
-        inv = fld.inv(m[top][col])
-        m[top] = [fld.mul(inv, e) for e in m[top]]
+        prow = m[top]
+        inv = fld.inv(prow[col])
+        nz = [j for j in range(col, len(prow)) if not fld.is_zero(prow[j])]
+        for j in nz:
+            prow[j] = fld.mul(inv, prow[j])
         for i in range(rows):
-            if i != top and not fld.is_zero(m[i][col]):
-                c = m[i][col]
-                m[i] = [fld.sub(a, fld.mul(c, b)) for a, b in zip(m[i], m[top])]
+            row = m[i]
+            if i != top and not fld.is_zero(row[col]):
+                c = row[col]
+                for j in nz:
+                    row[j] = fld.sub(row[j], fld.mul(c, prow[j]))
         pivots.append(col)
         top += 1
         if top == rows:

@@ -34,14 +34,14 @@ class BaseRing:
         if not omega:
             raise NotNormalError("omega must be nonzero")
         self.omega = omega
-        self.omega_deg = len(omega) - 1
+        m = self.omega_deg = len(omega) - 1
+        self.omega_monomial = all(field.is_zero(c) for c in omega[:m])
         if self.commutative:
             self.auto_power = 0
         else:
             # normality forces omega = c*x^m with frob^s(c) = c; the induced
             # automorphism is then coefficientwise frob^(s*m)
-            m = self.omega_deg
-            if any(not field.is_zero(c) for c in omega[:m]):
+            if not self.omega_monomial:
                 raise NotNormalError("omega must be a monomial c*x^m in the skew case")
             c = omega[m]
             if field.frob(c, self.sigma_power) != c:

@@ -414,6 +414,10 @@ def test_hostile_numbers_and_kinds_are_input_errors(paths):
         out["modules"][0]["generators"] += extra
         return out
 
+    # two modules with a second copy of their one map
+    extra_map = dict(cok0(theta(Q2, 3, 0)).to_json(), ring=q)
+    extra_map["maps"] *= 2
+
     cases = {
         "zero denominator in an entry": ([wj("h1.json", dict(entry(x, "1/0"), ring=q))], None),
         "zero denominator in omega": ([paths["x.json"]], dict(q, omega=["0", "0", "1/0"])),
@@ -433,6 +437,7 @@ def test_hostile_numbers_and_kinds_are_input_errors(paths):
         "float gamma row": ([wj("h12.json", gamma_row(1.0))], None),
         "float generators": ([wj("h13.json", chain_gens(0.5))], None),
         "float chain n": ([wj("h14.json", dict(chain, n=float(chain["n"])))], None),
+        "two maps for two modules": ([wj("h15.json", extra_map)], None),
     }
     for what, (files, ring) in cases.items():
         extra = ["--ring", wj("hring.json", ring)] if ring else []
@@ -441,6 +446,8 @@ def test_hostile_numbers_and_kinds_are_input_errors(paths):
         assert code == 3 and "input error" in err, (what, code, err)
         assert "Traceback" not in err and out == "", what
         assert time.perf_counter() - start < 1, what
+        if what == "two maps for two modules":
+            assert "a chain of 2 modules carries 1 maps, not 2" in err, err
 
 
 def test_oversized_fields_are_input_errors(paths):
@@ -466,14 +473,27 @@ def test_unwritable_json_target_is_input_error(paths):
 
 
 def test_negative_sampling_values_are_usage_errors():
-    for argv in (["laws", "--n", "-1", "--cases", "2"], ["laws", "--cases", "-3"],
-                 ["laws", "--max-rank", "-1"], ["laws", "--max-deg", "-2"],
-                 ["recollement", "3", "1", "--cases", "-2"],
-                 ["recollement", "3", "1", "--max-rank", "-1"],
-                 ["recollement", "3", "1", "--max-deg", "-1"]):
+    # a case count or a rank bound must be at least 1, a degree bound or
+    # a fold count at least 0
+    for argv, why in ((["laws", "--n", "-1", "--cases", "2"], "--n: must be >= 0, not -1"),
+                      (["laws", "--cases", "-3"], "--cases: must be >= 1, not -3"),
+                      (["laws", "--max-rank", "-1"], "--max-rank: must be >= 1, not -1"),
+                      (["laws", "--max-deg", "-2"], "--max-deg: must be >= 0, not -2"),
+                      (["laws", "--cases", "0"], "--cases: must be >= 1, not 0"),
+                      (["laws", "--max-rank", "0"], "--max-rank: must be >= 1, not 0"),
+                      (["recollement", "3", "1", "--cases", "-2"],
+                       "--cases: must be >= 1, not -2"),
+                      (["recollement", "3", "1", "--max-rank", "-1"],
+                       "--max-rank: must be >= 1, not -1"),
+                      (["recollement", "3", "1", "--max-deg", "-1"],
+                       "--max-deg: must be >= 0, not -1"),
+                      (["recollement", "3", "1", "--cases", "0"],
+                       "--cases: must be >= 1, not 0"),
+                      (["recollement", "3", "1", "--max-rank", "0"],
+                       "--max-rank: must be >= 1, not 0")):
         code, out, err = run(*argv)
         assert code == 3 and out == "", argv
-        assert "usage: modfact %s" % argv[0] in err and "must be >= 0" in err, argv
+        assert "usage: modfact %s" % argv[0] in err and "argument " + why in err, argv
     code, out, err = run("laws", "--cases", "two")
     assert code == 3 and "argument --cases: invalid int value: 'two'" in err
     # zero is still a value: --n 0 means a mix of folds

@@ -1,25 +1,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
+from modfact import matrices
 from modfact.matrices import TwistedMatrix, mat_mul
 from modfact import randomgen as rg
-from modfact.factorizations import (Morphism, theta, omega_morphism, shift,
+from modfact.factorizations import (Morphism, theta, omega_morphism,
                                     shift_morphism, direct_sum_morphism)
 import modfact.homotopy as ho
-from modfact.fields import ExtensionField
+from modfact.fields import ExtensionField, PrimeField
 from modfact.rings import BaseRing
 
 from common import (R5x2, R5x3, RQ2, RS, RS1, RS9, X2, X3, X2Q, X2b, XS, XSneg,
-                    mk, one, ring_q)
+                    mk, one, ring_q, ring5)
 
 rng = random.Random(7)
-
-
-def test_zero_witness_reconstructs_zero():
-    for X, Y in [(X2, X2), (X3, X3), (X2b, X2b), (X2, X2b), (XS, XS)]:
-        z = ho.reconstruct_from_witness(X, Y, ho.zero_witness(X, Y))
-        assert z.is_zero()
 
 
 def test_reconstructed_morphisms_are_valid():
@@ -134,24 +131,22 @@ def test_theta0_ideal_is_coarser():
     assert sh0.k_dimension is not None and sh0.k_dimension >= 1
 
 
-def test_witness_transports():
-    for X, Y in [(X2b, X2b), (X3, X3), (XS, XS)]:
-        for _ in range(6):
-            w = ho.random_witness(rng, X, Y, 2)
-            f = ho.reconstruct_from_witness(X, Y, w)
-            wu = ho.random_witness(rng, X, X, 1)
-            u = ho.reconstruct_from_witness(X, X, wu)
-            wv = ho.random_witness(rng, Y, Y, 1)
-            vmor = ho.reconstruct_from_witness(Y, Y, wv)
-            wpre = ho.witness_precompose(u, w)
-            assert ho.reconstruct_from_witness(X, Y, wpre) == u.then(f)
-            wpost = ho.witness_postcompose(w, vmor)
-            assert ho.reconstruct_from_witness(X, Y, wpost) == f.then(vmor)
-            wsh = ho.witness_shift(X, Y, w)
-            assert ho.reconstruct_from_witness(shift(X), shift(Y), wsh) == shift_morphism(f)
-            wds = ho.witness_direct_sum([w, wpre])
-            fds = direct_sum_morphism([f, u.then(f)])
-            assert ho.reconstruct_from_witness(fds.source, fds.target, wds) == fds
+def test_null_morphisms_form_a_closed_ideal():
+    # null homotopy is a two-sided ideal stable under shift and direct
+    # sums: with f null, u f, f v, shift(f) and f + u f are null on every
+    # stock ring, and so is every zero morphism
+    rng2 = random.Random(29)
+    for ring in rg.default_instances():
+        for n in (1, 2, 3):
+            x = rg.random_object(ring, rng2, n, max_rank=2)
+            y = rg.random_object(ring, rng2, n, max_rank=2)
+            f, _ = rg.random_null_morphism(rng2, x, y)
+            u = rg.random_morphism(rng2, x, x)
+            v = rg.random_morphism(rng2, y, y)
+            for g in (u.then(f), f.then(v), shift_morphism(f),
+                      direct_sum_morphism([f, u.then(f)]), Morphism.zero(x, y)):
+                assert ho.is_p_null_homotopic(g).null
+                assert ho.factors_through_trivials(g).factors
 
 
 def test_identity_pair_is_stable_iso():
@@ -291,10 +286,17 @@ def _skew_instances():
         BaseRing(f8, 1, [f8.zero, f8.zero, f8.one]), RS9]
 
 
+def _engine_instances():
+    # every ring the one mod-omega engine solves on: the stock commutative
+    # rings, then the skew ones
+    return [r for r in rg.default_instances() if r.commutative] + _skew_instances()
+
+
 def test_skew_decisions_divide_only_to_complete(monkeypatch):
     # a residue modulo omega = c x^m is a truncation, so the only division
-    # in a skew decision is the completion's quotient by omega of each
-    # entry of the r_{n-1}(x) x r_{n-1}(y) top block
+    # in a decision over such an omega, skew or commutative, is the
+    # completion's quotient by omega of each entry of the
+    # r_{n-1}(x) x r_{n-1}(y) top block
     calls = []
     real = BaseRing.right_quo_rem
 
@@ -303,7 +305,7 @@ def test_skew_decisions_divide_only_to_complete(monkeypatch):
         return real(self, f, g)
 
     rng2 = random.Random(31)
-    for ring in _skew_instances():
+    for ring in [r for r in _engine_instances() if r.omega_monomial]:
         for n in (1, 2, 3):
             x = rg.random_object(ring, rng2, n, max_rank=2)
             y = rg.random_object(ring, rng2, n, max_rank=2)
@@ -322,10 +324,11 @@ def test_skew_decisions_divide_only_to_complete(monkeypatch):
 
 def test_skew_deciders_complete_multiples_of_omega():
     # witnesses and theta^0 parameters of degree >= deg omega leave the
-    # engine a nonzero remainder omega g; each positive must rebuild
+    # engine a nonzero remainder omega g on every ring; each positive must
+    # rebuild
     rng2 = random.Random(17)
     completed = 0
-    for ring in _skew_instances():
+    for ring in _engine_instances():
         for n in (1, 2, 3):
             for _ in range(3):
                 x = rg.random_object(ring, rng2, n, max_rank=2)
@@ -355,19 +358,24 @@ def test_skew_deciders_complete_multiples_of_omega():
 
 
 def test_skew_engine_solves_one_system(monkeypatch):
-    # one prime-field system per decision, deg omega * e unknowns per slot
-    # and as many equations per morphism entry: no escalation rounds
+    # one system per decision on every ring, deg omega * e' unknowns per
+    # slot and as many equations per morphism entry: over the ring's own
+    # field (e' = 1) when it is commutative, over F_p with the e
+    # coordinates of F_{p^e} (e' = e) when it is skew
     shapes = []
     real = ho.kmat_solve
 
     def recording(fld, m, rhs):
-        shapes.append((len(m), len(rhs[0])))
+        shapes.append((fld, len(m), len(rhs[0])))
         return real(fld, m, rhs)
 
     monkeypatch.setattr(ho, "kmat_solve", recording)
     rng2 = random.Random(19)
-    for ring in _skew_instances():
-        per_entry = ring.omega_deg * ring.field.e
+    for ring in _engine_instances():
+        if ring.commutative:
+            fld, per_entry = ring.field, ring.omega_deg
+        else:
+            fld, per_entry = PrimeField(ring.field.p), ring.omega_deg * ring.field.e
         for n in (1, 2, 3):
             x = rg.random_object(ring, rng2, n, max_rank=2)
             f, _ = rg.random_null_morphism(rng2, x, x)
@@ -381,7 +389,7 @@ def test_skew_engine_solves_one_system(monkeypatch):
                 for g in (f, Morphism.identity(x)):
                     del shapes[:]
                     decide(g)
-                    assert shapes == [(slots * per_entry, entries * per_entry)]
+                    assert shapes == [(fld, slots * per_entry, entries * per_entry)]
 
 
 def test_theta0_factorization_is_the_one_block_trivial_sum():
@@ -430,3 +438,39 @@ def test_deciders_agree_on_rank_zero_sources_and_targets():
                 assert ho.is_p_null_homotopic(f).null
                 assert ho.factors_through_trivials(f).factors
                 assert ho.factors_through_theta0(f).factors
+
+
+def test_deciders_need_no_hermite_form(monkeypatch):
+    # the mod-omega engine decides on every stock ring: no decider reaches
+    # the Hermite solve over A, which HomSpace and stable_hom keep
+    def refuse(*args):
+        raise AssertionError("a decider reached the Hermite solve")
+
+    rng2 = random.Random(37)
+    for ring in rg.default_instances():
+        for n in (1, 2, 3):
+            x = rg.random_object(ring, rng2, n, max_rank=2)
+            y = rg.random_object(ring, rng2, n, max_rank=2)
+            null, _ = rg.random_null_morphism(rng2, x, y)
+            fs = (null, rg.random_morphism(rng2, x, y), Morphism.identity(x))
+            with monkeypatch.context() as mp:
+                for where, name in ((matrices, "solve_right"), (matrices, "hermite_form"),
+                                    (ho, "solve_right")):
+                    mp.setattr(where, name, refuse)
+                for f in fs:
+                    assert ho.is_p_null_homotopic(f).null == ho.factors_through_trivials(f).factors
+                    ho.factors_through_theta0(f)
+
+
+# omega = x^2 (x - 1), the stock omega that is not a monomial
+QX2X1 = ring_q([0, 0, -1, 1])
+F5X2X1 = ring5([0, 0, 4, 1])
+
+
+@given(st.sampled_from([QX2X1, F5X2X1]),
+       st.lists(st.integers(-9, 9), min_size=3, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_companion_step_multiplies_residues_by_x(ring, coeffs):
+    r = [ring.field.coerce(c) for c in coeffs]
+    want = ring.right_quo_rem(ring.mul(ring.x, ring.trim(list(r))), ring.omega)[1]
+    assert ring.trim(ho._times_x(ring, r)) == want

@@ -58,6 +58,13 @@ def test_unknown_suite_name_raises():
         run_suites(sc, names=["nope"])
 
 
+def test_scenario_refuses_empty_sampling_bounds():
+    # a bound the sampler cannot meet is an error, not a quiet other run
+    for kw in (dict(cases=0), dict(max_rank=0), dict(max_deg=-1), dict(cases=-3)):
+        with pytest.raises(ValueError, match="must be >="):
+            Scenario(F5X3, **kw)
+
+
 def test_suite_registry_has_expected_members():
     names = suite_names()
     for want in ["ring-laws", "functor-laws", "adjunction", "homotopy-oracle",

@@ -94,7 +94,7 @@ def test_division_identities(data):
 @settings(max_examples=60, deadline=None)
 def test_skew_residue_mod_omega_is_truncation(data):
     # on a skew ring omega = c x^m, so the residue is the part below x^m;
-    # homotopy._solve_mod_omega takes residues this way
+    # homotopy._solve takes residues this way
     ring, f = data
     m = ring.omega_deg
     assert ring.right_quo_rem(f, ring.omega)[1] == ring.trim(f[:m])
