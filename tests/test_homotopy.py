@@ -131,10 +131,28 @@ def test_theta0_ideal_is_coarser():
     assert sh0.k_dimension is not None and sh0.k_dimension >= 1
 
 
-def test_null_morphisms_form_a_closed_ideal():
+def test_zero_witness_reconstructs_zero():
+    # the all-zero witness bounds the zero morphism, and every zero
+    # morphism is null on every stock ring with a witness that rebuilds it
+    for X, Y in [(X2, X2), (X3, X3), (X2b, X2b), (X2, X2b), (XS, XS)]:
+        w = [TwistedMatrix.zero(X.ring, r, c, t)
+             for r, c, t in ho.witness_shapes(X, Y)]
+        assert ho.reconstruct_from_witness(X, Y, w).is_zero()
+    rng2 = random.Random(23)
+    for ring in rg.default_instances():
+        for n in (1, 2, 3):
+            x = rg.random_object(ring, rng2, n, max_rank=2)
+            y = rg.random_object(ring, rng2, n, max_rank=2)
+            v = ho.is_p_null_homotopic(Morphism.zero(x, y))
+            assert v.null
+            assert ho.reconstruct_from_witness(x, y, v.witness).is_zero()
+            assert ho.factors_through_trivials(Morphism.zero(x, y)).factors
+
+
+def test_witness_transports():
     # null homotopy is a two-sided ideal stable under shift and direct
     # sums: with f null, u f, f v, shift(f) and f + u f are null on every
-    # stock ring, and so is every zero morphism
+    # stock ring, each with a witness that rebuilds it
     rng2 = random.Random(29)
     for ring in rg.default_instances():
         for n in (1, 2, 3):
@@ -144,8 +162,11 @@ def test_null_morphisms_form_a_closed_ideal():
             u = rg.random_morphism(rng2, x, x)
             v = rg.random_morphism(rng2, y, y)
             for g in (u.then(f), f.then(v), shift_morphism(f),
-                      direct_sum_morphism([f, u.then(f)]), Morphism.zero(x, y)):
-                assert ho.is_p_null_homotopic(g).null
+                      direct_sum_morphism([f, u.then(f)])):
+                verdict = ho.is_p_null_homotopic(g)
+                assert verdict.null
+                assert ho.reconstruct_from_witness(
+                    g.source, g.target, verdict.witness) == g
                 assert ho.factors_through_trivials(g).factors
 
 
