@@ -13,10 +13,10 @@ of theta^0 objects, and it induces a map factoring through a projective
 chain exactly when it is null-homotopic.  Both directions are computed
 independently and compared, nothing is inferred from one side alone.
 
-lift and chain_iso need Smith normal forms, and chain_factors_projective
-solves a left-A-linear system by Hermite form, which needs commutativity:
+lift and chain_iso need Smith normal forms and chain_factors_projective
+needs k-linear chain maps, which are Frobenius-semilinear over a skew ring:
 all three raise UnsupportedRingError over a skew base ring.  cok0 itself,
-morphism transport and the mono test only use Hermite elimination and
+morphism transport and the chain checks only use Hermite elimination and
 work over every supported ring.
 """
 
@@ -26,7 +26,7 @@ from .matrices import (TwistedMatrix, mat_mul, mat_identity, hermite_form,
                        left_kernel, solve_right, smith_form, invariant_factors,
                        block_slots, term_image)
 from .modules import (ModulePresentation, kmat_mul, kmat_sub, kmat_is_zero,
-                      kmat_nullspace, kmat_inv, kmat_rank)
+                      kmat_nullspace, kmat_inv, kmat_rank, kmat_solve)
 from .factorizations import Factorization
 from . import homotopy
 
@@ -81,6 +81,22 @@ class ChainModule:
     def check_torsion(self):
         """Every module must be killed by omega."""
         return all(m.check_abar() for m in self.modules)
+
+    def defects(self):
+        """Why this is not a chain of omega-torsion injections: torsion,
+        maps that do not send relations to relations, then, when all are
+        well defined, the first map that is not injective (by target slot)."""
+        out = [] if self.check_torsion() else ["a module is not killed by omega"]
+        lins = [m.linearization() for m in self.modules]
+        ill = ["chain map into slot %d is not well defined" % (i + 2)
+               for i, m in enumerate(self.maps)
+               if not lins[i].map_well_defined(lins[i + 1], m)]
+        if ill:
+            return out + ill
+        mono, slot = chain_is_mono(self)
+        if not mono:
+            out.append("chain map into slot %d is not injective" % (slot + 1))
+        return out
 
     def dims(self):
         return [m.linearization().dim for m in self.modules]
@@ -231,22 +247,13 @@ def staircase_chain(ring, n, j, m=1):
     """
     if not 0 <= j <= n - 1:
         raise ValueError("slot out of range")
-    omega_rows = [[list(ring.omega) if a == b else [] for b in range(m)]
-                  for a in range(m)]
-    mods = []
-    maps = []
-    for i in range(1, n):
-        if i < j or j == 0:
-            mods.append(ModulePresentation(ring, 0, []))
-        else:
-            mods.append(ModulePresentation(ring, m, omega_rows))
-    for i in range(1, n - 1):
-        if i + 1 < j or j == 0:
-            maps.append([])
-        elif i < j:
-            maps.append([])   # 0 -> Abar^m, no generator rows
-        else:
-            maps.append(mat_identity(ring, m))
+    # one presentation per kind, so each is linearized once
+    zero = ModulePresentation(ring, 0, [])
+    abar = ModulePresentation(ring, m, TwistedMatrix.scalar(ring, m, ring.omega).m)
+    mods = [zero if j == 0 or i < j else abar for i in range(1, n)]
+    # a map out of a zero slot has no generator rows
+    maps = [[] if j == 0 or i < j else mat_identity(ring, m)
+            for i in range(1, n - 1)]
     return ChainModule(ring, mods, maps, n=n)
 
 
@@ -291,8 +298,8 @@ def lift(c):
     The top module is covered minimally through its Smith form; preimages of
     the images of the chain maps are pulled back step by step, and the last
     map is the diagonal of complementary divisors of omega.  Requires every
-    module to be omega-torsion and every chain map injective.  Commutative
-    base rings only.
+    module to be omega-torsion and every chain map well defined and
+    injective.  Commutative base rings only.
     """
     ring = c.ring
     if not ring.commutative:
@@ -300,11 +307,9 @@ def lift(c):
     n = c.n
     if n == 1:
         return Factorization(ring, [0], [TwistedMatrix(ring, [], 1, 0, 0)])
-    if not c.check_torsion():
-        raise ValueError("chain modules must be killed by omega")
-    mono, bad = chain_is_mono(c)
-    if not mono:
-        raise ValueError("chain map into slot %d is not injective" % (bad + 1))
+    bad = c.defects()
+    if bad:
+        raise ValueError(bad[0])
 
     top = c.modules[-1]
     if top.gens == 0:
@@ -530,57 +535,49 @@ def chain_iso(c, d, rng=None):
 def chain_factors_projective(f):
     """Does the induced chain map factor through a projective chain?
 
-    Projective chains are sums of the staircases; mapping onto the target
-    chain by the identity in the entering slot makes the canonical staircase
-    cover an epimorphism in every slot, so factoring through any projective
-    is the same as factoring through that cover.  Chain maps out of the
-    source into a staircase entering at slot j are freely determined by
-    their top component, which turns the question into one exact linear
-    solve over A, assembled by term_image from the blocks' terms.
+    Projective chains are sums of the staircases.  The target D = cok0(y)
+    is covered by the staircases on A^{r_j(y)}, j = 1..n-1, each mapping
+    to D in slot s >= j by the arc d_Y^{j -> s}, the identity in the
+    entering slot.  That cover is onto in every slot, so factoring through
+    any projective is the same as factoring through it, and a chain map
+    into it is a sum of maps into its summands.  So g = cok0_morphism(f)
+    factors exactly when its k-matrices are a combination of the basis
+    maps into each staircase composed with the cover: one kmat_solve.
     Commutative base rings only.
     """
-    ring = f.source.ring
+    return _factors_through_cover(cok0_morphism(f), f.target)
+
+
+def _factors_through_cover(g, y):
+    """chain_factors_projective for g = cok0_morphism(f), y = f.target."""
+    ring = g.ring
     if not ring.commutative:
         raise UnsupportedRingError(
             "projective chain factoring needs the commutative case")
-    x, y = f.source, f.target
-    n = x.n
-    if n == 1:
-        return True
-    cx, cy = x.compose_range, y.compose_range
-
-    # Unknown blocks U_j (j = 1..n-1), A_j (j = 1..n-1), B_j (j = 2..n-1)
-    # and V_i (i = 1..n-1). Equation ("A", j) reads d_X^{0..n-2} U_j +
-    # omega A_j = 0, ("B", j) reads d_X^{j-1..n-2} U_j + omega B_j = 0, and
-    # ("f", i) reads sum_{j <= i} d_X^{i..n-2} U_j d_Y^{j..i-1} +
-    # V_i d_Y^{0..i-1} = f^i.
-    eqs_ab = ([(("A", j), x.ranks[0], y.ranks[j]) for j in range(1, n)]
-              + [(("B", j), x.ranks[j - 1], y.ranks[j]) for j in range(2, n)])
-    eqs_f = [(("f", i), x.ranks[i], y.ranks[i]) for i in range(1, n)]
-    blocks = ([(("U", j), x.ranks[n - 1], y.ranks[j]) for j in range(1, n)]
-              + eqs_ab + [(("V", i), x.ranks[i], y.ranks[0]) for i in range(1, n)])
-    terms = {key: [(key, TwistedMatrix.scalar(ring, r, ring.omega).m,
-                    mat_identity(ring, c), 0)] for key, r, c in eqs_ab}
+    fld = ring.field
+    n = g.source.n
+    lins_c = [m.linearization() for m in g.source.modules]
+    lins_d = [m.linearization() for m in g.target.modules]
+    rows = []
     for j in range(1, n):
-        eye = mat_identity(ring, y.ranks[j])
-        terms[("U", j)] = [(("A", j), cx(0, n - 2).m, eye, 0)]
-        if j >= 2:
-            terms[("U", j)].append((("B", j), cx(j - 1, n - 2).m, eye, 0))
-        terms[("U", j)] += [(("f", i), cx(i, n - 2).m, cy(j, i - 1).m, 0)
-                            for i in range(j, n)]
-        terms[("V", j)] = [(("f", j), mat_identity(ring, x.ranks[j]),
-                            cy(0, j - 1).m, 0)]
-    slots = block_slots(blocks)
-
-    target = [[] for _, r, c in eqs_ab for _ in range(r * c)]
-    target += [list(p) for i in range(1, n) for row in f.components[i].m
-               for p in row]
-    if not slots:
-        return all(not e for e in target)
-    image = term_image(ring, eqs_ab + eqs_f, terms, slots)
-    one = ring.from_int(1)
-    return solve_right(ring, [image(u, one) for u in range(len(slots))],
-                       [target]) is not None
+        stair = staircase_chain(ring, n, j, y.ranks[j])
+        basis, shapes = _chain_map_space(g.source, stair)
+        # slot s (1-based) of the cover, None where the staircase is zero
+        cover = [stair.modules[s - 1].linearization().map_matrix(
+                     lins_d[s - 1], y.compose_range(j, s - 1).m)
+                 if s >= j else None for s in range(1, n)]
+        for vec in basis:
+            row = []
+            for h, p, lc, ld in zip(_reshape(fld, vec, shapes), cover,
+                                    lins_c, lins_d):
+                if p is None:    # a zero slot: kmat_mul would drop the width
+                    row += [fld.zero] * (lc.dim * ld.dim)
+                else:
+                    row += [e for r in kmat_mul(fld, h, p) for e in r]
+            rows.append(row)
+    target = [e for lc, ld, m in zip(lins_c, lins_d, g.components)
+              for r in lc.map_matrix(ld, m) for e in r]
+    return kmat_solve(fld, rows, [target]) is not None
 
 
 def faithfulness_report(f):
@@ -598,7 +595,7 @@ def faithfulness_report(f):
            "theta0": theta0.factors,
            "zero_agree": chain_zero == theta0.factors}
     if f.source.ring.commutative:
-        proj = chain_factors_projective(f)
+        proj = _factors_through_cover(g, f.target)
         null = homotopy.is_p_null_homotopic(f)
         out.update({"projective_chain": proj,
                     "null_homotopic": null.null,

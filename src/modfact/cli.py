@@ -23,7 +23,11 @@ and recollement use are imported when those verbs run.
 Exit codes: 0 pass, 2 property failure, 3 input error, 4 unsupported
 ring operation, 5 chain-iso found no isomorphism within its search
 budget and could not rule one out. Homotopy verdicts are definitive on
-every ring, so homotopy-check, stably-zero and recollement end in 0 or 2.
+every ring, so homotopy-check, stably-zero and recollement end in 0 or 2
+on valid input. The verbs that decide something of an object
+(homotopy-check, stable-hom, stably-zero, recollement with Z) first check
+that it is a factorization, and exit 3 when a rotated composite is not
+omega; validate reports such defects, and the constructions leave them be.
 """
 
 import argparse
@@ -39,7 +43,7 @@ from .factorizations import (shift, shift_morphism, shift_inverse,
 from .homotopy import (is_p_null_homotopic, is_stably_zero, stable_hom,
                        reconstruct_from_witness)
 from .matrixring import phi, psi, validate_gamma
-from .chains import cok0, lift, chain_iso, chain_is_mono
+from .chains import cok0, lift, chain_iso
 from . import jsonio
 from . import randomgen as rg
 
@@ -69,6 +73,15 @@ def _maybe_ring(args):
     return jsonio.load_ring(args.ring) if args.ring else None
 
 
+def _factorization(x, what):
+    """x itself, or an input error naming what when a rotation fails."""
+    bad = x.rotation_defects()
+    if bad:
+        raise jsonio.InputError("%s is not a factorization; rotation fails "
+                                "at slots %s" % (what, bad))
+    return x
+
+
 # -- verbs ------------------------------------------------------------------
 
 def cmd_validate(args):
@@ -91,14 +104,9 @@ def cmd_validate(args):
             entry["valid"] = not bad
             entry["defects"] = bad
         elif kind == "chain":
-            defects = []
-            if not obj.check_torsion():
-                defects.append("a module is not killed by omega")
-            mono, slot = chain_is_mono(obj)
-            if not mono:
-                defects.append("chain map into slot %s is not injective" % slot)
-            entry["valid"] = not defects
-            entry["defects"] = defects
+            bad = obj.defects()
+            entry["valid"] = not bad
+            entry["defects"] = bad
         else:
             raise jsonio.InputError("%s: cannot validate kind %r" % (path, kind))
         ok = ok and entry["valid"]
@@ -155,6 +163,8 @@ def cmd_functor(args):
 def cmd_homotopy_check(args):
     ring = _maybe_ring(args)
     f = jsonio.load_morphism(args.path, ring)
+    _factorization(f.source, "the source in %s" % args.path)
+    _factorization(f.target, "the target in %s" % args.path)
     bad = f.square_defects()
     if bad:
         raise jsonio.InputError("input is not a morphism; squares fail at "
@@ -175,8 +185,10 @@ def cmd_homotopy_check(args):
 
 def cmd_stable_hom(args):
     ring = _maybe_ring(args)
-    x = jsonio.load_factorization(args.path_x, ring)
-    y = jsonio.load_factorization(args.path_y, ring or x.ring)
+    x = _factorization(jsonio.load_factorization(args.path_x, ring),
+                       args.path_x)
+    y = _factorization(jsonio.load_factorization(args.path_y, ring or x.ring),
+                       args.path_y)
     if x.ring != y.ring:
         raise jsonio.InputError("the two objects live over different rings")
     report = {"command": "stable-hom", "report": stable_hom(x, y).to_json()}
@@ -187,7 +199,7 @@ def cmd_stable_hom(args):
 
 def cmd_stably_zero(args):
     ring = _maybe_ring(args)
-    x = jsonio.load_factorization(args.path, ring)
+    x = _factorization(jsonio.load_factorization(args.path, ring), args.path)
     verdict = is_stably_zero(x)
     report = {"command": "stably-zero", "verdict": verdict.to_json()}
     if verdict.null:
@@ -256,7 +268,8 @@ def cmd_recollement(args):
               "triangles": 0, "kernel_stably_zero": 0}
     failures = []
     if args.path:
-        zs = [jsonio.load_factorization(args.path, sc.ring)]
+        zs = [_factorization(jsonio.load_factorization(args.path, sc.ring),
+                             args.path)]
     else:
         zs = [rg.random_object(sc.ring, rng, args.fold - args.level + 1,
                                sc.max_rank, sc.max_deg)

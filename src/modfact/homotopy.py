@@ -31,7 +31,7 @@ form; HomSpace and stable_hom do.
 
 Each decider hands the engine its linear map as image(u, poly), the
 morphism that poly placed in unknown u alone maps to. Every such map,
-like the HomSpace constraints and chains.chain_factors_projective, is a
+like the HomSpace constraints and the chain-map space of chains.py, is a
 sum of terms L sigma^t(X_k) R in its unknown blocks X_k, so one assembler
 (matrices.term_image) builds each image as outer products from a table
 of terms read off the arcs of x and y: the witness map (_witness_image)

@@ -10,9 +10,9 @@ smith_form) work on bare coefficient-list matrices. Hermite reduction only
 uses left row operations and right division of entries, so it is valid
 over the skew instances as well; Smith form asserts commutativity.
 term_image assembles every A-linear system that the homotopy deciders,
-HomSpace and the chain checks solve: each is a sum of terms
-L sigma^t(X_k) R in unknown blocks X_k, built entry by entry as outer
-products.
+HomSpace, stable_hom and the chain-map space of chains.py solve: each is
+a sum of terms L sigma^t(X_k) R in unknown blocks X_k, built entry by
+entry as outer products.
 """
 
 from .fields import json_int

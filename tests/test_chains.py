@@ -3,10 +3,12 @@ import random
 import pytest
 
 from modfact.rings import UnsupportedRingError
+from modfact import matrices
 from modfact.matrices import mat_mul
 from modfact.factorizations import Morphism, theta, omega_morphism
 from modfact.modules import ModulePresentation
 import modfact.homotopy as ho
+import modfact.chains as ch
 from modfact import randomgen as rg
 from modfact.chains import (ChainModule, ChainMorphism, zero_chain,
                             staircase_chain, cok0, cok0_morphism,
@@ -153,8 +155,18 @@ def test_lift_rejects_bad_chains():
     ], [[[xx]]], n=3)
     ok, slot = chain_is_mono(bad)
     assert not ok and slot == 1
-    with pytest.raises(ValueError):
+    assert bad.defects() == ["chain map into slot 2 is not injective"]
+    with pytest.raises(ValueError, match="into slot 2 is not injective"):
         lift(bad)
+    # A/(x) -> A/(x^2), e |-> e sends the relation x e to x e != 0
+    ill = ChainModule(R5x2, [
+        ModulePresentation(R5x2, 1, [[x_]]),
+        ModulePresentation(R5x2, 1, [[xx]]),
+    ], [[[one]]], n=3)
+    assert chain_is_mono(ill) == (True, None)
+    assert ill.defects() == ["chain map into slot 2 is not well defined"]
+    with pytest.raises(ValueError, match="into slot 2 is not well defined"):
+        lift(ill)
     free = ChainModule(R5x2, [ModulePresentation(R5x2, 1, [])], [], n=2)
     with pytest.raises(ValueError):
         lift(free)
@@ -192,17 +204,64 @@ def test_projective_factoring_agrees_with_null_homotopy():
     verdicts = set()
     for ring in [r for r in rg.default_instances() if r.commutative]:
         for n in [1, 2, 2, 3, 3, 3, 4, 4, 4]:
-            x = rg.random_object(ring, rng2, n, max_rank=2)
-            y = rg.random_object(ring, rng2, n, max_rank=2)
+            x = rg.random_object(ring, rng2, n, max_rank=3)
+            y = rg.random_object(ring, rng2, n, max_rank=3)
             fs = [rg.random_morphism(rng2, x, y), rg.random_morphism(rng2, x, x)]
             if n >= 2:
-                z = rg.random_nonzero_object(ring, rng2, n, max_rank=2)
+                z = rg.random_nonzero_object(ring, rng2, n, max_rank=3)
                 fs.append(Morphism.identity(z))
             for f in fs:
                 null = ho.is_p_null_homotopic(f).null
                 assert chain_factors_projective(f) == null, (ring.omega, n)
                 verdicts.add(null)
     assert verdicts == {True, False}
+
+
+def test_staircase_cover_is_onto():
+    # the staircases on A^{r_j(y)}, j = 1..n-1, map to cok0(y) by the arcs
+    # d_Y^{j -> s}; each map is a chain map, and stacked over j they are
+    # onto in every slot
+    rng2 = random.Random(23)
+    for ring in [r for r in rg.default_instances() if r.commutative]:
+        fld = ring.field
+        for n in (2, 3, 4):
+            y = rg.random_object(ring, rng2, n, max_rank=3)
+            d = cok0(y)
+            stacked = [[] for _ in d.modules]
+            for j in range(1, n):
+                stair = staircase_chain(ring, n, j, y.ranks[j])
+                comps = [y.compose_range(j, s - 1).m if s >= j else []
+                         for s in range(1, n)]
+                p = ChainMorphism(stair, d, comps)
+                assert p.is_valid(), (ring.omega, n, j)
+                for s, (st, dm, m) in enumerate(zip(stair.modules, d.modules,
+                                                    comps)):
+                    stacked[s] += st.linearization().map_matrix(
+                        dm.linearization(), m)
+            for s, dm in enumerate(d.modules):
+                assert kmat_rank(fld, stacked[s]) == dm.linearization().dim
+
+
+def test_projective_factoring_solves_no_system_over_a(monkeypatch):
+    # the chain-side test is one kmat_solve; the only Hermite forms it
+    # meets are the linearizations' own
+    def refuse(*args):
+        raise AssertionError("projective factoring reached a solve over A")
+
+    rng2 = random.Random(29)
+    for ring in [r for r in rg.default_instances() if r.commutative]:
+        for n in (1, 2, 3, 4):
+            x = rg.random_object(ring, rng2, n, max_rank=2)
+            y = rg.random_object(ring, rng2, n, max_rank=2)
+            null, _ = rg.random_null_morphism(rng2, x, y)
+            fs = (null, rg.random_morphism(rng2, x, y), Morphism.identity(x))
+            with monkeypatch.context() as mp:
+                for where, name in ((matrices, "solve_right"), (ch, "solve_right"),
+                                    (ch, "hermite_form")):
+                    mp.setattr(where, name, refuse)
+                verdicts = [chain_factors_projective(f) for f in fs]
+            assert verdicts[0]
+            assert verdicts == [ho.is_p_null_homotopic(f).null for f in fs]
 
 
 def test_skew_rings_are_guarded():

@@ -78,12 +78,53 @@ def test_validate_accepts_all_kinds(paths):
                                                    "gamma", "chain"]
 
 
+# F_5 with omega = x^2, and over it A/(x) -> A/(x^2), e |-> e: the
+# relation x e goes to x e, which is not 0, so the map is not well defined
+F5X2 = {"field": {"kind": "prime", "p": 5}, "sigma_power": 0, "omega": [0, 0, 1]}
+
+
+def _one_by_one(poly, twist=0):
+    return {"rows": 1, "cols": 1, "twist": twist, "entries": [[poly]]}
+
+
+def _chain_over_f5(rel1, rel2, image):
+    # A/(rel1) -> A/(rel2), e |-> image e
+    return {"n": 3, "ring": F5X2,
+            "modules": [{"generators": 1, "relations": _one_by_one(rel)}
+                        for rel in (rel1, rel2)],
+            "maps": [_one_by_one(image)]}
+
+
+ILL_DEFINED_CHAIN = _chain_over_f5([0, 1], [0, 0, 1], [1])
+# x * : A/(x^2) -> A/(x^2) is well defined and not injective
+NON_INJECTIVE_CHAIN = _chain_over_f5([0, 0, 1], [0, 0, 1], [0, 1])
+# 2-fold (x, x + 1): its rotated composites are x^2 + x, not omega
+NON_FACTORIZATION = {"n": 2, "ranks": [1, 1], "ring": F5X2,
+                     "maps": [_one_by_one([0, 1]), _one_by_one([1, 1], 1)]}
+# 3-fold (x, x + 1, x), the last map at twist 1
+NON_FACTORIZATION_3 = {"n": 3, "ranks": [1, 1, 1], "ring": F5X2,
+                       "maps": [_one_by_one([0, 1]), _one_by_one([1, 1]),
+                                _one_by_one([0, 1], 1)]}
+
+
 def test_validate_rejects_broken_object(paths):
     bad = paths["x"].to_json()
     bad["maps"][0]["entries"][0][0] = ["1", "1"]
     p = paths["wj"]("bad.json", dict(bad, ring=Q2.to_json()))
     code, out, err = run("validate", p)
     assert code == 2 and not json.loads(out)["passed"]
+    # a chain is checked for well-defined maps and injectivity, each map
+    # named by the slot of its target
+    for name, chain, defect in (
+            ("ill.json", ILL_DEFINED_CHAIN,
+             "chain map into slot 2 is not well defined"),
+            ("noninj.json", NON_INJECTIVE_CHAIN,
+             "chain map into slot 2 is not injective")):
+        code, out, err = run("validate", paths["wj"](name, chain))
+        rep = json.loads(out)
+        assert code == 2 and not rep["passed"], name
+        assert rep["results"][0]["defects"] == [defect]
+        assert "Traceback" not in err
 
 
 def test_validate_garbage_file_is_input_error(paths):
@@ -448,6 +489,32 @@ def test_hostile_numbers_and_kinds_are_input_errors(paths):
         assert time.perf_counter() - start < 1, what
         if what == "two maps for two modules":
             assert "a chain of 2 modules carries 1 maps, not 2" in err, err
+
+    # a chain lift cannot rebuild, and objects whose rotation fails, are
+    # refused by the verbs that would decide something of them
+    ill = wj("h-ill.json", ILL_DEFINED_CHAIN)
+    noninj = wj("h-noninj.json", NON_INJECTIVE_CHAIN)
+    nf = wj("h-nf.json", NON_FACTORIZATION)
+    nf3 = wj("h-nf3.json", NON_FACTORIZATION_3)
+    idnf = dict(Morphism.identity(Factorization.from_json(
+        ring_from_json(F5X2), NON_FACTORIZATION)).to_json(),
+        source=NON_FACTORIZATION, target=NON_FACTORIZATION, ring=F5X2)
+    idnf = wj("h-idnf.json", idnf)
+    rotation = "is not a factorization; rotation fails at slots "
+    verbs = (
+        (["lift", ill], "chain map into slot 2 is not well defined"),
+        (["lift", noninj], "chain map into slot 2 is not injective"),
+        (["homotopy-check", idnf], "the source in %s %s[0, 1]" % (idnf, rotation)),
+        (["stably-zero", nf], "%s %s[0, 1]" % (nf, rotation)),
+        (["stable-hom", nf, nf], "%s %s[0, 1]" % (nf, rotation)),
+        # recollement reads its ring from --ring alone
+        (["recollement", "3", "1", nf3, "--ring", wj("h-f5.json", F5X2)],
+         "%s %s[0, 1, 2]" % (nf3, rotation)),
+    )
+    for argv, message in verbs:
+        code, out, err = run(*argv)
+        assert code == 3 and err == "input error: %s\n" % message, (argv, err)
+        assert out == "", argv
 
 
 def test_oversized_fields_are_input_errors(paths):
