@@ -13,18 +13,19 @@ of theta^0 objects, and it induces a map factoring through a projective
 chain exactly when it is null-homotopic.  Both directions are computed
 independently and compared, nothing is inferred from one side alone.
 
-lift and chain_iso need Smith normal forms and chain_factors_projective
-needs k-linear chain maps, which are Frobenius-semilinear over a skew ring:
-all three raise UnsupportedRingError over a skew base ring.  cok0 itself,
-morphism transport and the chain checks only use Hermite elimination and
-work over every supported ring.
+lift needs one Smith normal form, the top module's, chain_iso needs the
+Smith forms of every slot, and chain_factors_projective needs k-linear
+chain maps, which are Frobenius-semilinear over a skew ring: all three
+raise UnsupportedRingError over a skew base ring.  cok0 itself, morphism
+transport and the chain checks only use Hermite elimination and work over
+every supported ring.
 """
 
 from .fields import json_int
 from .rings import UnsupportedRingError
 from .matrices import (TwistedMatrix, mat_mul, mat_identity, hermite_form,
-                       left_kernel, solve_right, smith_form, invariant_factors,
-                       block_slots, term_image)
+                       solve_right, smith_form, invariant_factors, block_slots,
+                       term_image)
 from .modules import (ModulePresentation, kmat_mul, kmat_sub, kmat_is_zero,
                       kmat_nullspace, kmat_inv, kmat_rank, kmat_solve)
 from .factorizations import Factorization
@@ -295,9 +296,16 @@ def chain_is_mono(c):
 def lift(c):
     """A factorization whose quotient chain is isomorphic to c.
 
-    The top module is covered minimally through its Smith form; preimages of
-    the images of the chain maps are pulled back step by step, and the last
-    map is the diagonal of complementary divisors of omega.  Requires every
+    One Smith form d = u R v of the top module's relations R gives the
+    cover.  Keep the r columns t whose d_t is not a unit and let
+    K = diag(d_t); row i of v at those columns gives the coordinates of top
+    generator i in the sum of the A/(d_t).  Composing the chain maps down
+    from the top gives the coordinates of the generators of each M^j, and
+    P_j, the first r rows of the Hermite form of those rows stacked on K,
+    is free of rank r with P_j / K = M^j, as the chain maps are injective.
+    Then d^0 solves d^0 P_1 = K, d^j solves d^j P_{j+1} = P_j, d^{n-2} is
+    P_{n-2} (the top slot is A^r itself), and the last map is
+    diag(omega / d_t) at twist 1, so d^0 ... d^{n-2} = K.  Requires every
     module to be omega-torsion and every chain map well defined and
     injective.  Commutative base rings only.
     """
@@ -312,76 +320,33 @@ def lift(c):
         raise ValueError(bad[0])
 
     top = c.modules[-1]
-    if top.gens == 0:
-        rank = 0
-        cover = []
-        diag = []
-    else:
-        d, _, _, v_inv = smith_form(ring, top.relations)
-        keep = []
-        for t in range(min(len(d), top.gens)):
-            e = d[t][t]
-            if not e:
-                raise ValueError("free direction in an omega-torsion module")
-            if len(e) > 1:
-                keep.append(t)
-        # torsion guarantees every generator column reaches the diagonal
-        if len(d) < top.gens:
-            raise ValueError("free direction in an omega-torsion module")
-        rank = len(keep)
-        cover = [list(map(list, v_inv[t])) for t in keep]
-        diag = [list(d[t][t]) for t in keep]
+    d, _, v, _ = smith_form(ring, top.relations)
+    # torsion guarantees every generator column reaches the diagonal
+    if len(d) < top.gens or not all(d[t][t] for t in range(top.gens)):
+        raise ValueError("free direction in an omega-torsion module")
+    keep = [t for t in range(top.gens) if len(d[t][t]) > 1]
+    diag = [d[t][t] for t in keep]
+    coords = [[row[t] for t in keep] for row in v]
+    rank = len(keep)
+    kdiag = [[diag[a] if a == b else [] for b in range(rank)]
+             for a in range(rank)]
 
-    omega = list(ring.omega)
     last = []
     for t, e in enumerate(diag):
-        q, r = ring.right_quo_rem(omega, e)
+        q, r = ring.right_quo_rem(ring.omega, e)
         if r:
             raise ValueError("invariant factor does not divide omega")
         last.append([q if tt == t else [] for tt in range(rank)])
 
-    composite = [[list(diag[a]) if a == b else [] for b in range(rank)]
-                 for a in range(rank)]
-    qmat = cover          # generator coordinates of the current cover
-    mids = []             # maps d^{n-2}, ..., d^1 as they are found
-    for i in range(n - 1, 1, -1):
-        mod_hi = c.modules[i - 1]
-        mod_lo = c.modules[i - 2]
-        smap = c.maps[i - 2]
-        stacked = []
-        for row in qmat:
-            stacked.append(list(map(list, row)))
-        for row in smap:
-            stacked.append([ring.neg(e) for e in row])
-        for row in mod_hi.relations:
-            stacked.append([ring.neg(e) for e in row])
-        ker = left_kernel(ring, stacked)
-        vparts = [row[:rank] for row in ker]
-        h, _, pivots = hermite_form(ring, vparts) if vparts else ([], [], [])
-        if len(pivots) != rank:
-            raise ValueError("preimage at slot %d has rank %d, expected %d"
-                             % (i - 1, len(pivots), rank))
-        basis = [list(map(list, h[t])) for t in range(rank)]
-        comp_new = solve_right(ring, basis, composite)
-        if comp_new is None:
-            raise ValueError("composite does not land in the preimage")
-        if mod_lo.gens:
-            span = [list(map(list, row)) for row in smap]
-            span += [list(map(list, row)) for row in mod_hi.relations]
-            rhs = mat_mul(ring, basis, qmat)
-            sol = solve_right(ring, span, rhs)
-            if sol is None:
-                raise ValueError("preimage rows do not come from slot %d" % (i - 1))
-            q_new = [row[:mod_lo.gens] for row in sol]
-        else:
-            q_new = [[] for _ in range(rank)]
-        mids.append(basis)
-        composite = comp_new
-        qmat = q_new
-
-    maps = [TwistedMatrix(ring, composite, 0, rank, rank)]
-    for basis in reversed(mids):
-        maps.append(TwistedMatrix(ring, basis, 0, rank, rank))
+    # preimages P_1, ..., P_{n-2} of the slots below the top, with P_0 = K
+    pre = [kdiag]
+    for j in range(n - 2, 0, -1):
+        coords = mat_mul(ring, c.maps[j - 1], coords,
+                         (c.modules[j - 1].gens, c.modules[j].gens, rank))
+        h, _, _ = hermite_form(ring, coords + kdiag)
+        pre.insert(1, h[:rank])
+    maps = [solve_right(ring, pre[j + 1], pre[j]) for j in range(n - 2)]
+    maps = [TwistedMatrix(ring, m, 0, rank, rank) for m in maps + [pre[-1]]]
     maps.append(TwistedMatrix(ring, last, 1, rank, rank))
     out = Factorization(ring, [rank] * n, maps)
     out.assert_valid()

@@ -6,7 +6,9 @@ construction, and emits a machine-readable JSON report (stdout, or the
 timestamps, so a fixed seed gives byte-identical output.
 
 Each verb declares only the options it reads.  All take --ring and
---json.  functor adds --i/--a, chain-iso adds --seed, and the randomized
+--json.  Without --ring a verb that reads a file uses the ring embedded
+in it; laws, and recollement without Z, default to Q[x] with omega = x^3.
+functor adds --i/--a, chain-iso adds --seed, and the randomized
 verbs recollement and laws add the sampling flags --seed, --max-rank,
 --max-deg and --cases (laws also --suite and --n).  Any other flag is a
 usage error, and so is a negative --max-deg or --n, and a --max-rank or
@@ -28,6 +30,8 @@ on valid input. The verbs that decide something of an object
 (homotopy-check, stable-hom, stably-zero, recollement with Z) first check
 that it is a factorization, and exit 3 when a rotated composite is not
 omega; validate reports such defects, and the constructions leave them be.
+recollement also exits 3, before it samples anything, on a Z whose fold
+is not N - K + 1.
 """
 
 import argparse
@@ -62,9 +66,9 @@ def _ring_for(args):
     return _default_ring()
 
 
-def _scenario(args, folds=(1, 2, 3, 4)):
+def _scenario(args, ring, folds=(1, 2, 3, 4)):
     from .laws import Scenario
-    return Scenario(_ring_for(args), seed=args.seed, folds=folds,
+    return Scenario(ring, seed=args.seed, folds=folds,
                     max_rank=args.max_rank, max_deg=args.max_deg,
                     cases=args.cases)
 
@@ -260,21 +264,25 @@ def cmd_psi(args):
 
 def cmd_recollement(args):
     from .recollement import recollement
-    sc = _scenario(args)
     rec = recollement(args.fold, args.level)
+    zs = []
+    if args.path:
+        # Z brings its ring unless --ring overrides it
+        z = jsonio.load_factorization(args.path, _maybe_ring(args))
+        zs = [_factorization(z, args.path)]
+    sc = _scenario(args, zs[0].ring if zs else _ring_for(args))
     rng = random.Random("%s:recollement:%d:%d" % (sc.seed, args.fold,
                                                   args.level))
     checks = {"section_identities": 0, "section_identities_morphism": 0,
               "triangles": 0, "kernel_stably_zero": 0}
     failures = []
-    if args.path:
-        zs = [_factorization(jsonio.load_factorization(args.path, sc.ring),
-                             args.path)]
-    else:
+    if not zs:
         zs = [rg.random_object(sc.ring, rng, args.fold - args.level + 1,
                                sc.max_rank, sc.max_deg)
               for _ in range(sc.cases)]
     for z in zs:
+        # first, so that a Z of the wrong fold fails before any sampling
+        dies = rec.kernel_stably_zero(z).null
         x = rg.random_object(sc.ring, rng, args.level, sc.max_rank, sc.max_deg)
         y = rg.random_object(sc.ring, rng, args.fold, sc.max_rank, sc.max_deg)
         f = rg.random_morphism(rng, x,
@@ -293,7 +301,7 @@ def cmd_recollement(args):
             checks["triangles"] += 1
         else:
             failures.append("an adjunction triangle identity fails")
-        if rec.kernel_stably_zero(z).null:
+        if dies:
             checks["kernel_stably_zero"] += 1
         else:
             failures.append("an included object survives the quotient")
@@ -311,7 +319,8 @@ def cmd_recollement(args):
 
 def cmd_laws(args):
     from .laws import run_suites
-    sc = _scenario(args, (args.n,)) if args.n else _scenario(args)
+    ring = _ring_for(args)
+    sc = _scenario(args, ring, (args.n,)) if args.n else _scenario(args, ring)
     names = None
     if args.suite:
         names = [s.strip() for s in args.suite.split(",") if s.strip()]

@@ -516,14 +516,6 @@ class HomSpace:
                 coords[u] = ring.add(coords[u], ring.mul(c, row[u]))
         return self.from_coords(coords)
 
-    def coordinates(self, f):
-        """Basis coordinates of a valid morphism f (None only if f is not
-        in the span, which would mean f fails the commuting squares)."""
-        if f.source != self.x or f.target != self.y:
-            raise ValueError("morphism endpoints do not match this hom space")
-        sol = self._vector_coordinates([_flatten_polys(f)])
-        return None if sol is None else sol[0]
-
     def _vector_coordinates(self, vecs):
         """Basis coordinates of each vector, from one solve; None when some
         vector is outside the span."""

@@ -14,9 +14,11 @@ is commutative, over the prime field when it is skew. One Gauss-Jordan
 routine, _kmat_eliminate, runs once per call: on a copy of m for
 kmat_rank, on m^T for kmat_nullspace and on [m^T | rhs^T] for kmat_solve
 (X m = rhs is m^T X^T = rhs^T); kmat_inv is kmat_solve against the
-identity. Answers are read off the reduced echelon form, so they depend
-on the system alone: an unknown whose row of m depends on the rows before
-it is 0 in a solution, and the null-space basis is the reduced one.
+identity. Answers are read off the reduced echelon form outside the
+pivot columns (pivot positions, pivotless columns and the rhs part), so
+they depend on the system alone: an unknown whose row of m depends on the
+rows before it is 0 in a solution, and the null-space basis is the reduced
+one.
 """
 
 from .fields import json_int
@@ -199,12 +201,14 @@ def kmat_is_zero(fld, a):
 
 
 def _kmat_eliminate(fld, m, cols):
-    """Gauss-Jordan on the first cols columns of m, in place: every pivot
-    is 1, alone in its column, and the row operations run across whole
-    rows, so columns beyond cols record them. Each operation touches only
-    the columns where the pivot row is nonzero. Returns the pivot columns;
-    pivot t sits in row t and the rows below the last pivot vanish on the
-    first cols columns."""
+    """Gauss-Jordan on the first cols columns of m, in place. The row
+    operations run across whole rows, so columns beyond cols record them,
+    but each touches only the columns after the pivot where the pivot row
+    is nonzero: the pivot columns themselves are left as they were, since
+    no caller reads them, and every other column is as in the reduced
+    echelon form (pivots 1, alone in their columns). Returns the pivot
+    columns; pivot t sits in row t and, outside the pivot columns, the rows
+    below the last pivot vanish on the first cols columns."""
     rows = len(m)
     pivots = []
     top = 0
@@ -219,7 +223,7 @@ def _kmat_eliminate(fld, m, cols):
         m[top], m[sel] = m[sel], m[top]
         prow = m[top]
         inv = fld.inv(prow[col])
-        nz = [j for j in range(col, len(prow)) if not fld.is_zero(prow[j])]
+        nz = [j for j in range(col + 1, len(prow)) if not fld.is_zero(prow[j])]
         for j in nz:
             prow[j] = fld.mul(inv, prow[j])
         for i in range(rows):

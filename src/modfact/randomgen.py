@@ -225,12 +225,9 @@ def random_object(ring, rng, n, max_rank=3, max_deg=2):
     rank = rng.randint(1, max_rank)
     x = random_diagonal(ring, rng, n, rank)
     if not ring.sigma_power and n >= 2 and rng.random() < 0.2:
-        try:
-            lifted = lift(cok0(x))
-            if lifted.ranks[0] > 0:
-                x = lifted
-        except ValueError:
-            pass
+        lifted = lift(cok0(x))
+        if lifted.ranks[0] > 0:
+            x = lifted
     if rng.random() < 0.3 and x.ranks[0] < max_rank:
         x = direct_sum([x, theta(ring, n, rng.randrange(n))])
     if rng.random() < 0.7:

@@ -231,6 +231,9 @@ class Recollement:
 
     def kernel_stably_zero(self, z):
         """Objects included from F_{n-k+1} die under the quotient."""
+        if z.n != self.n - self.k + 1:
+            raise ValueError("the inclusion takes fold n - k + 1 = %d, not "
+                             "fold %d" % (self.n - self.k + 1, z.n))
         w = self.inc.obj(z)
         q = self.quotient.obj(w)
         return is_stably_zero(q)

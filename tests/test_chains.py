@@ -80,6 +80,52 @@ def test_lift_roundtrips():
         L = lift(c)
         assert L.is_valid()
         assert chain_iso(cok0(L), c).found, X.ranks
+    # random chains: the lift has one slot per nonunit invariant factor of
+    # the top module, and d^0 ... d^{n-2} is the diagonal of those factors
+    rng2 = random.Random(23)
+    for ring in [r for r in rg.default_instances() if r.commutative]:
+        for n in range(2, 6):
+            for _ in range(3):
+                c = rg.random_chain(ring, rng2, n, max_rank=3)
+                L = lift(c)
+                assert L.is_valid()
+                factors = matrices.invariant_factors(ring, c.modules[-1].relations)
+                r = len(factors)
+                assert L.ranks == [r] * n
+                assert chain_iso(cok0(L), c).found, (ring, n)
+                diag = [[f if a == b else [] for b in range(r)]
+                        for a, f in enumerate(factors)]
+                assert L.compose_range(0, n - 2).m == diag, (ring, n)
+
+
+def test_lift_uses_one_smith_form_and_two_hermite_forms_per_inner_slot(
+        monkeypatch):
+    # the cover reads the top module's Smith form alone, and each slot
+    # below the top costs one Hermite form and one solve; the chain's own
+    # linearizations (modules' binding of hermite_form) are made first
+    assert not hasattr(ch, "left_kernel")
+    calls = {"hermite": 0, "smith": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    hermite = counting("hermite", matrices.hermite_form)
+    smith = counting("smith", matrices.smith_form)
+    for mod in (matrices, ch):
+        monkeypatch.setattr(mod, "hermite_form", hermite)
+        monkeypatch.setattr(mod, "smith_form", smith)
+    rng2 = random.Random(29)
+    for ring in [r for r in rg.default_instances() if r.commutative]:
+        for n in range(2, 6):
+            c = rg.random_chain(ring, rng2, n, max_rank=3)
+            for mod in c.modules:
+                mod.linearization()
+            calls.update(hermite=0, smith=0)
+            lift(c)
+            assert calls == {"hermite": 2 * (n - 2), "smith": 1}, (ring, n)
 
 
 def test_conjugated_object_gives_isomorphic_chain():

@@ -500,6 +500,11 @@ def test_hostile_numbers_and_kinds_are_input_errors(paths):
         ring_from_json(F5X2), NON_FACTORIZATION)).to_json(),
         source=NON_FACTORIZATION, target=NON_FACTORIZATION, ring=F5X2)
     idnf = wj("h-idnf.json", idnf)
+    f5ring = wj("h-f5.json", F5X2)
+
+    def zfold(fold):
+        z = random_object(ring_from_json(F5X2), random.Random(3), fold)
+        return dict(z.to_json(), ring=F5X2)
     rotation = "is not a factorization; rotation fails at slots "
     verbs = (
         (["lift", ill], "chain map into slot 2 is not well defined"),
@@ -507,14 +512,26 @@ def test_hostile_numbers_and_kinds_are_input_errors(paths):
         (["homotopy-check", idnf], "the source in %s %s[0, 1]" % (idnf, rotation)),
         (["stably-zero", nf], "%s %s[0, 1]" % (nf, rotation)),
         (["stable-hom", nf, nf], "%s %s[0, 1]" % (nf, rotation)),
-        # recollement reads its ring from --ring alone
-        (["recollement", "3", "1", nf3, "--ring", wj("h-f5.json", F5X2)],
+        # recollement reads Z's ring when --ring is not given
+        (["recollement", "3", "1", nf3], "%s %s[0, 1, 2]" % (nf3, rotation)),
+        (["recollement", "3", "1", nf3, "--ring", f5ring],
          "%s %s[0, 1, 2]" % (nf3, rotation)),
     )
+    # a Z outside F_{N-K+1} is refused before any sampling, with or
+    # without --ring
+    for fold in (1, 2, 4, 5):
+        zf = wj("h-z%d.json" % fold, zfold(fold))
+        message = "the inclusion takes fold n - k + 1 = 3, not fold %d" % fold
+        verbs += ((["recollement", "3", "1", zf], message),
+                  (["recollement", "3", "1", zf, "--ring", f5ring], message))
     for argv, message in verbs:
         code, out, err = run(*argv)
         assert code == 3 and err == "input error: %s\n" % message, (argv, err)
         assert out == "", argv
+    # a fold-3 Z over F_5 is checked over its own ring, not over Q[x]
+    code, out, err = run("recollement", "3", "1", wj("h-z3.json", zfold(3)))
+    assert code == 0 and err == "(3, 1): 1 cases, all checks pass\n", err
+    assert json.loads(out)["passed"]
 
 
 def test_oversized_fields_are_input_errors(paths):

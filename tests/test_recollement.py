@@ -100,6 +100,11 @@ def test_kernel_objects_are_stably_zero(n, k):
     for z in zs:
         assert z.n == m
         assert rec.kernel_stably_zero(z), (n, k, z.ranks)
+    # an object outside F_{n-k+1} is refused, not pushed through
+    for other in (m - 1, m + 1):
+        with pytest.raises(ValueError, match="takes fold n - k \\+ 1 = %d, "
+                           "not fold %d$" % (m, other)):
+            rec.kernel_stably_zero(theta(ring, other, 0))
 
 
 @pytest.mark.parametrize("n,k", CASES)
