@@ -13,6 +13,10 @@ of theta^0 objects, and it induces a map factoring through a projective
 chain exactly when it is null-homotopic.  Both directions are computed
 independently and compared, nothing is inferred from one side alone.
 
+Every k-linear decision reads one view: ChainModule.kmaps() for the chain
+maps, once per chain, and ChainMorphism.kmats() for a morphism's components;
+each product of them is given its width, so a slot of dimension 0 keeps it.
+
 lift needs one Smith normal form, the top module's, chain_iso needs the
 Smith forms of every slot, and chain_factors_projective needs k-linear
 chain maps, which are Frobenius-semilinear over a skew ring: all three
@@ -69,6 +73,7 @@ class ChainModule:
                 raise ValueError("map %d has %d columns for %d generators"
                                  % (i, cols, self.modules[i + 1].gens))
             self.maps[i] = [[ring.trim(e) for e in row] for row in m]
+        self._kmaps = None
 
     def __eq__(self, other):
         return (isinstance(other, ChainModule) and self.ring == other.ring
@@ -98,6 +103,14 @@ class ChainModule:
         if not mono:
             out.append("chain map into slot %d is not injective" % (slot + 1))
         return out
+
+    def kmaps(self):
+        """k-matrices of the chain maps, computed once (chains never change)."""
+        if self._kmaps is None:
+            lins = [m.linearization() for m in self.modules]
+            self._kmaps = [lins[i].map_matrix(lins[i + 1], m)
+                           for i, m in enumerate(self.maps)]
+        return self._kmaps
 
     def dims(self):
         return [m.linearization().dim for m in self.modules]
@@ -144,7 +157,7 @@ class ChainMorphism:
     components[i] is the generator-image matrix M^{i+1}(source) ->
     M^{i+1}(target).  Validity means every component is well defined on the
     relations and every square with the chain maps commutes, both checked
-    through the linearizations.
+    through the linearizations, the squares on kmats() and kmaps().
     """
 
     def __init__(self, source, target, components):
@@ -176,22 +189,21 @@ class ChainMorphism:
                 return False
         return True
 
+    def kmats(self):
+        """The k-matrices of the components, source.dims()[i] x target.dims()[i]."""
+        return [p.linearization().map_matrix(q.linearization(), m)
+                for p, q, m in zip(self.source.modules, self.target.modules,
+                                   self.components)]
+
     def square_defects(self):
         """k-matrix of (source map ; component) - (component ; target map) per square."""
         fld = self.ring.field
-        out = []
-        for i in range(len(self.components) - 1):
-            lin_s0 = self.source.modules[i].linearization()
-            lin_s1 = self.source.modules[i + 1].linearization()
-            lin_t0 = self.target.modules[i].linearization()
-            lin_t1 = self.target.modules[i + 1].linearization()
-            s_top = lin_s0.map_matrix(lin_s1, self.source.maps[i])
-            s_bot = lin_t0.map_matrix(lin_t1, self.target.maps[i])
-            g0 = lin_s0.map_matrix(lin_t0, self.components[i])
-            g1 = lin_s1.map_matrix(lin_t1, self.components[i + 1])
-            out.append(kmat_sub(fld, kmat_mul(fld, s_top, g1),
-                               kmat_mul(fld, g0, s_bot)))
-        return out
+        g = self.kmats()
+        dims = self.target.dims()
+        return [kmat_sub(fld, kmat_mul(fld, s, g[i + 1], dims[i + 1]),
+                         kmat_mul(fld, g[i], t, dims[i + 1]))
+                for i, (s, t) in enumerate(zip(self.source.kmaps(),
+                                                 self.target.kmaps()))]
 
     def is_valid(self):
         if not self.well_defined():
@@ -211,8 +223,9 @@ class ChainMorphism:
     def then(self, other):
         if other.source is not self.target and other.source != self.target:
             raise ValueError("chain composition endpoints do not match")
-        comps = [mat_mul(self.ring, a, b)
-                 for a, b in zip(self.components, other.components)]
+        mods = zip(self.source.modules, self.target.modules, other.target.modules)
+        comps = [mat_mul(self.ring, a, b, (p.gens, q.gens, r.gens))
+                 for a, b, (p, q, r) in zip(self.components, other.components, mods)]
         return ChainMorphism(self.source, other.target, comps)
 
     @staticmethod
@@ -279,14 +292,11 @@ def cok0_morphism(f):
 def chain_is_mono(c):
     """(True, None) when every chain map is injective, else (False, slot).
 
-    Injectivity is read off the k-linearizations; the returned slot is the
+    Injectivity is full row rank of the k-matrix; the returned slot is the
     1-based index of the first failing map.
     """
-    for i in range(len(c.maps)):
-        src = c.modules[i].linearization()
-        tgt = c.modules[i + 1].linearization()
-        mm = src.map_matrix(tgt, c.maps[i])
-        if kmat_rank(c.ring.field, mm) != src.dim:
+    for i, m in enumerate(c.kmaps()):
+        if kmat_rank(c.ring.field, m) != len(m):
             return False, i + 1
     return True, None
 
@@ -386,13 +396,14 @@ def _chain_map_space(c, d):
     is a dim_c x dim_d k-matrix per slot, and its equations x_c H_s -
     H_s x_d = 0, slot by slot, then s_c H_{s+1} - H_s s_d = 0, square by
     square, are a term table for term_image with the k-matrices entering
-    as constants of A.
+    as constants of A; s_c and s_d are the chains' own kmaps().
     """
     ring = c.ring
     fld = ring.field
     lins_c = [m.linearization() for m in c.modules]
     lins_d = [m.linearization() for m in d.modules]
-    shapes = [(lc.dim, ld.dim) for lc, ld in zip(lins_c, lins_d)]
+    kc, kd = c.kmaps(), d.kmaps()
+    shapes = list(zip(c.dims(), d.dims()))
     blocks = [(s, a, b) for s, (a, b) in enumerate(shapes)]
     slots = block_slots(blocks)
     if not slots:
@@ -410,11 +421,9 @@ def _chain_map_space(c, d):
                       (("x", s), mat_identity(ring, lc.dim),
                        const(ld.x_matrix(), -1), 0)])
         if s:
-            s_c = lins_c[s - 1].map_matrix(lc, c.maps[s - 1])
-            terms[s].append((("s", s - 1), const(s_c), mat_identity(ring, ld.dim), 0))
+            terms[s].append((("s", s - 1), const(kc[s - 1]), mat_identity(ring, ld.dim), 0))
         if s < len(c.maps):
-            s_d = ld.map_matrix(lins_d[s + 1], d.maps[s])
-            terms[s].append((("s", s), mat_identity(ring, lc.dim), const(s_d, -1), 0))
+            terms[s].append((("s", s), mat_identity(ring, lc.dim), const(kd[s], -1), 0))
     image = term_image(ring, eqs, terms, slots)
     one = ring.one
     rows = [[p[0] if p else fld.zero for p in image(u, one)]
@@ -422,14 +431,9 @@ def _chain_map_space(c, d):
     return kmat_nullspace(fld, rows), shapes
 
 
-def _reshape(fld, vec, shapes):
-    out = []
-    pos = 0
-    for (a, b) in shapes:
-        m = [[vec[pos + r * b + cc] for cc in range(b)] for r in range(a)]
-        pos += a * b
-        out.append(m)
-    return out
+def _reshape(vec, shapes):
+    it = iter(vec)
+    return [[[next(it) for _ in range(b)] for _ in range(a)] for a, b in shapes]
 
 
 # random combinations of the chain-map space that chain_iso tests
@@ -463,9 +467,7 @@ def chain_iso(c, d, rng=None):
             return ChainIsoResult(False, True,
                                   reason="invariant factors differ in slot %d" % (i + 1))
     if c.is_zero():
-        shapes = [(0, 0) for _ in c.modules]
-        return ChainIsoResult(True, True,
-                              forward=_reshape(ring.field, [], shapes))
+        return ChainIsoResult(True, True, forward=[[] for _ in c.modules])
     basis, shapes = _chain_map_space(c, d)
     if not basis:
         return ChainIsoResult(False, True, reason="no nonzero chain maps exist")
@@ -481,7 +483,7 @@ def chain_iso(c, d, rng=None):
                 coeff = fld.random(rng)
                 for t, e in enumerate(row):
                     vec[t] = fld.add(vec[t], fld.mul(coeff, e))
-        mats = _reshape(fld, vec, shapes)
+        mats = _reshape(vec, shapes)
         if all(kmat_inv(fld, m) is not None for m in mats):
             return ChainIsoResult(True, True, forward=mats)
     dims = (len(_chain_map_space(c, c)[0]), len(basis),
@@ -514,34 +516,29 @@ def chain_factors_projective(f):
 
 
 def _factors_through_cover(g, y):
-    """chain_factors_projective for g = cok0_morphism(f), y = f.target."""
+    """chain_factors_projective for g = cok0_morphism(f), y = f.target.
+
+    Each staircase cover is a ChainMorphism(stair, D, arcs) read through its
+    kmats(); a composite with it has the target's width in every slot."""
     ring = g.ring
     if not ring.commutative:
         raise UnsupportedRingError(
             "projective chain factoring needs the commutative case")
     fld = ring.field
     n = g.source.n
-    lins_c = [m.linearization() for m in g.source.modules]
-    lins_d = [m.linearization() for m in g.target.modules]
+    dims = g.target.dims()
     rows = []
     for j in range(1, n):
         stair = staircase_chain(ring, n, j, y.ranks[j])
         basis, shapes = _chain_map_space(g.source, stair)
-        # slot s (1-based) of the cover, None where the staircase is zero
-        cover = [stair.modules[s - 1].linearization().map_matrix(
-                     lins_d[s - 1], y.compose_range(j, s - 1).m)
-                 if s >= j else None for s in range(1, n)]
+        # slot s (1-based) of the cover: the arc d_Y^{j -> s}
+        cover = ChainMorphism(stair, g.target,
+                              [y.compose_range(j, s - 1).m if s >= j else []
+                               for s in range(1, n)]).kmats()
         for vec in basis:
-            row = []
-            for h, p, lc, ld in zip(_reshape(fld, vec, shapes), cover,
-                                    lins_c, lins_d):
-                if p is None:    # a zero slot: kmat_mul would drop the width
-                    row += [fld.zero] * (lc.dim * ld.dim)
-                else:
-                    row += [e for r in kmat_mul(fld, h, p) for e in r]
-            rows.append(row)
-    target = [e for lc, ld, m in zip(lins_c, lins_d, g.components)
-              for r in lc.map_matrix(ld, m) for e in r]
+            rows.append([e for h, p, w in zip(_reshape(vec, shapes), cover, dims)
+                         for r in kmat_mul(fld, h, p, w) for e in r])
+    target = [e for m in g.kmats() for r in m for e in r]
     return kmat_solve(fld, rows, [target]) is not None
 
 

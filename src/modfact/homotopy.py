@@ -496,7 +496,6 @@ class HomSpace:
         one = ring.from_int(1)
         self.constraints = [image(u, one) for u in range(len(self.slots))]
         self.basis_rows = left_kernel(ring, self.constraints) if self.slots else []
-        self.basis = [self.from_coords(r) for r in self.basis_rows]
 
     def from_coords(self, row):
         x, y, ring = self.x, self.y, self.ring
@@ -508,7 +507,7 @@ class HomSpace:
                                for i, m in enumerate(mats)])
 
     def combination(self, coeffs):
-        """The morphism sum_k coeffs[k] * basis[k]."""
+        """The morphism sum_k coeffs[k] * from_coords(basis_rows[k])."""
         ring = self.ring
         coords = [[] for _ in self.slots]
         for c, row in zip(coeffs, self.basis_rows):

@@ -16,7 +16,8 @@ the matrix of the last map. The functor phi fills the grid from a
 factorization, psi reads the factorization back off the superdiagonal
 and the corner, and validation is the round trip: rebuild from the
 read-off object and compare every entry, so any corrupted structure map
-is caught.
+is caught. A grid makes that round trip once (GammaModule.read_back), and
+validate_gamma, psi and psi_morphism all read its result.
 """
 
 from .fields import json_int
@@ -47,6 +48,7 @@ class GammaModule:
             for j in range(1, self.n + 1):
                 if i != j and (i, j) not in self.maps:
                     raise ValueError("missing structure map (%d,%d)" % (i, j))
+        self._read = None
 
     def __eq__(self, other):
         return (isinstance(other, GammaModule) and self.ring == other.ring
@@ -54,6 +56,23 @@ class GammaModule:
 
     def __repr__(self):
         return "<gamma module ranks=%s>" % self.ranks
+
+    def read_back(self):
+        """(x, defects), computed once: x read off the superdiagonal and the
+        corner (None for a wrong shape), defects empty when this is x's grid."""
+        if self._read is None:
+            try:
+                x = psi_unchecked(self)
+            except ValueError as exc:
+                self._read = None, ["shape: %s" % exc]
+                return self._read
+            bad = ["rotation identity fails at slot %d" % i for i in x.rotation_defects()]
+            if not bad:
+                again = phi(x).maps
+                bad = ["structure map %s disagrees with the factorization" % (key,)
+                       for key in sorted(self.maps) if self.maps[key] != again[key]]
+            self._read = x, bad
+        return self._read
 
     def to_json(self):
         return {
@@ -171,28 +190,15 @@ def psi_unchecked(gm):
 
 def validate_gamma(gm):
     """Defect report; empty means gm is the grid of a valid factorization."""
-    try:
-        x = psi_unchecked(gm)
-    except ValueError as exc:
-        return ["shape: %s" % exc]
-    out = []
-    for i in x.rotation_defects():
-        out.append("rotation identity fails at slot %d" % i)
-    if out:
-        return out
-    again = phi(x)
-    for key in sorted(gm.maps):
-        if gm.maps[key] != again.maps[key]:
-            out.append("structure map %s disagrees with the factorization" % (key,))
-    return out
+    return gm.read_back()[1]
 
 
 def psi(gm):
     """Factorization determined by the grid; raises if the grid is corrupt."""
-    bad = validate_gamma(gm)
+    x, bad = gm.read_back()
     if bad:
         raise ValueError("invalid gamma module: " + "; ".join(bad))
-    return psi_unchecked(gm)
+    return x
 
 
 def psi_morphism(gm):

@@ -18,7 +18,8 @@ identity. Answers are read off the reduced echelon form outside the
 pivot columns (pivot positions, pivotless columns and the rhs part), so
 they depend on the system alone: an unknown whose row of m depends on the
 rows before it is 0 in a solution, and the null-space basis is the reduced
-one.
+one. A k-matrix without rows does not show its width, so kmat_mul takes
+the column count of its product, as mat_mul takes its shape.
 """
 
 from .fields import json_int
@@ -97,7 +98,6 @@ class Linearization:
         self.h = [h[i] for i in range(pres.gens)]
         self.pivot_deg = [len(self.h[j][j]) - 1 for j in range(pres.gens)]
         self.basis = [(j, t) for j in range(pres.gens) for t in range(self.pivot_deg[j])]
-        self.index = {bt: i for i, bt in enumerate(self.basis)}
         self.dim = len(self.basis)
 
     def normal_form(self, vec):
@@ -161,8 +161,9 @@ class Linearization:
     def map_well_defined(self, target_lin, gen_images):
         """Relations must map into the target relation space."""
         ring = self.ring
+        shape = (1, self.pres.gens, target_lin.pres.gens)
         for rel in self.pres.relations:
-            img = mat_mul(ring, [rel], gen_images)[0]
+            img = mat_mul(ring, [rel], gen_images, shape)[0]
             if any(target_lin.normal_form(img)):
                 return False
         return True
@@ -174,20 +175,14 @@ def kmat_identity(fld, n):
     return [[fld.one if i == j else fld.zero for j in range(n)] for i in range(n)]
 
 
-def kmat_mul(fld, a, b):
-    if not a:
-        return []
-    if not b:
-        return [[] for _ in a]
-    cb = len(b[0])
-    out = [[fld.zero] * cb for _ in a]
-    for i, arow in enumerate(a):
-        orow = out[i]
-        for k, c in enumerate(arow):
+def kmat_mul(fld, a, b, cols):
+    """a * b, which has cols columns, also when b has no rows to show them."""
+    out = [[fld.zero] * cols for _ in a]
+    for orow, arow in zip(out, a):
+        for c, brow in zip(arow, b):
             if fld.is_zero(c):
                 continue
-            brow = b[k]
-            for j in range(cb):
+            for j in range(cols):
                 orow[j] = fld.add(orow[j], fld.mul(c, brow[j]))
     return out
 

@@ -1,11 +1,18 @@
-"""The names bench/tracer.py wraps and the attributes its hooks read.
+"""The names bench/tracer.py wraps and the attributes its hooks read, and
+a short traced benchmark run of every workload.
 
 A refactor that renames a traced function or method fails here instead
-of in a traced benchmark run (``bench/run.py --trace 1``).
+of in a traced benchmark run (``bench/run.py --trace 1``). The traced runs
+themselves fail when a layer a workload should load is never called, when
+the exact counters of two passes of one seed differ, or when an op fails
+its check.
 """
 
 import importlib
+import json
 import os
+import subprocess
+import sys
 import types
 
 import pytest
@@ -15,8 +22,9 @@ from modfact.factorizations import Morphism
 
 from common import X2
 
-TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
-                           "tracer.py")
+BENCH_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "bench")
+TRACER_PATH = os.path.join(BENCH_DIR, "tracer.py")
 
 
 @pytest.fixture(scope="module")
@@ -50,3 +58,15 @@ def test_hooks_read_attributes_that_exist(tracer):
     X2.compose_range(0, 0)
     tracer._compose_before(tr, (X2, 0, 0))
     assert tr.counters["factorizations.Factorization.compose_range.hits"] == 1
+
+
+@pytest.mark.parametrize("workload", ["decide-q", "decide-skew", "cli-present"])
+def test_traced_benchmark_run_passes(workload):
+    # a separate process, as the benchmark imports modfact afresh at
+    # every set-up
+    out = subprocess.run(
+        [sys.executable, os.path.join(BENCH_DIR, "run.py"), "--workload",
+         workload, "--seed", "0", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1])["failed"] == 0, out.stdout

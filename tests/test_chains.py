@@ -15,7 +15,7 @@ from modfact.chains import (ChainModule, ChainMorphism, zero_chain,
                             chain_is_mono, lift, chain_iso,
                             chain_factors_projective, faithfulness_report,
                             _chain_map_space, _reshape)
-from modfact.modules import kmat_identity, kmat_rank
+from modfact.modules import kmat_identity, kmat_mul, kmat_rank
 
 from common import (R5x2, R5x3, RS, X2, X3, X2Q, X2b, X3b, XSneg, mk, x_, one,
                     equal_invariant_pair)
@@ -136,16 +136,6 @@ def test_conjugated_object_gives_isomorphic_chain():
     assert chain_iso(cok0(X3diag), cok0(Xp)).found
 
 
-def _kmul(fld, a, b, cols):
-    # a * b with the width given, as a factor may have no rows
-    out = [[fld.zero] * cols for _ in a]
-    for r, arow in zip(out, a):
-        for p, brow in zip(arow, b):
-            for j in range(cols):
-                r[j] = fld.add(r[j], fld.mul(p, brow[j]))
-    return out
-
-
 def test_chain_map_space_is_the_chain_maps():
     # every basis element commutes with x and with the chain maps, the
     # basis is independent, and an endomorphism space holds the identity
@@ -160,16 +150,16 @@ def test_chain_map_space_is_the_chain_maps():
                 lc = [m.linearization() for m in c.modules]
                 ld = [m.linearization() for m in d.modules]
                 for vec in basis:
-                    hs = _reshape(fld, vec, shapes)
+                    hs = _reshape(vec, shapes)
                     for s, (h, (_, w)) in enumerate(zip(hs, shapes)):
-                        assert (_kmul(fld, lc[s].x_matrix(), h, w)
-                                == _kmul(fld, h, ld[s].x_matrix(), w))
+                        assert (kmat_mul(fld, lc[s].x_matrix(), h, w)
+                                == kmat_mul(fld, h, ld[s].x_matrix(), w))
                     for s in range(len(c.maps)):
                         sc = lc[s].map_matrix(lc[s + 1], c.maps[s])
                         sd = ld[s].map_matrix(ld[s + 1], d.maps[s])
                         w = shapes[s + 1][1]
-                        assert (_kmul(fld, sc, hs[s + 1], w)
-                                == _kmul(fld, hs[s], sd, w))
+                        assert (kmat_mul(fld, sc, hs[s + 1], w)
+                                == kmat_mul(fld, hs[s], sd, w))
                 assert kmat_rank(fld, basis) == len(basis)
                 if c == d and basis:
                     eye = [e for a, _ in shapes for row in kmat_identity(fld, a)
@@ -286,6 +276,42 @@ def test_staircase_cover_is_onto():
                         dm.linearization(), m)
             for s, dm in enumerate(d.modules):
                 assert kmat_rank(fld, stacked[s]) == dm.linearization().dim
+
+
+# A/(x) -> A/(x^2), e -> x e, and the staircase with slot dimensions [0, 2]
+C_X = ChainModule(R5x2, [ModulePresentation(R5x2, 1, [[x_]]),
+                         ModulePresentation(R5x2, 1, [[xx]])], [[[x_]]], n=3)
+D_STAIR = staircase_chain(R5x2, 3, 2, 1)
+
+
+def test_square_out_of_a_zero_slot_keeps_its_width():
+    # zero in slot 1 and the identity in slot 2: S_C G_2 = [[0, 1]], while
+    # G_1 S_D is the 1 x 2 zero matrix through a slot of dimension 0
+    assert not C_X.defects() and D_STAIR.dims() == [0, 2]
+    g = ChainMorphism(C_X, D_STAIR, [[[]], [[one]]])
+    assert g.well_defined()
+    assert g.square_defects() == [[[0, 1]]]
+    assert not g.is_valid()
+
+
+def test_composition_through_a_slot_without_generators():
+    # the zero map C -> D, then the staircase cover D -> cok0(y)
+    y = mk(R5x2, [1, 1, 1], [[[x_]], [[x_]], [[one]]])
+    zero = ChainMorphism(C_X, D_STAIR, [[[]], [[[]]]])
+    cover = ChainMorphism(D_STAIR, cok0(y),
+                          [[], y.compose_range(2, 1).m])
+    assert zero.is_valid() and cover.is_valid()
+    h = zero.then(cover)
+    assert h.components == [[[[]]], [[[]]]]
+    assert h.is_valid() and h.is_zero_map()
+
+
+def test_a_relation_of_width_zero_maps_into_a_nonzero_slot():
+    # the zero module, presented by one relation row of width 0, into A/(x)
+    c = ChainModule(R5x2, [ModulePresentation(R5x2, 0, [[]]),
+                           ModulePresentation(R5x2, 1, [[x_]])], [[]], n=3)
+    assert c.defects() == []
+    assert chain_iso(cok0(lift(c)), c).found
 
 
 def test_projective_factoring_solves_no_system_over_a(monkeypatch):

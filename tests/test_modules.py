@@ -48,7 +48,7 @@ def test_x_matrix_represents_multiplication():
     v = [one]
     # coords(x * v) = coords(v) * X in the commutative case
     lhs = lin.encode([R5x2.mul(x_, p) for p in v])
-    rhs = kmat_mul(R5x2.field, [lin.encode(v)], xm)[0]
+    rhs = kmat_mul(R5x2.field, [lin.encode(v)], xm, lin.dim)[0]
     assert lhs == rhs
 
 
@@ -64,14 +64,17 @@ def test_field_matrix_helpers():
     m = [[1, 2], [3, 4]]
     assert kmat_rank(fld, m) == 2
     inv = kmat_inv(fld, m)
-    assert kmat_mul(fld, m, inv) == kmat_identity(fld, 2)
+    assert kmat_mul(fld, m, inv, 2) == kmat_identity(fld, 2)
     sing = [[1, 2], [2, 4]]
     assert kmat_rank(fld, sing) == 1
     ns = kmat_nullspace(fld, sing)
     assert len(ns) == 1
-    assert kmat_mul(fld, ns, sing) == [[0, 0]]
+    assert kmat_mul(fld, ns, sing, 2) == [[0, 0]]
     sol = kmat_solve(fld, m, [[1, 0]])
-    assert sol is not None and kmat_mul(fld, sol, m) == [[1, 0]]
+    assert sol is not None and kmat_mul(fld, sol, m, 2) == [[1, 0]]
+    # an (a x 0)(0 x c) product keeps its width
+    assert kmat_mul(fld, [[], []], [], 3) == [[0, 0, 0], [0, 0, 0]]
+    assert kmat_mul(fld, [], [[1, 2]], 2) == []
 
 
 # -- properties of the k-matrix helpers on random matrices --
