@@ -29,20 +29,28 @@ field (the ring's own when it is commutative, F_p when it is skew) and
 completes a solution by an explicit h^{n-1}. No decider takes a Hermite
 form; HomSpace and stable_hom do.
 
+Every system is that of the slot n-1 component alone, because a
+morphism g is fixed by g^{n-1}: every rotated composite is omega I and
+A is a domain, so g^{n-1} = 0 makes g^{n-2} d_Y^{n-2} = 0, hence
+g^{n-2} omega = 0 and g^{n-2} = 0, and so on around the cycle. That
+component also suffices to complete: after the mod-omega solve the
+remainder's top component is K omega, the witness block K d_Y^{n-1}
+hits it, and the morphism left over, zero at slot n-1, is zero.
+
 Each decider hands the engine its linear map as image(u, poly), the
-morphism that poly placed in unknown u alone maps to. Every such map,
-like the HomSpace constraints and the chain-map space of chains.py, is a
-sum of terms L sigma^t(X_k) R in its unknown blocks X_k, so one assembler
-(matrices.term_image) builds each image as outer products from a table
-of terms read off the arcs of x and y: the witness map (_witness_image)
-without running reconstruct_from_witness, and the trivial-factorization
-maps (_lambda_image) without building a trivial_hom, counit or theta per
-block. The engine only solves. Every positive answer is
-rebuilt from the solution and compared bit for bit with f: a witness
-through reconstruct_from_witness, a factorization by composing it with
-the counit. stable_hom takes its relations from the same images: the
-witness map for ideal='all', the theta^0 factorization map for
-ideal='theta0'.
+slot n-1 component of the morphism that poly placed in unknown u alone
+maps to. Every such map, like the HomSpace constraints and the chain-map
+space of chains.py, is a sum of terms L sigma^t(X_k) R in its unknown
+blocks X_k, so one assembler (matrices.term_image) builds each image as
+outer products from a table of terms read off the arcs of x and y: the
+witness map (_witness_image) without running reconstruct_from_witness,
+and the trivial-factorization maps (_lambda_image) without building a
+trivial_hom, counit or theta per block. The engine only solves. Every
+positive answer is rebuilt in full from the solution and compared bit for bit with f: a
+witness through reconstruct_from_witness, a factorization by composing
+it with the counit. stable_hom takes its relations from the same top
+images: the witness map for ideal='all', the theta^0 factorization map
+for ideal='theta0'.
 """
 
 from .fields import PrimeField
@@ -166,16 +174,8 @@ class TrivialFactorization:
 
 # -- the linear-solve engine, one for every ring --
 #
-# image(u, poly) returns the entries of its morphism flattened as
-# _flatten_polys does: component by component, row by row.
-
-def _flatten_polys(f):
-    vec = []
-    for comp in f.components:
-        for row in comp.m:
-            vec.extend(row)
-    return vec
-
+# image(u, poly) returns the entries of the slot n-1 component of its
+# morphism, row by row.
 
 def _residue(ring, p):
     """The deg omega coefficients of p modulo omega, zeros included: a
@@ -200,12 +200,17 @@ def _times_x(ring, r):
 
 
 def _solve(f, unit_count, image, top):
-    """Polys c_u with sum_u image(u, c_u) == f, or None, a definitive no.
+    """Polys c_u whose morphism, sum_u of the image of c_u in unknown u,
+    is f, or None, a definitive no.
 
-    image must be additive, homogeneous over the field solved over, and
-    map omega*A into entries divisible by omega. The unknowns from top on
-    form a row-major r_{n-1}(x) x r_0(y) block whose image is the morphism
-    that reconstruct_from_witness bounds with that block as h^{n-1}.
+    image(u, poly) is the slot n-1 component of that morphism: it must be
+    additive, homogeneous over the field solved over, and map omega*A into
+    entries divisible by omega. The unknowns from top on form a row-major
+    r_{n-1}(x) x r_0(y) block whose image is that of the morphism
+    reconstruct_from_witness bounds with that block as h^{n-1}. For a
+    morphism f of factorizations the top component decides: a morphism g
+    with g^{n-1} = 0 is zero, since g^{i+1} = 0 gives g^i d_Y^i = 0 by
+    the square at i, so g^i omega = 0 and g^i = 0, A being a domain.
 
     omega is normal, so (omega) = A omega = omega A, and writing c_u =
     c_low + omega c_high with deg c_low < deg omega = m shows that f must
@@ -219,14 +224,15 @@ def _solve(f, unit_count, image, top):
 
     With a solution the remainder f - image(c_low), for a morphism f, is a
     morphism with top component K omega; as d_y^{n-1} d_y^0 ... d_y^{n-2}
-    = omega I, the block K d_y^{n-1} maps onto all of it and is added to
-    the top block. Nothing is verified here: the caller rebuilds its
-    answer from the coefficients and compares it with f.
+    = omega I, the block K d_y^{n-1} hits that component and is added to
+    the top block, and the difference, a morphism with top component 0,
+    is zero. Nothing is verified here: the caller rebuilds its answer in
+    full from the coefficients and compares it with f.
     """
     ring = f.ring
     fld = ring.field
     m = ring.omega_deg
-    target = _flatten_polys(f)
+    target = [p for row in f.components[-1].m for p in row]
     if ring.commutative:
         kfld, e = fld, 1
 
@@ -262,9 +268,8 @@ def _solve(f, unit_count, image, top):
         if poly:
             rest = [ring.sub(a, b) for a, b in zip(rest, image(u, poly))]
     r, width = f.source.ranks[-1], f.target.ranks[-1]
-    top_rest = rest[len(rest) - r * width:]
     k = [[ring.right_quo_rem(p, ring.omega)[0]
-          for p in top_rest[a * width:(a + 1) * width]] for a in range(r)]
+          for p in rest[a * width:(a + 1) * width]] for a in range(r)]
     block = mat_mul(ring, k, f.target.maps[-1].m) if r else []
     for i, p in enumerate(p for row in block for p in row):
         coeffs[top + i] = ring.add(coeffs[top + i], p)
@@ -283,22 +288,22 @@ def _witness_slots(x, y):
 
 
 def _witness_image(x, y, slots):
-    """image(u, poly) of reconstruct_from_witness, assembled directly.
+    """image(u, poly) of reconstruct_from_witness at slot n-1, assembled
+    directly.
 
-    f^i gets exactly one summand from h^j, the composite L h^j R of the
-    arcs L = d_X^{i -> j} and R = d_Y^{j+1 -> i}. Composites are
+    f^{n-1} gets exactly one summand from h^j, the composite L h^j R of
+    the arcs L = d_X^{n-1 -> j} and R = d_Y^{j+1 -> n-1}. Composites are
     associative, so with t the twist of h^j and t_R that of R the summand
     is sigma^{t+t_R}(L) sigma^{t_R}(h^j) R, one term of term_image for
-    each i and j.
+    each j.
     """
+    last = x.n - 1
     terms = []
     for j, (_, _, t) in enumerate(witness_shapes(x, y)):
-        terms.append([])
-        for i in range(x.n):
-            left, right = x.arc(i, j), y.arc(j + 1, i)
-            terms[j].append((i, left.sigma_entries(t + right.twist).m, right.m,
-                             right.twist))
-    return term_image(x.ring, _hom_blocks(x, y), terms, slots)
+        left, right = x.arc(last, j), y.arc(j + 1, last)
+        terms.append([(last, left.sigma_entries(t + right.twist).m, right.m,
+                       right.twist)])
+    return term_image(x.ring, _hom_blocks(x, y)[-1:], terms, slots)
 
 
 def _witness_from_coeffs(x, y, slots, coeffs):
@@ -323,17 +328,20 @@ def is_p_null_homotopic(f):
     if coeffs is None:
         return HomotopyVerdict(False)
     w = _witness_from_coeffs(x, y, slots, coeffs)
-    if not _rebuilds(f, reconstruct_from_witness(x, y, w), "witness"):
+    if not _rebuilds(f, reconstruct_from_witness(x, y, w) == f, "witness"):
         return HomotopyVerdict(False)
     return HomotopyVerdict(True, witness=w)
 
 
-def _rebuilds(f, rebuilt, what):
-    """Whether a solved answer rebuilds f; only a non-morphism f, which
-    the mod-omega engine may solve but not complete, fails."""
-    if rebuilt == f:
+def _rebuilds(f, same, what):
+    """same, whether a solved answer rebuilds f. It may be False only for
+    an f outside the theory, which the engine may solve on its top
+    component but not complete: a non-morphism, or a map between objects
+    whose rotation identity fails, where the one-slot argument of _solve
+    breaks. Validity is checked on this failure path alone."""
+    if same:
         return True
-    if f.is_valid():
+    if f.is_valid() and f.source.is_valid() and f.target.is_valid():
         raise AssertionError("solved %s does not rebuild the morphism" % what)
     return False
 
@@ -408,17 +416,17 @@ def _lambda_slots(x, y, indices):
 def _lambda_image(x, y, indices, slots):
     """image(u, poly) of the parameters to g then eps, eps the counit of
     trivial_sum_counit(y, indices) and g the morphism their trivial_homs
-    make. At slot j, block i adds L sigma^t(lambda) R, read off the arcs:
-    L = sigma^{-w}(d_X^{j -> i-1}) and t = -w, w the twist of that arc,
-    as in trivial_hom, and R = d_Y^{i -> j}, as in trivial_counit."""
+    make, at slot n-1. There block i adds L sigma^t(lambda) R, read off
+    the arcs: L = sigma^{-w}(d_X^{n-1 -> i-1}) and t = -w, w the twist of
+    that arc, as in trivial_hom, and R = d_Y^{i -> n-1}, as in
+    trivial_counit."""
+    last = x.n - 1
     terms = {}
     for i in indices:
-        terms[i] = []
-        for j in range(x.n):
-            left = x.arc(j, i - 1)
-            terms[i].append((j, left.sigma_entries(-left.twist).m, y.arc(i, j).m,
-                             -left.twist))
-    return term_image(x.ring, _hom_blocks(x, y), terms, slots)
+        left = x.arc(last, i - 1)
+        terms[i] = [(last, left.sigma_entries(-left.twist).m, y.arc(i, last).m,
+                     -left.twist)]
+    return term_image(x.ring, _hom_blocks(x, y)[-1:], terms, slots)
 
 
 def _lambda_morphism(x, y, t, indices, slots, coeffs):
@@ -449,8 +457,7 @@ def _factors_through(f, indices):
     if coeffs is None:
         return TrivialFactorization(False)
     g = _lambda_morphism(x, y, t, indices, slots, coeffs)
-    assert g.is_valid()
-    if not _rebuilds(f, g.then(eps), "factorization"):
+    if not _rebuilds(f, g.is_valid() and g.then(eps) == f, "factorization"):
         return TrivialFactorization(False)
     return TrivialFactorization(True, g=g, counit=eps, through=t)
 
@@ -516,11 +523,17 @@ class HomSpace:
         return self.from_coords(coords)
 
     def _vector_coordinates(self, vecs):
-        """Basis coordinates of each vector, from one solve; None when some
-        vector is outside the span."""
+        """Basis coordinates of morphisms given by their slot n-1
+        components, each flattened row-major, from one solve; None when
+        some vector is outside the span. A morphism is fixed by that
+        component (see _solve), so the last r_{n-1}(x) r_{n-1}(y) columns
+        of the basis rows are independent and give the coordinates of the
+        whole morphism."""
         if not self.basis_rows:
             return None if any(p for vec in vecs for p in vec) else [[] for _ in vecs]
-        return solve_right(self.ring, self.basis_rows, vecs)
+        width = self.x.ranks[-1] * self.y.ranks[-1]
+        return solve_right(self.ring, [row[len(row) - width:] for row in self.basis_rows],
+                           vecs)
 
     @property
     def rank(self):

@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 from modfact import matrices
 from modfact.matrices import TwistedMatrix, mat_mul
 from modfact import randomgen as rg
-from modfact.factorizations import (Morphism, theta, omega_morphism,
+from modfact.factorizations import (Factorization, Morphism, theta, omega_morphism,
                                     shift_morphism, direct_sum_morphism)
 import modfact.homotopy as ho
 from modfact.fields import ExtensionField, PrimeField
@@ -212,9 +212,15 @@ def test_rank_two_endomorphisms_are_decided_by_both_deciders():
         assert ho.factors_through_trivials(f).factors
 
 
+def _top_entries(f):
+    # the slot n-1 component of f, row by row: what the engine reads
+    return [p for row in f.components[-1].m for p in row]
+
+
 def test_witness_image_matches_reconstruction():
     # one polynomial in one witness slot, assembled directly, against the
-    # morphism reconstruct_from_witness bounds with that one-entry witness
+    # slot n-1 component of the morphism reconstruct_from_witness bounds
+    # with that one-entry witness
     rng2 = random.Random(11)
     for ring in rg.default_instances():
         for n in range(1, 5):
@@ -230,12 +236,13 @@ def test_witness_image_matches_reconstruction():
                     coeffs[u] = p
                     w = ho._witness_from_coeffs(x, y, slots, coeffs)
                     f = ho.reconstruct_from_witness(x, y, w)
-                    assert image(u, p) == ho._flatten_polys(f)
+                    assert image(u, p) == _top_entries(f)
 
 
 def test_trivial_sum_image_matches_its_construction():
     # one polynomial in one parameter slot, assembled from the term table,
-    # against the morphism its trivial_homs make, followed by the counit
+    # against the slot n-1 component of the morphism its trivial_homs
+    # make, followed by the counit
     rng2 = random.Random(12)
     for ring in rg.default_instances():
         for n in range(1, 5):
@@ -252,7 +259,7 @@ def test_trivial_sum_image_matches_its_construction():
                         coeffs = [[] for _ in slots]
                         coeffs[u] = p
                         g = ho._lambda_morphism(x, y, t, indices, slots, coeffs)
-                        assert image(u, p) == ho._flatten_polys(g.then(eps))
+                        assert image(u, p) == _top_entries(g.then(eps))
 
 
 def test_hom_space_constraints_are_the_square_defects():
@@ -380,9 +387,9 @@ def test_skew_deciders_complete_multiples_of_omega():
 
 def test_skew_engine_solves_one_system(monkeypatch):
     # one system per decision on every ring, deg omega * e' unknowns per
-    # slot and as many equations per morphism entry: over the ring's own
-    # field (e' = 1) when it is commutative, over F_p with the e
-    # coordinates of F_{p^e} (e' = e) when it is skew
+    # slot and as many equations per entry of the slot n-1 component:
+    # over the ring's own field (e' = 1) when it is commutative, over F_p
+    # with the e coordinates of F_{p^e} (e' = e) when it is skew
     shapes = []
     real = ho.kmat_solve
 
@@ -400,7 +407,7 @@ def test_skew_engine_solves_one_system(monkeypatch):
         for n in (1, 2, 3):
             x = rg.random_object(ring, rng2, n, max_rank=2)
             f, _ = rg.random_null_morphism(rng2, x, x)
-            entries = sum(r * r for r in x.ranks)
+            entries = x.ranks[-1] * x.ranks[-1]
             lambdas = len(ho._lambda_slots(x, x, range(n)))
             assert lambdas == sum(x.ranks[i - 1] * x.ranks[i] for i in range(n))
             for decide, slots in (
@@ -445,6 +452,92 @@ def test_non_morphism_is_not_null_on_every_engine():
         assert not f.is_valid()
         assert not ho.is_p_null_homotopic(f).null
         assert not ho.factors_through_trivials(f).factors
+
+
+def _bump(ring, m, a, b):
+    # m with one added to entry (a, b)
+    out = [list(row) for row in m]
+    out[a][b] = ring.add(out[a][b], ring.one)
+    return out
+
+
+_DECIDERS = (ho.is_p_null_homotopic, ho.factors_through_trivials,
+             ho.factors_through_theta0)
+
+
+def test_a_change_below_the_top_slot_is_not_null():
+    # the engine solves the slot n-1 component alone; a null morphism
+    # changed at a lower slot keeps its top, so it solves, fails to
+    # rebuild, and must be refused, not asserted on
+    rng2 = random.Random(41)
+    for ring in rg.default_instances():
+        for n in (2, 3, 4):
+            x = rg.random_object(ring, rng2, n, max_rank=2)
+            y = rg.random_object(ring, rng2, n, max_rank=2)
+            null, _ = rg.random_null_morphism(rng2, x, y)
+            s = rng2.randrange(n - 1)
+            comps = list(null.components)
+            c = comps[s]
+            comps[s] = TwistedMatrix(ring, _bump(ring, c.m, 0, 0), c.twist,
+                                     rows=c.rows, cols=c.cols)
+            f = Morphism(x, y, comps)
+            assert not f.is_valid()
+            for decide in _DECIDERS:
+                assert not decide(f)
+
+
+def test_identity_of_a_non_factorization_is_decided_without_asserting():
+    # the one-slot argument needs omega I rotations: on an object whose
+    # rotation identity fails a solved answer may not rebuild, which is a
+    # negative there, not an internal error; a positive still rebuilds
+    rng2 = random.Random(43)
+    for ring in rg.default_instances():
+        for n in (1, 2, 3, 4):
+            for _ in range(3):
+                x = rg.random_object(ring, rng2, n, max_rank=2)
+                d = x.maps[0]
+                maps = [TwistedMatrix(ring, _bump(ring, d.m, rng2.randrange(d.rows),
+                                                  rng2.randrange(d.cols)),
+                                      d.twist, rows=d.rows, cols=d.cols)] + x.maps[1:]
+                bad = Factorization(ring, x.ranks, maps)
+                assert not bad.is_valid()
+                f = Morphism.identity(bad)
+                v = ho.is_p_null_homotopic(f)
+                if v.null:
+                    assert ho.reconstruct_from_witness(bad, bad, v.witness) == f
+                for decide in (ho.factors_through_trivials, ho.factors_through_theta0):
+                    t = decide(f)
+                    if t.factors:
+                        assert t.g.then(t.counit) == f
+
+
+def test_top_block_coordinates_are_the_full_coordinates():
+    # stable_hom solves for hom-space coordinates on the slot n-1 columns
+    # of the basis rows; a morphism is fixed by its top component, so
+    # those coordinates are the ones solve_right finds over all columns
+    rng2 = random.Random(47)
+    for ring in [r for r in rg.default_instances() if r.commutative]:
+        for n in (1, 2, 3):
+            x = rg.random_object(ring, rng2, n, max_rank=2)
+            y = rg.random_object(ring, rng2, n, max_rank=2)
+            hom = ho.HomSpace(x, y)
+            slots = ho._witness_slots(x, y)
+            fs = []
+            for u in range(len(slots)):
+                coeffs = [[] for _ in slots]
+                coeffs[u] = ring.one
+                fs.append(ho.reconstruct_from_witness(
+                    x, y, ho._witness_from_coeffs(x, y, slots, coeffs)))
+            t, eps = ho.trivial_sum_counit(y, [0])
+            slots = ho._lambda_slots(x, y, [0])
+            for u in range(len(slots)):
+                coeffs = [[] for _ in slots]
+                coeffs[u] = ring.one
+                fs.append(ho._lambda_morphism(x, y, t, [0], slots, coeffs).then(eps))
+            full = [[p for c in f.components for row in c.m for p in row] for f in fs]
+            want = matrices.solve_right(ring, hom.basis_rows, full)
+            assert want is not None
+            assert hom._vector_coordinates([_top_entries(f) for f in fs]) == want
 
 
 def test_deciders_agree_on_rank_zero_sources_and_targets():
