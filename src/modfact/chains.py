@@ -516,30 +516,35 @@ def chain_factors_projective(f):
 
 
 def _factors_through_cover(g, y):
-    """chain_factors_projective for g = cok0_morphism(f), y = f.target.
+    """chain_factors_projective for g = cok0_morphism(f), y = f.target."""
+    rows = _cover_composites(g.source, g.target, y)
+    target = [e for m in g.kmats() for r in m for e in r]
+    return kmat_solve(g.ring.field, rows, [target]) is not None
 
-    Each staircase cover is a ChainMorphism(stair, D, arcs) read through its
-    kmats(); a composite with it has the target's width in every slot."""
-    ring = g.ring
+
+def _cover_composites(c, d, y):
+    """The k-vectors of the basis maps from c into each staircase of the
+    cover of d = cok0(y), composed with the cover: they span the maps
+    c -> d through a projective. Each staircase cover is a
+    ChainMorphism(stair, d, arcs) read through its kmats(); a composite
+    with it has d's width in every slot."""
+    ring = c.ring
     if not ring.commutative:
         raise UnsupportedRingError(
             "projective chain factoring needs the commutative case")
-    fld = ring.field
-    n = g.source.n
-    dims = g.target.dims()
+    fld, dims = ring.field, d.dims()
     rows = []
-    for j in range(1, n):
-        stair = staircase_chain(ring, n, j, y.ranks[j])
-        basis, shapes = _chain_map_space(g.source, stair)
+    for j in range(1, c.n):
+        stair = staircase_chain(ring, c.n, j, y.ranks[j])
+        basis, shapes = _chain_map_space(c, stair)
         # slot s (1-based) of the cover: the arc d_Y^{j -> s}
-        cover = ChainMorphism(stair, g.target,
+        cover = ChainMorphism(stair, d,
                               [y.compose_range(j, s - 1).m if s >= j else []
-                               for s in range(1, n)]).kmats()
+                               for s in range(1, c.n)]).kmats()
         for vec in basis:
             rows.append([e for h, p, w in zip(_reshape(vec, shapes), cover, dims)
                          for r in kmat_mul(fld, h, p, w) for e in r])
-    target = [e for m in g.kmats() for r in m for e in r]
-    return kmat_solve(fld, rows, [target]) is not None
+    return rows
 
 
 def faithfulness_report(f):

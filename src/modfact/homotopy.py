@@ -27,7 +27,7 @@ normal, so a morphism lies in the image of a decider's map exactly when
 it does modulo omega. _solve decides that with one linear system over a
 field (the ring's own when it is commutative, F_p when it is skew) and
 completes a solution by an explicit h^{n-1}. No decider takes a Hermite
-form; HomSpace and stable_hom do.
+form.
 
 Every system is that of the slot n-1 component alone, because a
 morphism g is fixed by g^{n-1}: every rotated composite is omega I and
@@ -39,7 +39,7 @@ hits it, and the morphism left over, zero at slot n-1, is zero.
 
 Each decider hands the engine its linear map as image(u, poly), the
 slot n-1 component of the morphism that poly placed in unknown u alone
-maps to. Every such map, like the HomSpace constraints and the chain-map
+maps to. Every such map, like the HomSpace conditions and the chain-map
 space of chains.py, is a sum of terms L sigma^t(X_k) R in its unknown
 blocks X_k, so one assembler (matrices.term_image) builds each image as
 outer products from a table of terms read off the arcs of x and y: the
@@ -48,17 +48,19 @@ and the trivial-factorization maps (_lambda_image) without building a
 trivial_hom, counit or theta per block. The engine only solves. Every
 positive answer is rebuilt in full from the solution and compared bit for bit with f: a
 witness through reconstruct_from_witness, a factorization by composing
-it with the counit. stable_hom takes its relations from the same top
-images: the witness map for ideal='all', the theta^0 factorization map
-for ideal='theta0'.
+it with the counit.
+
+stable_hom reads stable Hom off the same component modulo omega: the
+HomSpace of those of morphisms modulo the _residue_rows of the witness
+map (ideal='all') or the theta^0 map (ideal='theta0'). Only
+HomSpace.morphism takes Hermite forms, to complete a morphism by division.
 """
 
 from .fields import PrimeField
 from .rings import UnsupportedRingError
-from .matrices import (TwistedMatrix, mat_mul, mat_identity,
-                       solve_right, left_kernel, smith_form, block_slots,
-                       term_image)
-from .modules import kmat_solve
+from .matrices import (TwistedMatrix, mat_mul, solve_right, smith_form,
+                       block_slots, term_image)
+from .modules import kmat_solve, kmat_nullspace, kmat_mul
 from .factorizations import Morphism, theta, direct_sum
 
 
@@ -186,17 +188,31 @@ def _residue(ring, p):
     return p[:m] + [ring.field.zero] * (m - len(p))
 
 
-def _times_x(ring, r):
-    """x r modulo omega for a commutative ring and a residue r of
-    _residue's form: shift up, then take away c omega / lc(omega), c the
-    coefficient pushed to x^m; it drops off when omega = c x^m."""
-    fld = ring.field
-    out = [fld.zero] + r[:-1]
-    c = r[-1]
-    if ring.omega_monomial or fld.is_zero(c):
-        return out
-    c = fld.mul(c, fld.inv(ring.lc(ring.omega)))
-    return [fld.sub(a, fld.mul(c, w)) for a, w in zip(out, ring.omega)]
+def _times_x(ring, v):
+    """x v modulo omega for a commutative ring, v a run of residues of
+    _residue's form: shift each up, then take away c omega / lc(omega), c
+    the coefficient pushed to x^m; it drops off when omega = c x^m."""
+    fld, m = ring.field, ring.omega_deg
+    out = []
+    for k in range(0, len(v), m):
+        r, c = [fld.zero] + v[k:k + m - 1], v[k + m - 1]
+        if not (ring.omega_monomial or fld.is_zero(c)):
+            c = fld.mul(c, fld.inv(ring.lc(ring.omega)))
+            r = [fld.sub(a, fld.mul(c, w)) for a, w in zip(r, ring.omega)]
+        out += r
+    return out
+
+
+def _residue_rows(ring, unit_count, image):
+    """The residues of image(u, x^d) for d < deg omega, u by u, each row
+    the run of its entries' residues; commutative rings only. As
+    image(u, x^d) = x^d image(u, 1), a row is the one before it times x."""
+    rows = []
+    for u in range(unit_count):
+        rows.append([c for p in image(u, ring.one) for c in _residue(ring, p)])
+        for _ in range(1, ring.omega_deg):
+            rows.append(_times_x(ring, rows[-1]))
+    return rows
 
 
 def _solve(f, unit_count, image, top):
@@ -216,8 +232,7 @@ def _solve(f, unit_count, image, top):
     c_low + omega c_high with deg c_low < deg omega = m shows that f must
     be image(c_low) modulo omega: one linear system, with an unknown per
     u and per x^d below x^m. A commutative ring solves it over its field,
-    and image(u, x^d) = x^d image(u, 1), so the residues of row (u, d)
-    are those of row (u, d - 1) times x (_times_x). A skew ring solves it
+    on the rows of _residue_rows. A skew ring solves it
     over F_p, with an unknown per unit of F_q = F_{p^e} too: an element
     is its own tuple of e coordinates (fields.py), read off each residue
     of image(u, unit x^d) and grouped back from the solution.
@@ -239,13 +254,7 @@ def _solve(f, unit_count, image, top):
         def flat(vec):
             return [c for p in vec for c in _residue(ring, p)]
 
-        rows = []
-        for u in range(unit_count):
-            res = [_residue(ring, p) for p in image(u, ring.one)]
-            for d in range(m):
-                if d:
-                    res = [_times_x(ring, r) for r in res]
-                rows.append([c for r in res for c in r])
+        rows = _residue_rows(ring, unit_count, image)
     else:
         kfld, e = PrimeField(fld.p), fld.e
         pad = [fld.zero] * m
@@ -278,11 +287,6 @@ def _solve(f, unit_count, image, top):
 
 # -- decider one: solve the reconstruction formula --
 
-def _hom_blocks(x, y):
-    """The blocks (i, r_i(x), r_i(y)) of a morphism x -> y, slot by slot."""
-    return [(i, x.ranks[i], y.ranks[i]) for i in range(x.n)]
-
-
 def _witness_slots(x, y):
     return block_slots((j, r, c) for j, (r, c, _) in enumerate(witness_shapes(x, y)))
 
@@ -303,7 +307,7 @@ def _witness_image(x, y, slots):
         left, right = x.arc(last, j), y.arc(j + 1, last)
         terms.append([(last, left.sigma_entries(t + right.twist).m, right.m,
                        right.twist)])
-    return term_image(x.ring, _hom_blocks(x, y)[-1:], terms, slots)
+    return term_image(x.ring, [(last, x.ranks[last], y.ranks[last])], terms, slots)
 
 
 def _witness_from_coeffs(x, y, slots, coeffs):
@@ -426,7 +430,7 @@ def _lambda_image(x, y, indices, slots):
         left = x.arc(last, i - 1)
         terms[i] = [(last, left.sigma_entries(-left.twist).m, y.arc(i, last).m,
                      -left.twist)]
-    return term_image(x.ring, _hom_blocks(x, y)[-1:], terms, slots)
+    return term_image(x.ring, [(last, x.ranks[last], y.ranks[last])], terms, slots)
 
 
 def _lambda_morphism(x, y, t, indices, slots, coeffs):
@@ -477,67 +481,70 @@ def factors_through_theta0(f):
     return _factors_through(f, [0])
 
 
-# -- the morphism module and its stable quotient (commutative case) --
+# -- the morphism space and its stable quotient (commutative case) --
+
+def _pivotless(fld, basis):
+    """The pivotless column f_k of each vector of a kmat_nullspace basis,
+    its last nonzero entry, as a reduced echelon row is 0 before its
+    pivot. A vector v of the span is sum_k v[f_k] basis[k]."""
+    return [max(i for i, c in enumerate(v) if not fld.is_zero(c)) for v in basis]
+
 
 class HomSpace:
-    """A-basis of the morphism module Hom(x, y), commutative base only."""
+    """The k-space of slot n-1 components of morphisms x -> y modulo
+    omega; commutative base only. A basis vector holds the residues
+    (_residue) of the entries of an r x r' matrix M, row-major, for
+    r = r_{n-1}(x) and r' = r_{n-1}(y); rank, that of Hom(x, y), is r r'.
+
+    A morphism g is fixed by M = g^{n-1} (see _solve). M extends to one
+    exactly when d_X^{j -> n-1} M lies in Mat d_Y^{j -> n-1} for each
+    j < n-1 (morphism): each square then holds times a non-zero-divisor
+    arc of y. As d_Y^{j -> n-1} d_Y^{n-1 -> j} = omega I, that is when
+    d_X^{j -> n-1} M d_Y^{n-1 -> j} vanishes modulo omega, a condition on
+    M modulo omega: basis spans the null space of the _residue_rows of
+    that map, which term_image assembles as the deciders' maps.
+    """
 
     def __init__(self, x, y):
         ring = x.ring
         if not ring.commutative:
-            raise UnsupportedRingError("hom modules need a commutative base ring")
+            raise UnsupportedRingError("hom spaces need a commutative base ring")
         if x.n != y.n:
             raise ValueError("fold counts differ")
         self.x = x
         self.y = y
         self.ring = ring
-        n = x.n
-        self.slots = block_slots(_hom_blocks(x, y))
-        # square i is d_X^i H^{i+1} - sigma^t(H^i) d_Y^i, t the twist of d_Y^i
-        squares = [(i, x.ranks[i], y.ranks[(i + 1) % n]) for i in range(n)]
-        minus = ring.from_int(-1)
-        terms = [[((i - 1) % n, x.maps[i - 1].m, mat_identity(ring, y.ranks[i]), 0),
-                  (i, TwistedMatrix.scalar(ring, x.ranks[i], minus).m,
-                   y.maps[i].m, y.maps[i].twist)] for i in range(n)]
-        image = term_image(ring, squares, terms, self.slots)
-        one = ring.from_int(1)
-        self.constraints = [image(u, one) for u in range(len(self.slots))]
-        self.basis_rows = left_kernel(ring, self.constraints) if self.slots else []
-
-    def from_coords(self, row):
-        x, y, ring = self.x, self.y, self.ring
-        mats = [[[[] for _ in range(y.ranks[i])] for _ in range(x.ranks[i])]
-                for i in range(x.n)]
-        for (i, a, b), poly in zip(self.slots, row):
-            mats[i][a][b] = ring.trim(poly)
-        return Morphism(x, y, [TwistedMatrix(ring, m, 0, rows=x.ranks[i], cols=y.ranks[i])
-                               for i, m in enumerate(mats)])
-
-    def combination(self, coeffs):
-        """The morphism sum_k coeffs[k] * from_coords(basis_rows[k])."""
-        ring = self.ring
-        coords = [[] for _ in self.slots]
-        for c, row in zip(coeffs, self.basis_rows):
-            for u in range(len(coords)):
-                coords[u] = ring.add(coords[u], ring.mul(c, row[u]))
-        return self.from_coords(coords)
-
-    def _vector_coordinates(self, vecs):
-        """Basis coordinates of morphisms given by their slot n-1
-        components, each flattened row-major, from one solve; None when
-        some vector is outside the span. A morphism is fixed by that
-        component (see _solve), so the last r_{n-1}(x) r_{n-1}(y) columns
-        of the basis rows are independent and give the coordinates of the
-        whole morphism."""
-        if not self.basis_rows:
-            return None if any(p for vec in vecs for p in vec) else [[] for _ in vecs]
-        width = self.x.ranks[-1] * self.y.ranks[-1]
-        return solve_right(self.ring, [row[len(row) - width:] for row in self.basis_rows],
-                           vecs)
+        last = x.n - 1
+        slots = block_slots([(last, x.ranks[last], y.ranks[last])])
+        terms = {last: [(j, x.arc(j, last).m, y.arc(last, j).m, 0) for j in range(last)]}
+        image = term_image(ring, [(j, x.ranks[j], y.ranks[j]) for j in range(last)],
+                           terms, slots)
+        self.basis = kmat_nullspace(ring.field, _residue_rows(ring, len(slots), image))
 
     @property
     def rank(self):
-        return len(self.basis_rows)
+        return self.x.ranks[-1] * self.y.ranks[-1]
+
+    def lift(self, vec):
+        """The r x r' matrix whose entries have the residues in vec."""
+        m, c = self.ring.omega_deg, self.y.ranks[-1]
+        polys = [self.ring.trim(vec[k:k + m]) for k in range(0, len(vec), m)]
+        return [polys[a * c:(a + 1) * c] for a in range(self.x.ranks[-1])]
+
+    def morphism(self, top):
+        """The morphism with slot n-1 component top, an r x r' matrix with
+        residues in the span of basis."""
+        x, y, ring = self.x, self.y, self.ring
+        last = x.n - 1
+        comps = []
+        for j in range(last):
+            rhs = mat_mul(ring, x.arc(j, last).m, top, (x.ranks[j], x.ranks[last], y.ranks[last]))
+            g = solve_right(ring, y.arc(j, last).m, rhs)
+            if g is None:
+                raise ValueError("the top component does not extend to a morphism")
+            comps.append(g)
+        return Morphism(x, y, [TwistedMatrix(ring, g, 0, rows=x.ranks[j], cols=y.ranks[j])
+                               for j, g in enumerate(comps + [top])])
 
 
 def _omega_power_divides(ring, factor):
@@ -551,46 +558,47 @@ def _omega_power_divides(ring, factor):
 
 
 class StableHomReport:
-    """Stable hom as a finitely presented module: a hom-space basis modulo
-    the image of the witness reconstruction (or the theta^0 ideal)."""
+    """Stable Hom as a k[x]-module: hom's span modulo that of null, the top
+    residues of the ideal's morphisms. omega kills it, so on a k-basis of
+    it x acts by a matrix X, and its invariant factors are the nonunit
+    ones of x I - X. Representative t completes the element that row t of
+    the Smith form's v^{-1} writes in that basis."""
 
-    def __init__(self, hom, relations, ideal):
+    def __init__(self, hom, null, ideal):
         self.hom = hom
-        self.relations = relations
         self.ideal = ideal
         ring = hom.ring
-        b = hom.rank
-        if b == 0:
-            self.invariant_factors = []
-            self.representatives = []
-        else:
-            rel = relations if relations else [[[] for _ in range(b)]]
-            d, _, _, v_inv = smith_form(ring, rel)
-            rows = len(d)
-            facs = []
-            reps = []
-            for t in range(b):
-                diag = d[t][t] if t < rows and t < b else []
-                # row t of v_inv writes generator t in the hom basis
-                if not diag:
-                    facs.append([])
-                    reps.append(hom.combination(v_inv[t]))
-                elif ring.deg(diag) > 0:
-                    facs.append(list(diag))
-                    reps.append(hom.combination(v_inv[t]))
-            self.invariant_factors = facs
-            self.representatives = reps
-        self.k_dimension = None
-        if all(f for f in self.invariant_factors):
-            self.k_dimension = sum(ring.deg(f) for f in self.invariant_factors)
-        self.omega_torsion = (self.k_dimension is not None and
-                              all(_omega_power_divides(ring, f)
-                                  for f in self.invariant_factors))
+        fld = ring.field
+        free = _pivotless(fld, hom.basis)
+        # quotient coordinates of v in the span of hom.basis: v[free] z^T
+        rel = [[w[f] for f in free] for w in null]
+        z = kmat_nullspace(fld, [[w[k] for w in rel] for k in range(len(free))])
+        lifts = [hom.basis[k] for k in _pivotless(fld, z)]
+        q = len(lifts)
+        # row i: x times quotient basis vector i, in quotient coordinates
+        xs = [_times_x(ring, v) for v in lifts]
+        act = kmat_mul(fld, [[v[f] for f in free] for v in xs], [list(c) for c in zip(*z)], q)
+        pres = [[ring.trim([fld.neg(act[i][j])] + [fld.one] * (i == j))
+                 for j in range(q)] for i in range(q)]
+        d, _, _, v_inv = smith_form(ring, pres)
+        self.invariant_factors = []
+        self.representatives = []
+        for t in range(q):
+            if ring.deg(d[t][t]) > 0:
+                # sum_k v_inv[t][k](x) lifts[k], x acting by _times_x
+                top = [fld.zero] * len(hom.basis[0])
+                for p, v in zip(v_inv[t], lifts):
+                    for c in p:
+                        top = [fld.add(a, fld.mul(c, b)) for a, b in zip(top, v)]
+                        v = _times_x(ring, v)
+                self.invariant_factors.append(list(d[t][t]))
+                self.representatives.append(hom.morphism(hom.lift(top)))
+        self.k_dimension = q
+        self.omega_torsion = all(_omega_power_divides(ring, f)
+                                 for f in self.invariant_factors)
 
     def factor_names(self):
-        ring = self.hom.ring
-        return sorted("free" if not f else ring.pretty(f)
-                      for f in self.invariant_factors)
+        return sorted(self.hom.ring.pretty(f) for f in self.invariant_factors)
 
     def is_zero(self):
         return not self.invariant_factors
@@ -601,8 +609,7 @@ class StableHomReport:
             "ideal": self.ideal,
             "hom_rank": self.hom.rank,
             "invariant_factors": [ring.poly_to_json(f) for f in self.invariant_factors],
-            "invariant_factors_pretty": ["free" if not f else ring.pretty(f)
-                                         for f in self.invariant_factors],
+            "invariant_factors_pretty": [ring.pretty(f) for f in self.invariant_factors],
             "k_dimension": self.k_dimension,
             "omega_torsion": self.omega_torsion,
             "representatives": [m.to_json() for m in self.representatives],
@@ -621,7 +628,4 @@ def stable_hom(x, y, ideal="all"):
     else:
         slots = _lambda_slots(x, y, [0])
         image = _lambda_image(x, y, [0], slots)
-    one = x.ring.from_int(1)
-    rel = hom._vector_coordinates([image(u, one) for u in range(len(slots))])
-    assert rel is not None, "null morphism escaped the hom space"
-    return StableHomReport(hom, rel, ideal)
+    return StableHomReport(hom, _residue_rows(x.ring, len(slots), image), ideal)

@@ -5,8 +5,8 @@ vectors, i.e. a morphism A^r -> twisted^t(A^c). Composites accumulate
 twists: doing (M, s) then (N, t) gives (sigma^t(M) * N, s + t). All the
 factorization axioms downstream are stated through this one rule.
 
-The raw helpers at the bottom (hermite_form, solve_right, left_kernel,
-smith_form) work on bare coefficient-list matrices. Hermite reduction only
+The raw helpers at the bottom (hermite_form, solve_right, smith_form)
+work on bare coefficient-list matrices. Hermite reduction only
 uses left row operations and right division of entries, so it is valid
 over the skew instances as well; Smith form asserts commutativity.
 term_image assembles every A-linear system that the homotopy deciders,
@@ -259,10 +259,6 @@ def mat_copy(m):
     return [[list(e) for e in row] for row in m]
 
 
-def mat_is_zero(m):
-    return all(not e for row in m for e in row)
-
-
 def _row_sub_scaled(ring, target, q, source):
     # target -= q * source, q multiplying from the left
     for j in range(len(target)):
@@ -319,15 +315,6 @@ def hermite_form(ring, mat):
             if top == rows:
                 break
     return h, u, pivots
-
-
-def left_kernel(ring, mat):
-    """Basis rows k with k * mat = 0 (free module; rows of the Hermite transform)."""
-    if not mat:
-        return []
-    h, u, pivots = hermite_form(ring, mat)
-    rank = len(pivots)
-    return [list(map(list, u[i])) for i in range(rank, len(h))]
 
 
 def solve_right(ring, mat, rhs):

@@ -316,20 +316,25 @@ def random_null_morphism(rng, x, y, max_deg=2):
     return reconstruct_from_witness(x, y, w), w
 
 
-def random_hom_element(rng, x, y, max_deg=2, hom=None):
-    """Random A-combination of a hom-module basis; commutative rings
-    only.  Pass a cached HomSpace when drawing many times from a pair."""
-    if hom is None:
-        hom = HomSpace(x, y)
-    if hom.rank == 0:
-        return Morphism.zero(x, y)
-    coeffs = [x.ring.random_poly(rng, max_deg) for _ in range(hom.rank)]
-    f = hom.combination(coeffs)
+def random_hom_element(rng, x, y, max_deg=2):
+    """The morphism with slot n-1 component sum_i p_i b_i + omega N over the
+    HomSpace basis b_i, p_i and N random of degree <= max_deg; commutative
+    rings only."""
+    ring = x.ring
+    hom = HomSpace(x, y)
+    top = [[ring.mul(ring.omega, ring.random_poly(rng, max_deg))
+            for _ in range(y.ranks[-1])] for _ in range(x.ranks[-1])]
+    for vec in hom.basis:
+        p = ring.random_poly(rng, max_deg)
+        for row, brow in zip(top, hom.lift(vec)):
+            for b, e in enumerate(brow):
+                row[b] = ring.add(row[b], ring.mul(p, e))
+    f = hom.morphism(top)
     f.assert_valid()
     return f
 
 
-def random_morphism(rng, x, y, max_deg=2, hom=None):
+def random_morphism(rng, x, y, max_deg=2):
     """Mixed-strategy morphism generator; both homotopy verdicts occur."""
     ring = x.ring
     roll = rng.random()
@@ -347,7 +352,7 @@ def random_morphism(rng, x, y, max_deg=2, hom=None):
         f, _ = random_null_morphism(rng, x, y, max_deg)
         return base.add(f)
     if not ring.sigma_power:
-        f = random_hom_element(rng, x, y, max_deg, hom=hom)
+        f = random_hom_element(rng, x, y, max_deg)
         if roll < 0.85:
             return f
         g, _ = random_null_morphism(rng, x, y, max_deg)

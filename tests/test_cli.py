@@ -263,6 +263,13 @@ def test_stable_hom_and_skew_guard(paths):
     assert code == 4
 
 
+def test_stable_hom_refuses_objects_of_different_folds(paths):
+    x2 = paths["wj"]("fold2.json", dict(theta(Q2, 2, 0).to_json(), ring=Q2.to_json()))
+    x3 = paths["wj"]("fold3.json", dict(theta(Q2, 3, 0).to_json(), ring=Q2.to_json()))
+    code, out, err = run("stable-hom", x2, x3)
+    assert (code, out, err) == (3, "", "input error: fold counts differ\n")
+
+
 def test_stably_zero_both_verdicts(paths):
     z = random_nonzero_object(Q2, paths["rng"], 3)
     zp = paths["wj"]("znz.json", dict(z.to_json(), ring=Q2.to_json()))

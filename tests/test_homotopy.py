@@ -5,7 +5,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from modfact import matrices
+from modfact import chains as ch
 from modfact.matrices import TwistedMatrix, mat_mul
+from modfact.modules import kmat_rank, kmat_solve
 from modfact import randomgen as rg
 from modfact.factorizations import (Factorization, Morphism, theta, omega_morphism,
                                     shift_morphism, direct_sum_morphism)
@@ -262,47 +264,106 @@ def test_trivial_sum_image_matches_its_construction():
                         assert image(u, p) == _top_entries(g.then(eps))
 
 
-def test_hom_space_constraints_are_the_square_defects():
-    # row u is the defect d_X^i H^{i+1} - H^i d_Y^i, square by square, of
-    # the components with a single 1 at slot u
+def _top_residues(f):
+    ring = f.ring
+    return [c for row in f.components[-1].m for p in row for c in ho._residue(ring, p)]
+
+
+def test_hom_space_basis_completes_and_spans_morphisms():
+    # every basis vector extends to a morphism, and the top residues of
+    # identities, null morphisms and omega times the identity lie in the span
     rng2 = random.Random(13)
     for ring in [r for r in rg.default_instances() if r.commutative]:
+        fld = ring.field
         for n in range(1, 5):
             for _ in range(2):
                 x = rg.random_object(ring, rng2, n, max_rank=2)
                 y = rg.random_object(ring, rng2, n, max_rank=2)
                 hom = ho.HomSpace(x, y)
-                assert len(hom.constraints) == len(hom.slots)
-                for u, row in enumerate(hom.constraints):
-                    coords = [[] for _ in hom.slots]
-                    coords[u] = ring.from_int(1)
-                    g = hom.from_coords(coords)
-                    want = []
-                    for i in range(n):
-                        lhs = x.maps[i].then(g.components[(i + 1) % n])
-                        rhs = g.components[i].then(y.maps[i])
-                        want += [p for r in lhs.sub(rhs).m for p in r]
-                    assert row == want
+                assert hom.rank == x.ranks[-1] * y.ranks[-1]
+                for vec in hom.basis:
+                    g = hom.morphism(hom.lift(vec))
+                    assert g.is_valid() and _top_residues(g) == vec
+                null, _ = rg.random_null_morphism(rng2, x, y)
+                assert kmat_solve(fld, hom.basis, [_top_residues(null)]) is not None
+                end = ho.HomSpace(x, x)
+                for f in (Morphism.identity(x), omega_morphism(x)):
+                    assert kmat_solve(fld, end.basis, [_top_residues(f)]) is not None
+
+
+def test_stable_hom_dimension_matches_the_chain_side():
+    # cok0 is full and faithful onto chains modulo projectives, and kills
+    # exactly the maps through theta^0 sums: so stHom(x, y) is
+    # Hom(cok0 x, cok0 y) modulo the maps through the staircase cover, and
+    # the theta0 quotient is all of Hom(cok0 x, cok0 y)
+    rng2 = random.Random(29)
+    seen = 0
+    for ring in [r for r in rg.default_instances() if r.commutative]:
+        fld = ring.field
+        for n in (2, 3, 4):
+            for k in range(3):
+                x = rg.random_object(ring, rng2, n, max_rank=2)
+                if k:
+                    y = rg.random_object(ring, rng2, n, max_rank=2)
+                else:
+                    try:
+                        y = rg.random_nonzero_object(ring, rng2, n, max_rank=2)
+                    except ValueError:
+                        y = x
+                c, d = ch.cok0(x), ch.cok0(y)
+                hom = len(ch._chain_map_space(c, d)[0])
+                cover = ch._cover_composites(c, d, y)
+                proj = kmat_rank(fld, cover) if cover else 0
+                assert ho.stable_hom(x, y).k_dimension == hom - proj
+                assert ho.stable_hom(x, y, "theta0").k_dimension == hom
+                seen += hom - proj > 0
+    assert seen >= 10
+
+
+def _ideal_residues(x, y, ideal):
+    if ideal == "all":
+        slots = ho._witness_slots(x, y)
+        image = ho._witness_image(x, y, slots)
+    else:
+        slots = ho._lambda_slots(x, y, [0])
+        image = ho._lambda_image(x, y, [0], slots)
+    return ho._residue_rows(x.ring, len(slots), image)
 
 
 def test_stable_hom_representatives_are_morphisms():
+    # each representative is a morphism outside the ideal that its own
+    # invariant factor d sends into it, and the x^i multiples, i < deg d,
+    # of all of them span the quotient: it is the sum of the A/(d)
     rng2 = random.Random(5)
     rq = ring_q([0, 0, 0, 1])
     pairs = [(X2, X2), (X2Q, X2Q), (X3, X3), (X2b, X2b), (X2, X2b)]
     pairs += [(rg.random_object(rq, rng2, 2, max_rank=1),
                rg.random_object(rq, rng2, 2, max_rank=1)) for _ in range(4)]
+    pairs += [(rg.random_object(ring, rng2, 3, max_rank=2),
+               rg.random_nonzero_object(ring, rng2, 3, max_rank=2))
+              for ring in (rq, R5x3, ring5([0, 0, 4, 1]))]
+    # a Smith form whose v^{-1} has entries of positive degree
+    z = rg.random_nonzero_object(rq, random.Random(7), 4, max_rank=2)
+    pairs.append((z, z))
     seen = 0
     for X, Y in pairs:
-        for ideal in ("all", "theta0"):
+        for ideal, within in (("all", lambda f: ho.is_p_null_homotopic(f).null),
+                              ("theta0", lambda f: ho.factors_through_theta0(f).factors)):
             sh = ho.stable_hom(X, Y, ideal)
             assert len(sh.representatives) == len(sh.invariant_factors)
-            for f in sh.representatives:
+            for f, d in zip(sh.representatives, sh.invariant_factors):
                 assert f.is_valid()
+                assert not within(f)
+                assert within(f.scale_central(d))
                 seen += 1
-                if ideal == "all":
-                    # each one generates a nonzero summand of the stable hom
-                    assert not ho.is_p_null_homotopic(f).null
-    assert seen >= 10
+            ring = X.ring
+            null = _ideal_residues(X, Y, ideal)
+            gens = [_top_residues(f.scale_central(ring.x_power(i)))
+                    for f, d in zip(sh.representatives, sh.invariant_factors)
+                    for i in range(ring.deg(d))]
+            assert (kmat_rank(ring.field, null + gens)
+                    == kmat_rank(ring.field, null) + sh.k_dimension)
+    assert seen >= 20
 
 
 def _skew_instances():
@@ -511,35 +572,6 @@ def test_identity_of_a_non_factorization_is_decided_without_asserting():
                         assert t.g.then(t.counit) == f
 
 
-def test_top_block_coordinates_are_the_full_coordinates():
-    # stable_hom solves for hom-space coordinates on the slot n-1 columns
-    # of the basis rows; a morphism is fixed by its top component, so
-    # those coordinates are the ones solve_right finds over all columns
-    rng2 = random.Random(47)
-    for ring in [r for r in rg.default_instances() if r.commutative]:
-        for n in (1, 2, 3):
-            x = rg.random_object(ring, rng2, n, max_rank=2)
-            y = rg.random_object(ring, rng2, n, max_rank=2)
-            hom = ho.HomSpace(x, y)
-            slots = ho._witness_slots(x, y)
-            fs = []
-            for u in range(len(slots)):
-                coeffs = [[] for _ in slots]
-                coeffs[u] = ring.one
-                fs.append(ho.reconstruct_from_witness(
-                    x, y, ho._witness_from_coeffs(x, y, slots, coeffs)))
-            t, eps = ho.trivial_sum_counit(y, [0])
-            slots = ho._lambda_slots(x, y, [0])
-            for u in range(len(slots)):
-                coeffs = [[] for _ in slots]
-                coeffs[u] = ring.one
-                fs.append(ho._lambda_morphism(x, y, t, [0], slots, coeffs).then(eps))
-            full = [[p for c in f.components for row in c.m for p in row] for f in fs]
-            want = matrices.solve_right(ring, hom.basis_rows, full)
-            assert want is not None
-            assert hom._vector_coordinates([_top_entries(f) for f in fs]) == want
-
-
 def test_deciders_agree_on_rank_zero_sources_and_targets():
     # a matrix without rows must keep its width through composites, or
     # the factorizations through trivial objects fail to validate
@@ -556,7 +588,8 @@ def test_deciders_agree_on_rank_zero_sources_and_targets():
 
 def test_deciders_need_no_hermite_form(monkeypatch):
     # the mod-omega engine decides on every stock ring: no decider reaches
-    # the Hermite solve over A, which HomSpace and stable_hom keep
+    # the Hermite solve over A, which only HomSpace.morphism keeps, to
+    # complete a top component
     def refuse(*args):
         raise AssertionError("a decider reached the Hermite solve")
 
