@@ -49,7 +49,14 @@ class Factorization:
         and i - 1 <= j <= i + n - 1: a range past slot n-1 runs on
         through the twisted last map, so every arc of the cycle is one
         range, and i..i+n-1 is the rotated composite through slot i. An
-        empty range gives the identity of slot i mod n."""
+        empty range gives the identity of slot i mod n.
+
+        The memo fills from both ends. A range built here extends to the
+        right, (d^i ... d^{j-1}) d^j, so the ranges from one start are one
+        chain; arcs_into extends to the left, d^i (d^{i+1} ... d^j), so
+        the arcs into one end are one chain too, and it stores them under
+        the same keys. Composites are associative, so either way gives
+        the same matrix."""
         n = self.n
         if not (0 <= i <= n and i - 1 <= j < i + n):
             raise ValueError("range (%d, %d) out of bounds" % (i, j))
@@ -69,9 +76,31 @@ class Factorization:
     def arc(self, a, b):
         """The composite of the maps from slot a forward to slot b (mod n),
         through the twisted last map when the arc passes it; the identity
-        when a = b."""
+        when a = b. It is compose_range's memo entry, so the arcs out of
+        one slot extend each other to the right; arcs_into gives those
+        into one slot by extension to the left."""
         a %= self.n
         return self.compose_range(a, a + (b - a) % self.n - 1)
+
+    def arcs_into(self, b):
+        """{a: arc(a, b)} for every slot a, built as one chain by left
+        extension, arc(a, b) = d^a arc(a + 1, b): n - 2 products where
+        an arc built from each start costs O(n^2). An arc of length 1 is
+        the map d^{b-1} itself. Every arc goes into compose_range's memo
+        under its own key."""
+        n = self.n
+        b %= n
+        out = {b: self.arc(b, b)}
+        prev = None
+        for length in range(1, n):
+            a = (b - length) % n
+            key = (a, a + length - 1)
+            cur = self._ranges.get(key)
+            if cur is None:
+                cur = self.maps[a] if prev is None else self.maps[a].then(prev)
+                self._ranges[key] = cur
+            out[a] = prev = cur
+        return out
 
     def rotation_defects(self):
         """Indices i where the rotated composite through slot i is not omega*I."""

@@ -6,13 +6,18 @@ twist -1 and shape r_i(X) x r_{i+1}(Y) for i < n-1, and h^{n-1} has twist
 to the morphism it bounds; f is p-null-homotopic when it lies in the
 image of that linear map.
 
-Every map here is built from arcs: d^{a -> b}, the composite of the
-maps of a factorization from slot a forward to slot b around the cycle
-(Factorization.arc, one memoized compose_range), through the twisted
-last map when the arc passes it. f^i sums d_X^{i -> j} h^j
-d_Y^{j+1 -> i} over j; a morphism into theta^i is sigma^{-w}(d_X^{j -> i-1}
-lambda) at slot j, w the arc's twist; and the counit out of
-theta^i(A^{r_i Y}) is d_Y^{i -> j} at slot j.
+Every map here is stated through arcs: d^{a -> b}, the composite of the
+maps of a factorization from slot a forward to slot b around the cycle,
+through the twisted last map when the arc passes it. f^i sums
+d_X^{i -> j} h^j d_Y^{j+1 -> i} over j; a morphism into theta^i is
+sigma^{-w}(d_X^{j -> i-1} lambda) at slot j, w the arc's twist; and the
+counit out of theta^i(A^{r_i Y}) is d_Y^{i -> j} at slot j. Arcs are
+kept in each factorization's compose_range memo: those out of one slot
+are one chain of right extensions (Factorization.arc), those into one
+slot one chain of left extensions (Factorization.arcs_into), and the
+deciders' maps and HomSpace read both kinds at slot n-1.
+reconstruct_from_witness builds no arc: it evaluates the sum as nested
+sums of products by single maps.
 
 Two independent deciders are provided. is_p_null_homotopic solves the
 reconstruction formula for the witness directly. factors_through_trivials
@@ -48,7 +53,8 @@ and the trivial-factorization maps (_lambda_image) without building a
 trivial_hom, counit or theta per block. The engine only solves. Every
 positive answer is rebuilt in full from the solution and compared bit for bit with f: a
 witness through reconstruct_from_witness, a factorization by composing
-it with the counit.
+it with the counit, which with the trivial sum is built only then, so a
+negative never builds them.
 
 stable_hom reads stable Hom off the same component modulo omega: the
 HomSpace of those of morphisms modulo the _residue_rows of the witness
@@ -102,22 +108,47 @@ def witness_to_json(w):
 
 
 def reconstruct_from_witness(x, y, w):
-    """The morphism bounded by w; each summand is a twisted composite.
+    """The morphism bounded by w, every component rebuilt in full.
 
     f^i = sum_j d_X^{i -> j} h^j d_Y^{j+1 -> i}, where d^{a -> b} is the
     arc of maps from slot a forward to slot b (Factorization.arc, the
     identity when a = b mod n); every term balances to twist 0.
+
+    The sum is evaluated as nested sums of products by single maps, and
+    no arc of x or y is built. First, for each nonzero h^j, its tails
+    h^j d_Y^{j+1} ... d_Y^{j+l}, l < n, one map at a time; the tail
+    landing in slot i is h^j d_Y^{j+1 -> i}. Then, with tail_j that tail
+    for the slot i at hand,
+    f^i = tail_i + d_X^i (tail_{i+1} + d_X^{i+1} (... + d_X^{i+n-2} tail_{i+n-1})),
+    innermost first. Composites are associative and `then` adds twists,
+    so each nested sum equals the arc form term by term, and `add`
+    raises if two summands disagree in twist. This is still a full
+    rebuild of every component from w, not a solve or a check of one
+    slot: callers compare its output with f bit for bit, and that
+    comparison is what verifies a witness.
     """
     check_witness(x, y, w)
+    n = x.n
+    tails = []
+    for j, h in enumerate(w):
+        chain = None
+        if not h.is_zero():
+            chain = [h]
+            for l in range(1, n):
+                chain.append(chain[-1].then(y.maps[(j + l) % n]))
+        tails.append(chain)
     comps = []
-    for i in range(x.n):
-        acc = TwistedMatrix.zero(x.ring, x.ranks[i], y.ranks[i], 0)
-        for j, h in enumerate(w):
-            if not h.is_zero():
-                term = x.arc(i, j).then(h).then(y.arc(j + 1, i))
-                assert term.twist == 0
-                acc = acc.add(term)
-        comps.append(acc)
+    for i in range(n):
+        acc = None
+        for k in range(n - 1, -1, -1):
+            j = (i + k) % n
+            if acc is not None:
+                acc = x.maps[j].then(acc)
+            if tails[j] is not None:
+                tail = tails[j][n - 1 - k]
+                acc = tail if acc is None else tail.add(acc)
+        comps.append(TwistedMatrix.zero(x.ring, x.ranks[i], y.ranks[i], 0)
+                     if acc is None else acc)
     return Morphism(x, y, comps)
 
 
@@ -302,9 +333,10 @@ def _witness_image(x, y, slots):
     each j.
     """
     last = x.n - 1
+    into = y.arcs_into(last)
     terms = []
     for j, (_, _, t) in enumerate(witness_shapes(x, y)):
-        left, right = x.arc(last, j), y.arc(j + 1, last)
+        left, right = x.arc(last, j), into[(j + 1) % x.n]
         terms.append([(last, left.sigma_entries(t + right.twist).m, right.m,
                        right.twist)])
     return term_image(x.ring, [(last, x.ranks[last], y.ranks[last])], terms, slots)
@@ -425,10 +457,11 @@ def _lambda_image(x, y, indices, slots):
     that arc, as in trivial_hom, and R = d_Y^{i -> n-1}, as in
     trivial_counit."""
     last = x.n - 1
+    into = y.arcs_into(last)
     terms = {}
     for i in indices:
         left = x.arc(last, i - 1)
-        terms[i] = [(last, left.sigma_entries(-left.twist).m, y.arc(i, last).m,
+        terms[i] = [(last, left.sigma_entries(-left.twist).m, into[i].m,
                      -left.twist)]
     return term_image(x.ring, [(last, x.ranks[last], y.ranks[last])], terms, slots)
 
@@ -455,11 +488,11 @@ def _factors_through(f, indices):
     of trivial_sum_counit(y, indices). indices starts at 0, so the i = 0
     parameter block, which acts as h^{n-1}, is the engine's top."""
     x, y = f.source, f.target
-    t, eps = trivial_sum_counit(y, indices)
     slots = _lambda_slots(x, y, indices)
     coeffs = _solve(f, len(slots), _lambda_image(x, y, indices, slots), 0)
     if coeffs is None:
         return TrivialFactorization(False)
+    t, eps = trivial_sum_counit(y, indices)
     g = _lambda_morphism(x, y, t, indices, slots, coeffs)
     if not _rebuilds(f, g.is_valid() and g.then(eps) == f, "factorization"):
         return TrivialFactorization(False)
@@ -516,7 +549,8 @@ class HomSpace:
         self.ring = ring
         last = x.n - 1
         slots = block_slots([(last, x.ranks[last], y.ranks[last])])
-        terms = {last: [(j, x.arc(j, last).m, y.arc(last, j).m, 0) for j in range(last)]}
+        into = x.arcs_into(last)
+        terms = {last: [(j, into[j].m, y.arc(last, j).m, 0) for j in range(last)]}
         image = term_image(ring, [(j, x.ranks[j], y.ranks[j]) for j in range(last)],
                            terms, slots)
         self.basis = kmat_nullspace(ring.field, _residue_rows(ring, len(slots), image))
@@ -536,10 +570,11 @@ class HomSpace:
         residues in the span of basis."""
         x, y, ring = self.x, self.y, self.ring
         last = x.n - 1
+        x_into, y_into = x.arcs_into(last), y.arcs_into(last)
         comps = []
         for j in range(last):
-            rhs = mat_mul(ring, x.arc(j, last).m, top, (x.ranks[j], x.ranks[last], y.ranks[last]))
-            g = solve_right(ring, y.arc(j, last).m, rhs)
+            rhs = mat_mul(ring, x_into[j].m, top, (x.ranks[j], x.ranks[last], y.ranks[last]))
+            g = solve_right(ring, y_into[j].m, rhs)
             if g is None:
                 raise ValueError("the top component does not extend to a morphism")
             comps.append(g)

@@ -56,6 +56,14 @@ class TwistedMatrix:
         """omega * I at twist 1, the canonical endomorphism of A^n into its twist."""
         return TwistedMatrix.scalar(ring, n, ring.omega, 1)
 
+    @staticmethod
+    def _wrap(ring, entries, twist, rows, cols):
+        """A matrix that takes entries as they are: fresh trimmed lists,
+        as mat_mul, ring.add and ring.sub make, which need no copy."""
+        out = object.__new__(TwistedMatrix)
+        out.ring, out.m, out.twist, out.rows, out.cols = ring, entries, twist, rows, cols
+        return out
+
     # -- structure --
 
     def copy(self):
@@ -82,13 +90,13 @@ class TwistedMatrix:
         self._check_shape(other)
         r = self.ring
         m = [[r.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.m, other.m)]
-        return TwistedMatrix(r, m, self.twist, self.rows, self.cols)
+        return TwistedMatrix._wrap(r, m, self.twist, self.rows, self.cols)
 
     def sub(self, other):
         self._check_shape(other)
         r = self.ring
         m = [[r.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.m, other.m)]
-        return TwistedMatrix(r, m, self.twist, self.rows, self.cols)
+        return TwistedMatrix._wrap(r, m, self.twist, self.rows, self.cols)
 
     def neg(self):
         r = self.ring
@@ -114,15 +122,18 @@ class TwistedMatrix:
 
     def then(self, other):
         """Composite: self first, then other. Twists add."""
-        if self.ring != other.ring:
+        ring = self.ring
+        if ring is not other.ring and ring != other.ring:
             raise ValueError("composite across different rings")
         if self.cols != other.rows:
             raise ValueError("composite shape mismatch: %dx%d then %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        left = self.sigma_entries(other.twist).m if other.twist else self.m
-        prod = mat_mul(self.ring, left, other.m, (self.rows, self.cols, other.cols))
-        return TwistedMatrix(self.ring, prod, self.twist + other.twist,
-                             self.rows, other.cols)
+        # sigma is the identity when the ring's auto_power is 0
+        twisted = other.twist and ring.auto_power
+        left = self.sigma_entries(other.twist).m if twisted else self.m
+        prod = mat_mul(ring, left, other.m, (self.rows, self.cols, other.cols))
+        return TwistedMatrix._wrap(ring, prod, self.twist + other.twist,
+                                   self.rows, other.cols)
 
     def apply(self, vec):
         """Image of a row vector: sigma^twist(vec) * M."""

@@ -86,13 +86,9 @@ class BaseRing:
         return [self.field.zero] * d + [self.field.one]
 
     def add(self, f, g):
-        n = max(len(f), len(g))
-        fld = self.field
-        out = []
-        for i in range(n):
-            a = f[i] if i < len(f) else fld.zero
-            b = g[i] if i < len(g) else fld.zero
-            out.append(fld.add(a, b))
+        out = list(map(self.field.add, f, g))
+        n = len(out)
+        out += f[n:] if len(f) > n else g[n:]
         return self.trim(out)
 
     def sub(self, f, g):
@@ -114,12 +110,21 @@ class BaseRing:
         fld = self.field
         s = self.sigma_power
         out = [fld.zero] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            if fld.is_zero(a):
-                continue
-            for j, b in enumerate(g):
-                bb = fld.frob(b, s * i) if s else b
-                out[i + j] = fld.add(out[i + j], fld.mul(a, bb))
+        # binding fld.add and fld.mul to locals, or twisting g by a
+        # comprehension, is slower at the few coefficients polynomials
+        # here have: Python 3.11 already calls fld.add without a bound method
+        if s:
+            for i, a in enumerate(f):
+                if fld.is_zero(a):
+                    continue
+                for j, b in enumerate(g, i):
+                    out[j] = fld.add(out[j], fld.mul(a, fld.frob(b, s * i)))
+        else:
+            for i, a in enumerate(f):
+                if fld.is_zero(a):
+                    continue
+                for j, b in enumerate(g, i):
+                    out[j] = fld.add(out[j], fld.mul(a, b))
         return self.trim(out)
 
     def scale(self, c, f):
@@ -129,8 +134,10 @@ class BaseRing:
         return self.trim([self.field.mul(c, a) for a in f])
 
     def apply_sigma(self, f, power=1):
-        """The automorphism induced by omega, applied power times (power may be negative)."""
-        if self.commutative or not f:
+        """The automorphism induced by omega, applied power times (power may be negative).
+        It is the identity when auto_power is 0: on every commutative ring,
+        and on a skew ring when sigma_power deg(omega) is a multiple of e."""
+        if not self.auto_power or not f:
             return list(f)
         k = self.auto_power * power
         fld = self.field

@@ -109,6 +109,28 @@ def test_compose_range_is_the_fold_of_the_maps_around_the_cycle():
                     assert x.arc(a, b) == want, (a, b)
 
 
+def test_arcs_into_a_slot_are_the_arcs_and_fill_the_memo():
+    # arcs_into(b) extends to the left; its arcs, those through the
+    # twisted last map included, are compose_range's arc(a, b), its arc of
+    # length 1 is the map itself, and afterwards compose_range reads equal
+    # matrices from the memo it filled
+    rng = random.Random(24)
+    for ring in rg.default_instances():
+        for n in range(1, 6):
+            x = rg.random_object(ring, rng, n, max_rank=2)
+            fresh = Factorization(ring, x.ranks, x.maps)
+            for b in range(n):
+                into = fresh.arcs_into(b)
+                assert sorted(into) == list(range(n))
+                for a in range(n):
+                    assert into[a] == x.arc(a, b), (a, b)
+                if n > 1:
+                    assert into[(b - 1) % n] is fresh.maps[(b - 1) % n]
+            for i in range(n + 1):
+                for j in range(i - 1, i + n):
+                    assert fresh.compose_range(i, j) == _fold(x, i, j), (i, j)
+
+
 def test_shift_power_reduces_by_the_period():
     # shift^(n e) is the identity, e the degree of the field over its prime
     # field; shift_power reduces its exponent by that period, so a huge

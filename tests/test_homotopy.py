@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -27,6 +29,48 @@ def test_reconstructed_morphisms_are_valid():
             w = ho.random_witness(rng, X, Y, 2)
             f = ho.reconstruct_from_witness(X, Y, w)
             f.assert_valid()
+
+
+def _walk(x, a, b):
+    # the arc from slot a forward to slot b, one map at a time
+    out = TwistedMatrix.identity(x.ring, x.ranks[a % x.n], 0)
+    while a % x.n != b % x.n:
+        out = out.then(x.maps[a % x.n])
+        a += 1
+    return out
+
+
+def _term_by_term(x, y, w):
+    # the reconstruction formula as written, f^i = sum_j d_X^{i -> j} h^j
+    # d_Y^{j+1 -> i}, with arcs walked here rather than read from a memo
+    comps = []
+    for i in range(x.n):
+        acc = TwistedMatrix.zero(x.ring, x.ranks[i], y.ranks[i], 0)
+        for j, h in enumerate(w):
+            acc = acc.add(_walk(x, i, j).then(h).then(_walk(y, j + 1, i)))
+        comps.append(acc)
+    return Morphism(x, y, comps)
+
+
+def test_nested_rebuild_equals_the_term_by_term_sum():
+    # every stock ring (F_4 x has sigma != id, so the twists matter),
+    # folds 1-6, ranks <= 2: a full random witness, one with about half
+    # its components zero, and one with a single nonzero component
+    rng2 = random.Random(51)
+    for ring in rg.default_instances():
+        for n in range(1, 7):
+            x = rg.random_object(ring, rng2, n, max_rank=2)
+            y = rg.random_object(ring, rng2, n, max_rank=2)
+            keep = rng2.randrange(n)
+            for zero in (lambda j: False, lambda j: rng2.random() < 0.5,
+                         lambda j: j != keep):
+                w = ho.random_witness(rng2, x, y, 2)
+                w = [TwistedMatrix.zero(ring, h.rows, h.cols, h.twist) if zero(j) else h
+                     for j, h in enumerate(w)]
+                f = ho.reconstruct_from_witness(x, y, w)
+                want = _term_by_term(x, y, w)
+                assert f == want, (ring, n)
+                assert f.to_json() == want.to_json()
 
 
 def test_two_fold_closed_form():
@@ -502,6 +546,60 @@ def test_theta0_factorization_is_the_one_block_trivial_sum():
                 assert t.factors and t.g.then(t.counit) == f
                 assert t.through == theta(ring, n, 0, y.ranks[0])
                 assert t.counit == ho.trivial_counit(y, 0)
+
+
+def test_trivial_sum_is_built_only_for_positives(monkeypatch):
+    # a negative is decided before any trivial sum or counit is built
+    def refuse(*args):
+        raise AssertionError("a negative built the trivial sum")
+
+    rng2 = random.Random(53)
+    negatives = [Morphism.identity(XSneg)]
+    for ring in [r for r in rg.default_instances() if r.commutative]:
+        for n in (2, 3):
+            try:
+                negatives.append(Morphism.identity(
+                    rg.random_nonzero_object(ring, rng2, n, max_rank=2)))
+            except ValueError:
+                pass  # squarefree omega: no stably nonzero object
+    assert len(negatives) > 10
+    with monkeypatch.context() as mp:
+        mp.setattr(ho, "trivial_sum_counit", refuse)
+        for f in negatives:
+            assert not ho.factors_through_trivials(f)
+            assert not ho.factors_through_theta0(f)
+    # positives keep their bytes (g, counit and trivial ranks); the digest
+    # was recorded when the trivial sum was still built before the solve
+    rng2 = random.Random(59)
+    blobs = []
+    for ring in rg.default_instances():
+        for n in (1, 2, 3, 4):
+            x = rg.random_object(ring, rng2, n, max_rank=2)
+            y = rg.random_object(ring, rng2, n, max_rank=2)
+            null, _ = rg.random_null_morphism(rng2, x, y)
+            for decide in (ho.factors_through_trivials, ho.factors_through_theta0):
+                blobs.append(json.dumps(decide(null).to_json(), sort_keys=True))
+    assert sum('"into_trivial_sum"' in b for b in blobs) == 61
+    assert hashlib.sha256("\n".join(blobs).encode()).hexdigest() == (
+        "ac75006f67466849f96da4745baad088d3b9b7507f8b13f61e0f4f58cd9d19d3")
+
+
+def test_rebuild_and_witness_image_build_few_arcs():
+    # work counted, not timed, on a fresh fold-6 pair: the rebuild builds
+    # no arc of either object, and the witness map reads its arcs out of
+    # and into slot n-1 as one chain each, n memo entries per object where
+    # an arc built from each start adds n (n - 1) / 2 + 1 to y's memo
+    rng2 = random.Random(61)
+    n = 6
+    for ring in rg.default_instances():
+        x, y = (rg.random_object(ring, rng2, n, max_rank=2) for _ in range(2))
+        x = Factorization(ring, x.ranks, x.maps)
+        y = Factorization(ring, y.ranks, y.maps)
+        ho.reconstruct_from_witness(x, y, ho.random_witness(rng2, x, y, 2))
+        assert not x._ranges and not y._ranges
+        ho._witness_image(x, y, ho._witness_slots(x, y))
+        assert 0 < len(x._ranges) <= 2 * (n - 1)
+        assert 0 < len(y._ranges) <= 2 * (n - 1)
 
 
 def test_non_morphism_is_not_null_on_every_engine():
