@@ -191,7 +191,7 @@ def cmd_stable_hom(args):
     ring = _maybe_ring(args)
     x = _factorization(jsonio.load_factorization(args.path_x, ring),
                        args.path_x)
-    y = _factorization(jsonio.load_factorization(args.path_y, ring or x.ring),
+    y = _factorization(jsonio.load_factorization(args.path_y, ring),
                        args.path_y)
     if x.ring != y.ring:
         raise jsonio.InputError("the two objects live over different rings")

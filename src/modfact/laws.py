@@ -3,10 +3,12 @@
 Each suite draws its cases from its own generator seeded by the scenario
 seed and the suite name, checks bit-exact identities, and reports the
 case count plus any failures, so a report is fully determined by the
-scenario.  Suites needing commutative-only machinery (Smith forms and the
-certificates built on them, stable Hom, projective chain factoring) are
-skipped with a reason on skew scenarios; an applicable suite that runs
-zero cases fails the whole run.
+scenario.  Every suite runs on every ring.  On a skew ring a suite that
+reaches commutative-only machinery (Smith forms, lift, projective chain
+factoring) raises UnsupportedRingError, and the run reports it skipped
+with a reason and without its partial cases; on a commutative ring that
+error is a bug and propagates.  A suite that runs zero cases fails the
+whole run.
 """
 
 import random
@@ -22,12 +24,12 @@ from .factorizations import (Factorization, Morphism, theta, theta_morphism,
                              top_transport, top_transport_back,
                              omega_morphism)
 from .homotopy import (is_p_null_homotopic, factors_through_trivials,
-                       reconstruct_from_witness, check_witness,
-                       stable_hom)
+                       reconstruct_from_witness, stable_hom)
 from .matrixring import phi, phi_morphism, psi, psi_morphism, validate_gamma
 from .chains import (cok0, cok0_morphism, chain_is_mono, lift, chain_iso,
                      faithfulness_report)
 from .recollement import face0_pair, top_pair, pr0_pair, recollement
+from .rings import UnsupportedRingError
 from . import randomgen as rg
 
 
@@ -82,15 +84,15 @@ class SuiteReport:
 _REGISTRY = []
 
 
-def _suite(name, commutative_only=False):
+def _suite(name):
     def deco(fn):
-        _REGISTRY.append((name, fn, commutative_only))
+        _REGISTRY.append((name, fn))
         return fn
     return deco
 
 
 def suite_names():
-    return sorted(name for name, _, _ in _REGISTRY)
+    return sorted(name for name, _ in _REGISTRY)
 
 
 def _folds(sc, low=1):
@@ -369,7 +371,7 @@ def _adjunction(sc, rng, rep):
 
 # ---------------------------------------------------------------------------
 
-@_suite("homotopy-oracle", commutative_only=True)
+@_suite("homotopy-oracle")
 def _homotopy_oracle(sc, rng, rep):
     budget = sc.cases
     pos = max(1, budget // 3)
@@ -392,8 +394,8 @@ def _homotopy_oracle(sc, rng, rep):
         try:
             x = rg.random_nonzero_object(sc.ring, rng, n, sc.max_rank,
                                          sc.max_deg)
-        except ValueError:
-            rep.case(True, "no certified objects at this omega")
+        except ValueError:  # squarefree omega, or a skew ring
+            rep.case(True, "no certified objects on this ring")
             continue
         ident = Morphism.identity(x)
         rep.case(not is_p_null_homotopic(ident).null,
@@ -495,7 +497,7 @@ def _cokernel_chain(sc, rng, rep):
 
 # ---------------------------------------------------------------------------
 
-@_suite("chain-lift", commutative_only=True)
+@_suite("chain-lift")
 def _chain_lift(sc, rng, rep):
     ring = sc.ring
     for _ in range(sc.cases):
@@ -515,7 +517,7 @@ def _chain_lift(sc, rng, rep):
 
 # ---------------------------------------------------------------------------
 
-@_suite("cokernel-faithful", commutative_only=True)
+@_suite("cokernel-faithful")
 def _cokernel_faithful(sc, rng, rep):
     for _ in range(sc.cases):
         n = rng.choice(_folds(sc, low=2))
@@ -525,13 +527,14 @@ def _cokernel_faithful(sc, rng, rep):
         report = faithfulness_report(f)
         rep.case(report["zero_agree"],
                  "zero cokernel matches factoring through the slot-0 trivial")
-        rep.case(report["null_agree"],
-                 "projective chain factoring matches the homotopy oracle")
+        if "null_agree" in report:
+            rep.case(report["null_agree"],
+                     "projective chain factoring matches the homotopy oracle")
 
 
 # ---------------------------------------------------------------------------
 
-@_suite("classical-sanity", commutative_only=True)
+@_suite("classical-sanity")
 def _classical_sanity(sc, rng, rep):
     ring = sc.ring
     d = ring.omega_deg
@@ -547,9 +550,13 @@ def _classical_sanity(sc, rng, rep):
             for rest in compositions(total - first, parts - 1):
                 yield (first,) + rest
 
-    for n in _folds(sc, low=2):
-        if n > d + 2:
-            continue
+    folds = _folds(sc, low=2)
+    reach = [n for n in folds if n <= d + 2]
+    if not reach:
+        rep.skipped = ("no requested fold (%s) is within deg omega + 2 = %d"
+                       % (", ".join(map(str, folds)), d + 2))
+        return
+    for n in reach:
         for comp in compositions(d, n):
             maps = []
             for i, a in enumerate(comp):
@@ -578,7 +585,7 @@ def _classical_sanity(sc, rng, rep):
 
 # ---------------------------------------------------------------------------
 
-@_suite("stable-face", commutative_only=True)
+@_suite("stable-face")
 def _stable_face(sc, rng, rep):
     ring = sc.ring
     for _ in range(sc.cases):
@@ -591,8 +598,8 @@ def _stable_face(sc, rng, rep):
                      "faces preserve null morphisms (i=%d)" % i)
         try:
             z = rg.random_nonzero_object(ring, rng, n, sc.max_rank, sc.max_deg)
-        except ValueError:
-            rep.case(True, "no certified objects at this omega")
+        except ValueError:  # squarefree omega, or a skew ring
+            rep.case(True, "no certified objects on this ring")
             continue
         ident = Morphism.identity(z)
         rep.case(not is_p_null_homotopic(
@@ -631,48 +638,24 @@ def _recollement(sc, rng, rep):
 
 # ---------------------------------------------------------------------------
 
-@_suite("skew-soundness")
-def _skew_soundness(sc, rng, rep):
-    ring = sc.ring
-    if ring.commutative:
-        rep.skipped = "covered by the exact suites on commutative rings"
-        return
-    for _ in range(sc.cases):
-        n = rng.choice(_folds(sc))
-        x = _obj(sc, rng, n)
-        rep.case(x.is_valid(), "rotation identities hold")
-        y = _obj(sc, rng, n)
-        f, w = rg.random_null_morphism(rng, x, y, sc.max_deg)
-        rep.case(check_witness(x, y, w), "constructed witness verifies")
-        v = is_p_null_homotopic(f)
-        ok = bool(v.null) and reconstruct_from_witness(x, y, v.witness) == f
-        rep.case(ok, "the mod-omega decider returns an exactly verifying witness")
-        vz = is_p_null_homotopic(Morphism.zero(x, y))
-        rep.case(bool(vz.null), "zero morphism is null")
-
-
-# ---------------------------------------------------------------------------
-
 def run_suites(sc, names=None):
     """Run the selected suites (default: all) and return the report."""
-    chosen = []
-    known = {name for name, _, _ in _REGISTRY}
     if names:
-        missing = sorted(set(names) - known)
+        missing = sorted(set(names) - set(suite_names()))
         if missing:
             raise ValueError("unknown suites: %s" % ", ".join(missing))
-    for name, fn, commutative_only in sorted(_REGISTRY):
+    suites = []
+    for name, fn in sorted(_REGISTRY):
         if names and name not in names:
             continue
-        chosen.append((name, fn, commutative_only))
-    suites = []
-    for name, fn, commutative_only in chosen:
         rep = SuiteReport(name)
-        if commutative_only and not sc.ring.commutative:
+        try:
+            fn(sc, random.Random("%s:%s" % (sc.seed, name)), rep)
+        except UnsupportedRingError:
+            if sc.ring.commutative:
+                raise
+            rep = SuiteReport(name)
             rep.skipped = "needs a commutative base ring"
-        else:
-            rng = random.Random("%s:%s" % (sc.seed, name))
-            fn(sc, rng, rep)
         suites.append(rep)
     return {
         "scenario": sc.to_json(),

@@ -8,7 +8,8 @@ factorization axioms downstream are stated through this one rule.
 The raw helpers at the bottom (hermite_form, solve_right, smith_form)
 work on bare coefficient-list matrices. Hermite reduction only
 uses left row operations and right division of entries, so it is valid
-over the skew instances as well; Smith form asserts commutativity.
+over the skew instances as well; Smith form raises UnsupportedRingError
+there.
 term_image assembles every A-linear system that the homotopy deciders,
 HomSpace, stable_hom and the chain-map space of chains.py solve: each is
 a sum of terms L sigma^t(X_k) R in unknown blocks X_k, built entry by
@@ -16,6 +17,7 @@ entry as outer products.
 """
 
 from .fields import json_int
+from .rings import UnsupportedRingError
 
 
 class TwistedMatrix:
@@ -374,7 +376,7 @@ def smith_form(ring, mat):
     divisibility order on the diagonal. Commutative only.
     """
     if not ring.commutative:
-        raise ValueError("smith form requires the commutative case")
+        raise UnsupportedRingError("smith form requires the commutative case")
     d = mat_copy(mat)
     rows = len(d)
     cols = len(d[0]) if d else 0

@@ -112,10 +112,6 @@ class GammaMorphism:
             if g.twist != 0 or (g.rows, g.cols) != (source.ranks[t], target.ranks[t]):
                 raise ValueError("component %d has the wrong shape" % (t + 1))
 
-    def __eq__(self, other):
-        return (isinstance(other, GammaMorphism) and self.source == other.source
-                and self.target == other.target and self.components == other.components)
-
     def defects(self):
         """Off-diagonal spots whose structure square fails; below the
         diagonal the component acts through sigma (the omega twist)."""
@@ -131,19 +127,6 @@ class GammaMorphism:
             if lhs != rhs:
                 bad.append((i, j))
         return sorted(bad)
-
-    def is_valid(self):
-        return not self.defects()
-
-    def to_json(self):
-        return {"components": [g.to_json() for g in self.components]}
-
-    @staticmethod
-    def from_json(source, target, data):
-        if "components" not in data:
-            raise ValueError("gamma morphism object is missing 'components'")
-        comps = [TwistedMatrix.from_json(source.ring, d) for d in data["components"]]
-        return GammaMorphism(source, target, comps)
 
 
 def phi(x):

@@ -216,11 +216,10 @@ def test_skew_rings_are_sound():
         for _ in range(15):
             x = rg.random_object(ring, rng, rng.choice((1, 2, 3)), max_rank=2)
             assert x.is_valid()
+    # every suite runs on the skew rings; only those needing Smith forms
+    # or lift report a skip
     total = 0
     for ring in SKEW:
-        total += run_suite_block(
-            ring, ["ring-laws", "functor-laws", "adjunction",
-                   "matrix-module-grid", "omega-division", "recollement",
-                   "skew-soundness"], cases=5, seed=707)
+        total += run_suite_block(ring, None, cases=5, seed=707)
     assert total > 0
-    print("skew soundness checks: %d" % total)
+    print("skew ring checks: %d" % total)

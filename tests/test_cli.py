@@ -270,6 +270,18 @@ def test_stable_hom_refuses_objects_of_different_folds(paths):
     assert (code, out, err) == (3, "", "input error: fold counts differ\n")
 
 
+def test_stable_hom_reads_each_objects_own_ring(paths):
+    # X over Q with x^3, Y over F_5 with x^3: Y is read over its own ring
+    q3, f53 = INST[1], INST[5]
+    rng = random.Random(5)
+    xp, yp = (paths["wj"](name, dict(random_object(r, rng, 2).to_json(),
+                                     ring=r.to_json()))
+              for name, r in (("q3.json", q3), ("f53.json", f53)))
+    code, out, err = run("stable-hom", xp, yp)
+    assert (code, out, err) == (
+        3, "", "input error: the two objects live over different rings\n")
+
+
 def test_stably_zero_both_verdicts(paths):
     z = random_nonzero_object(Q2, paths["rng"], 3)
     zp = paths["wj"]("znz.json", dict(z.to_json(), ring=Q2.to_json()))
@@ -335,6 +347,44 @@ def test_recollement_verb(paths):
     assert code == 3
 
 
+def test_recollement_failure_exits_2_and_names_it(paths, monkeypatch):
+    from modfact.recollement import Recollement
+    monkeypatch.setattr(Recollement, "triangles", lambda self, x, y: False)
+    code, out, err = run("recollement", "3", "1", "--ring", paths["ring"],
+                         "--cases", "2")
+    rep = json.loads(out)
+    assert code == 2 and not rep["passed"]
+    assert rep["failures"] == ["an adjunction triangle identity fails"] * 2
+    assert rep["checks"]["triangles"] == 0
+    assert rep["checks"]["section_identities"] == 2
+
+
+def test_input_error_paths_print_one_line(paths):
+    # each exits 3 with one "input error:" line and nothing on stdout
+    wj, x = paths["wj"], paths["x"]
+    bare = wj("bare.json", x.to_json())
+    badring = wj("badring.json", dict(x.to_json(),
+                                      ring={"field": {"kind": "nope"}}))
+    # the identity of x with its slot-0 component zeroed: squares fail
+    broken = Morphism(x, x, [TwistedMatrix.zero(Q2, x.ranks[0], x.ranks[0])]
+                      + Morphism.identity(x).components[1:])
+    broken = dict(broken.to_json(), source=x.to_json(), target=x.to_json(),
+                  ring=Q2.to_json())
+    cases = [
+        (("cok0", bare), "no ring supplied and none embedded"),
+        (("cok0", badring), "bad embedded ring in %s" % badring),
+        (("functor", "shift", paths["c.json"]),
+         "functors act on factorizations or morphisms, not 'chain'"),
+        (("homotopy-check", wj("broken.json", broken)),
+         "input is not a morphism; squares fail at slots"),
+    ]
+    for argv, want in cases:
+        code, out, err = run(*argv)
+        assert code == 3 and out == "", argv
+        assert err.startswith("input error: ") and err.count("\n") == 1, err
+        assert want in err, (argv, err)
+
+
 def test_laws_reports_are_byte_identical(paths):
     p1 = str(paths["tmp"] / "laws1.json")
     p2 = str(paths["tmp"] / "laws2.json")
@@ -359,6 +409,19 @@ def test_laws_suite_filter(paths):
 def test_laws_default_ring(paths):
     code, out, err = run("laws", "--cases", "2", "--n", "2")
     assert code == 0
+
+
+def test_laws_skips_a_suite_with_no_fold_in_reach(paths):
+    # classical-sanity needs a fold <= deg omega + 2
+    code, out, err = run("laws", "--n", "6", "--suite", "classical-sanity")
+    (rep,) = json.loads(out)["suites"]
+    assert code == 0 and rep["cases"] == 0
+    assert rep["skipped"] == "no requested fold (6) is within deg omega + 2 = 5"
+    code, out, err = run("laws", "--n", "4", "--ring", paths["skew"],
+                         "--cases", "2")
+    assert code == 0, err
+    by = {s["name"]: s for s in json.loads(out)["suites"]}
+    assert "(4)" in by["classical-sanity"]["skipped"]
 
 
 def test_module_entry_point_runs():

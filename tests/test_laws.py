@@ -2,16 +2,13 @@ import json
 
 import pytest
 
-from modfact.fields import RationalField
 from modfact import randomgen as rg
 from modfact.laws import Scenario, run_suites, suite_names
 
 INST = rg.default_instances()
 F5X3 = [r for r in INST[4:8] if r.omega_deg == 3][0]
-QX2 = INST[0]
-QSPLIT = [r for r in INST if isinstance(r.field, RationalField)
-          and list(r.omega) != r.x_power(r.omega_deg)][0]
 SKEW = [r for r in INST if not r.commutative and r.omega_deg == 2][0]
+SKEW_X = [r for r in INST if not r.commutative and r.omega_deg == 1][0]
 
 
 def run_all(ring, cases=5):
@@ -20,14 +17,22 @@ def run_all(ring, cases=5):
     return run_suites(sc)
 
 
-@pytest.mark.parametrize("ring", [F5X3, QX2, QSPLIT, SKEW],
-                         ids=["f5-x3", "q-x2", "q-split", "skew-f4-x2"])
+RING_IDS = ["q-x2", "q-x3", "q-x4", "q-split", "f5-x2", "f5-x3", "f5-x4",
+            "f5-split", "skew-f4-x", "skew-f4-x2"]
+COMMUTATIVE_ONLY = {"chain-lift", "classical-sanity"}
+
+
+@pytest.mark.parametrize("ring", INST, ids=RING_IDS)
 def test_all_suites_pass(ring):
     rep = run_all(ring)
     assert rep["passed"]
     for s in rep["suites"]:
         assert s.get("skipped") or s["cases"] > 0, s["name"]
         assert not s["failures"], (s["name"], s["failures"][:2])
+    # at the default folds only Smith-form and lift suites skip, and only
+    # on the skew rings
+    skipped = {s["name"] for s in rep["suites"] if s.get("skipped")}
+    assert skipped == (set() if ring.commutative else COMMUTATIVE_ONLY)
 
 
 def test_reports_are_deterministic():
@@ -37,19 +42,36 @@ def test_reports_are_deterministic():
 
 
 def test_skew_ring_skips_commutative_suites():
-    rep = run_all(SKEW, cases=3)
-    by = {s["name"]: s for s in rep["suites"]}
-    assert by["homotopy-oracle"].get("skipped")
-    assert by["chain-lift"].get("skipped")
-    assert not by["skew-soundness"].get("skipped")
-    assert by["skew-soundness"]["cases"] > 0
+    # the skips come from the UnsupportedRingError a suite raises; partial
+    # cases are dropped with it
+    for ring in (SKEW, SKEW_X):
+        by = {s["name"]: s for s in run_all(ring, cases=3)["suites"]}
+        for name in COMMUTATIVE_ONLY:
+            assert by[name] == {"name": name, "cases": 0, "failures": [],
+                                "passed": True,
+                                "skipped": "needs a commutative base ring"}
+        for name in ("homotopy-oracle", "stable-face", "cokernel-faithful"):
+            assert not by[name].get("skipped") and by[name]["cases"] > 0
 
 
-def test_commutative_ring_skips_skew_suite():
+def test_commutative_ring_skips_no_suite(monkeypatch):
+    # on a commutative ring an UnsupportedRingError is a bug, not a skip
+    from modfact import laws
+    from modfact.rings import UnsupportedRingError
     rep = run_all(F5X3, cases=3)
-    by = {s["name"]: s for s in rep["suites"]}
-    assert by["skew-soundness"].get("skipped")
-    assert not by["homotopy-oracle"].get("skipped")
+    assert not any(s.get("skipped") for s in rep["suites"])
+
+    def unsupported(sc, rng, rep):
+        rep.case(True)
+        raise UnsupportedRingError("boom")
+
+    monkeypatch.setattr(laws, "_REGISTRY",
+                        [(n, unsupported if n == "ring-laws" else fn)
+                         for n, fn in laws._REGISTRY])
+    with pytest.raises(UnsupportedRingError, match="boom"):
+        run_suites(Scenario(F5X3, cases=1), names=["ring-laws"])
+    (s,) = run_suites(Scenario(SKEW, cases=1), names=["ring-laws"])["suites"]
+    assert s["skipped"] == "needs a commutative base ring" and s["cases"] == 0
 
 
 def test_unknown_suite_name_raises():
@@ -66,12 +88,11 @@ def test_scenario_refuses_empty_sampling_bounds():
 
 
 def test_suite_registry_has_expected_members():
-    names = suite_names()
-    for want in ["ring-laws", "functor-laws", "adjunction", "homotopy-oracle",
-                 "matrix-module-grid", "omega-division", "cokernel-chain",
-                 "chain-lift", "cokernel-faithful", "classical-sanity",
-                 "stable-face", "recollement", "skew-soundness"]:
-        assert want in names
+    assert suite_names() == [
+        "adjunction", "chain-lift", "classical-sanity", "cokernel-chain",
+        "cokernel-faithful", "functor-laws", "homotopy-oracle",
+        "matrix-module-grid", "omega-division", "recollement", "ring-laws",
+        "stable-face"]
 
 
 def test_omega_scaling_check_runs_on_skew_rings(monkeypatch):
