@@ -38,6 +38,8 @@ class Factorization:
         self._ranges = {}
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, Factorization) and self.ring == other.ring
                 and self.ranks == other.ranks and self.maps == other.maps)
 
@@ -435,10 +437,8 @@ def summand_inclusion(parts, t):
     comps = []
     for i in range(total.n):
         before = sum(p.ranks[i] for p in parts[:t])
-        block = TwistedMatrix.zero(ring, parts[t].ranks[i], total.ranks[i], 0)
-        m = block.m
-        for a in range(parts[t].ranks[i]):
-            m[a][before + a] = list(ring.one)
+        m = [[list(ring.one) if b == before + a else [] for b in range(total.ranks[i])]
+             for a in range(parts[t].ranks[i])]
         comps.append(TwistedMatrix(ring, m, 0, parts[t].ranks[i], total.ranks[i]))
     return Morphism(parts[t], total, comps)
 
@@ -449,10 +449,8 @@ def summand_projection(parts, t):
     comps = []
     for i in range(total.n):
         before = sum(p.ranks[i] for p in parts[:t])
-        block = TwistedMatrix.zero(ring, total.ranks[i], parts[t].ranks[i], 0)
-        m = block.m
-        for a in range(parts[t].ranks[i]):
-            m[before + a][a] = list(ring.one)
+        m = [[list(ring.one) if a == before + b else [] for b in range(parts[t].ranks[i])]
+             for a in range(total.ranks[i])]
         comps.append(TwistedMatrix(ring, m, 0, total.ranks[i], parts[t].ranks[i]))
     return Morphism(total, parts[t], comps)
 

@@ -212,9 +212,11 @@ class TrivialFactorization:
 
 def _residue(ring, p):
     """The deg omega coefficients of p modulo omega, zeros included: a
-    truncation when omega = c x^m, since c x^m A has no term below x^m."""
+    truncation when omega = c x^m, since c x^m A has no term below x^m.
+    Any other omega divides only a p of degree deg omega or more; a p of
+    lower degree is its own residue."""
     m = ring.omega_deg
-    if not ring.omega_monomial:
+    if len(p) > m and not ring.omega_monomial:
         p = ring.right_quo_rem(p, ring.omega)[1]
     return p[:m] + [ring.field.zero] * (m - len(p))
 
@@ -348,7 +350,8 @@ def _witness_from_coeffs(x, y, slots, coeffs):
     mats = [[[[] for _ in range(c)] for _ in range(r)] for r, c, _ in shapes]
     for (j, a, b), poly in zip(slots, coeffs):
         mats[j][a][b] = poly
-    return [TwistedMatrix(ring, m, t, rows=r, cols=c)
+    # the coefficients are fresh trimmed lists, owned by the witness
+    return [TwistedMatrix._wrap(ring, m, t, r, c)
             for m, (r, c, t) in zip(mats, shapes)]
 
 

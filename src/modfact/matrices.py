@@ -21,6 +21,17 @@ from .rings import UnsupportedRingError
 
 
 class TwistedMatrix:
+    """The map v |-> sigma^twist(v) * m on row vectors, m a rows x cols
+    grid of polynomials.
+
+    A TwistedMatrix and its entry lists are never mutated after
+    construction, so they may be shared. The constructor, and so copy,
+    copies and trims the entries it is given; identity, zero, add, sub,
+    then and sigma_entries build their grids fresh and take them without
+    a copy (_wrap), and sigma_entries returns self when sigma^power is
+    the identity. Factorization.compose_range memoizes on this contract.
+    """
+
     __slots__ = ("ring", "rows", "cols", "twist", "m")
 
     def __init__(self, ring, entries, twist=0, rows=None, cols=None):
@@ -40,13 +51,12 @@ class TwistedMatrix:
 
     @staticmethod
     def identity(ring, n, twist=0):
-        m = [[list(ring.one) if i == j else [] for j in range(n)] for i in range(n)]
-        return TwistedMatrix(ring, m, twist, n, n)
+        return TwistedMatrix._wrap(ring, mat_identity(ring, n), twist, n, n)
 
     @staticmethod
     def zero(ring, rows, cols, twist=0):
-        return TwistedMatrix(ring, [[[] for _ in range(cols)] for _ in range(rows)],
-                             twist, rows, cols)
+        return TwistedMatrix._wrap(ring, [[[] for _ in range(cols)] for _ in range(rows)],
+                                   twist, rows, cols)
 
     @staticmethod
     def scalar(ring, n, poly, twist=0):
@@ -117,10 +127,15 @@ class TwistedMatrix:
                              self.twist, self.rows, self.cols)
 
     def sigma_entries(self, power=1):
-        """Entrywise application of the induced automorphism; twist unchanged."""
+        """Entrywise application of the induced automorphism sigma^power;
+        twist unchanged. When sigma^power is the identity, as on every
+        commutative ring, that is self itself, not a copy."""
         r = self.ring
-        return TwistedMatrix(r, [[r.apply_sigma(e, power) for e in row] for row in self.m],
-                             self.twist, self.rows, self.cols)
+        if not r.auto_power * power % r.field.e:
+            return self
+        return TwistedMatrix._wrap(r, [[r.apply_sigma(e, power) for e in row]
+                                       for row in self.m],
+                                   self.twist, self.rows, self.cols)
 
     def then(self, other):
         """Composite: self first, then other. Twists add."""
@@ -215,7 +230,8 @@ def mat_mul(ring, a, b, shape=None):
             orow = out[i]
             for j in range(cb):
                 if brow[j]:
-                    orow[j] = ring.add(orow[j], ring.mul(f, brow[j]))
+                    prod = ring.mul(f, brow[j])
+                    orow[j] = ring.add(orow[j], prod) if orow[j] else prod
     return out
 
 
@@ -243,13 +259,14 @@ def term_image(ring, outs, terms, slots):
         offsets[o] = (total, cols)
         total += rows * cols
     one = ring.one
+    twisted = ring.auto_power
 
     def image(u, poly):
         k, a, b = slots[u]
         vec = [[]] * total
         for o, left, right, t in terms[k]:
             pos, width = offsets[o]
-            p = ring.apply_sigma(poly, t)
+            p = ring.apply_sigma(poly, t) if twisted else poly
             row = right[b]
             for lrow in left:
                 if lrow[a]:

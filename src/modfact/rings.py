@@ -117,8 +117,10 @@ class BaseRing:
             for i, a in enumerate(f):
                 if fld.is_zero(a):
                     continue
+                # frob^{s i} is the identity when s i = 0 mod e
+                k = s * i % fld.e
                 for j, b in enumerate(g, i):
-                    out[j] = fld.add(out[j], fld.mul(a, fld.frob(b, s * i)))
+                    out[j] = fld.add(out[j], fld.mul(a, fld.frob(b, k) if k else b))
         else:
             for i, a in enumerate(f):
                 if fld.is_zero(a):
@@ -134,9 +136,12 @@ class BaseRing:
         return self.trim([self.field.mul(c, a) for a in f])
 
     def apply_sigma(self, f, power=1):
-        """The automorphism induced by omega, applied power times (power may be negative).
-        It is the identity when auto_power is 0: on every commutative ring,
-        and on a skew ring when sigma_power deg(omega) is a multiple of e."""
+        """The automorphism induced by omega, applied power times (power may
+        be negative), as a new list. It is the identity when auto_power is
+        0: on every commutative ring, and on a skew ring when sigma_power
+        deg(omega) is a multiple of e. Callers on a hot path skip the call,
+        and its copy, there: TwistedMatrix.sigma_entries and
+        matrices.term_image."""
         if not self.auto_power or not f:
             return list(f)
         k = self.auto_power * power

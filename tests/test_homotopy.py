@@ -12,7 +12,8 @@ from modfact.matrices import TwistedMatrix, mat_mul
 from modfact.modules import kmat_rank, kmat_solve
 from modfact import randomgen as rg
 from modfact.factorizations import (Factorization, Morphism, theta, omega_morphism,
-                                    shift_morphism, direct_sum_morphism)
+                                    shift, shift_morphism, face, face_morphism,
+                                    degeneracy, degeneracy_morphism, direct_sum_morphism)
 import modfact.homotopy as ho
 from modfact.fields import ExtensionField, PrimeField
 from modfact.rings import BaseRing
@@ -453,6 +454,99 @@ def test_skew_decisions_divide_only_to_complete(monkeypatch):
                         verdict = bool(decide(f))
                     assert len(calls) == (top if verdict else 0)
                     assert all(g == ring.omega for g in calls)
+
+
+def test_residues_divide_only_above_deg_omega(monkeypatch):
+    # over an omega that is not a monomial, a residue is a division, and
+    # an entry of degree below deg omega is its own residue: no residue
+    # division may see one; the completion still divides each entry of
+    # the top block
+    calls = []
+    inside = []
+    real_quo_rem, real_residue = BaseRing.right_quo_rem, ho._residue
+
+    def counting(self, f, g):
+        calls.append((bool(inside), len(f)))
+        return real_quo_rem(self, f, g)
+
+    def residue(ring, p):
+        inside.append(p)
+        try:
+            return real_residue(ring, p)
+        finally:
+            inside.pop()
+
+    rng2 = random.Random(43)
+    residue_divisions = 0
+    for ring in (ring_q([0, 0, -1, 1]), ring5([0, 0, 4, 1])):
+        assert not ring.omega_monomial
+        for n in (1, 2, 3):
+            x = rg.random_object(ring, rng2, n, max_rank=2)
+            y = rg.random_object(ring, rng2, n, max_rank=2)
+            null, _ = rg.random_null_morphism(rng2, x, y)
+            for f in (null, rg.random_morphism(rng2, x, y), Morphism.identity(x)):
+                top = f.source.ranks[-1] * f.target.ranks[-1]
+                for decide in (ho.is_p_null_homotopic, ho.factors_through_trivials,
+                               ho.factors_through_theta0):
+                    del calls[:]
+                    with monkeypatch.context() as mp:
+                        mp.setattr(BaseRing, "right_quo_rem", counting)
+                        mp.setattr(ho, "_residue", residue)
+                        verdict = bool(decide(f))
+                    assert all(size > ring.omega_deg for within, size in calls if within)
+                    completion = [size for within, size in calls if not within]
+                    assert len(completion) == (top if verdict else 0)
+                    residue_divisions += len(calls) - len(completion)
+    assert residue_divisions > 0
+
+
+def _answers(x, y, f):
+    # the JSON of every decider's and functor's answer on x, y and f
+    out = [ho.is_p_null_homotopic(f).to_json(), ho.factors_through_trivials(f).to_json(),
+           ho.factors_through_theta0(f).to_json()]
+    if x.ring.commutative:
+        out += [ho.stable_hom(x, y).to_json(), ho.stable_hom(x, y, "theta0").to_json()]
+    for z in (x, y):
+        out += [shift(z).to_json(), z.sigma_twist(1).to_json(), z.sigma_twist(-1).to_json()]
+        out += [face(z, i).to_json() for i in range(z.n + 1)]
+        out += [degeneracy(z, i).to_json() for i in range(z.n) if z.n >= 2]
+    out.append(shift_morphism(f).to_json())
+    out += [face_morphism(f, i).to_json() for i in range(f.n + 1)]
+    out += [degeneracy_morphism(f, i).to_json() for i in range(f.n) if f.n >= 2]
+    return out
+
+
+def test_answers_neither_change_nor_share_their_inputs():
+    # matrices and their entry lists are shared, never copied, wherever
+    # that is safe (TwistedMatrix): no decider or functor may change its
+    # inputs, and each answer must be what fresh copies of them give
+    rng2 = random.Random(47)
+    for ring in rg.default_instances():
+        for n in (1, 2, 3, 4):
+            x = rg.random_object(ring, rng2, n, max_rank=2)
+            y = rg.random_object(ring, rng2, n, max_rank=2)
+            null, _ = rg.random_null_morphism(rng2, x, y)
+            for f in (null, rg.random_morphism(rng2, x, y), Morphism.identity(x)):
+                y = f.target
+                before = [x.to_json(), y.to_json(), f.to_json()]
+                answers = _answers(x, y, f)
+                assert [x.to_json(), y.to_json(), f.to_json()] == before
+                fx = Factorization.from_json(ring, before[0])
+                fy = Factorization.from_json(ring, before[1])
+                assert _answers(fx, fy, Morphism.from_json(fx, fy, before[2])) == answers
+
+
+def test_sigma_entries_is_the_matrix_itself_exactly_when_sigma_is_trivial():
+    for ring in _engine_instances():
+        fld = ring.field
+        elems = list(fld.elements()) if fld.card else [fld.from_int(k) for k in range(-2, 3)]
+        m = TwistedMatrix(ring, [[[c], [fld.zero, c]] for c in elems], 1)
+        for power in range(-3, 4):
+            trivial = all(ring.apply_sigma(p, power) == p for row in m.m for p in row)
+            twisted = m.sigma_entries(power)
+            assert (twisted is m) == trivial
+            assert twisted.m == [[ring.apply_sigma(e, power) for e in row] for row in m.m]
+            assert twisted.twist == m.twist
 
 
 def test_skew_deciders_complete_multiples_of_omega():
