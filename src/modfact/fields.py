@@ -10,6 +10,12 @@ values: for the rationals an int when integral and a reduced Fraction
 otherwise, int in range(p) for a prime field, tuple of e ints in range(p)
 for F_{p^e}, which is the element's own coordinate vector over F_p.
 
+The rationals reduce each result once, by the gcd steps of Fraction's own
+arithmetic, and then build the reduced Fraction directly on its two slots
+_numerator and _denominator, instead of through Fraction(n, d), which
+would take the gcd and check the sign again. So they rely on Fraction's
+layout being those two slots, which a test pins (RationalField).
+
 F_{p^e} computes by log, antilog and Zech tables built when the field is
 made, so each operation is a few lookups; that needs canonical tuples as
 operands. The tables grow with q = p^e, so q is capped at MAX_CARD = 4096
@@ -114,24 +120,44 @@ def _canonical(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _reduced(n, d):
+    """n/d in canonical form, for coprime n and d > 0: the int n when d is
+    1, else a Fraction built on its two slots, which skips the gcd and the
+    sign check that Fraction(n, d) would run again."""
+    if d == 1:
+        return n
+    q = object.__new__(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
 def _q_add(na, da, nb, db):
-    """na/da + nb/db for reduced operands, in canonical form. This is
-    Fraction's own addition without its operator dispatch, and it builds no
-    Fraction for an integral sum."""
+    """na/da + nb/db for reduced operands with positive denominators, in
+    canonical form: Fraction's own addition (Knuth, TAOCP vol. 2, 4.5.1)
+    without its operator dispatch."""
     g = gcd(da, db)
     if g == 1:
-        n, d = na * db + da * nb, da * db
-    else:
-        s = da // g
-        n = na * (db // g) + nb * s
-        g2 = gcd(n, g)
-        n, d = n // g2, s * (db // g2)
-    return n if d == 1 else Fraction(n, d)
+        return _reduced(na * db + da * nb, da * db)
+    s = da // g
+    n = na * (db // g) + nb * s
+    g2 = gcd(n, g)
+    return _reduced(n // g2, s * (db // g2))
 
 
 class RationalField:
     """Q. An integral element is an int and any other a reduced Fraction, so
-    most arithmetic stays on ints; operations accept either form."""
+    most arithmetic stays on ints; operations accept either form, and a
+    Fraction whose denominator is 1 too.
+
+    add, sub, mul, neg and inv read a Fraction's parts off its slots
+    _numerator and _denominator and build their results by _reduced,
+    which sets those two slots on object.__new__(Fraction) with no gcd.
+    That relies on Fraction keeping exactly these two slots, in lowest
+    terms with a positive denominator, and on nothing else: hash, str,
+    repr, comparison, pickling and Fraction's own operators read only
+    them, so a result built here is indistinguishable from Fraction(n, d).
+    """
 
     kind = "rationals"
     char = 0
@@ -150,38 +176,64 @@ class RationalField:
     # the common case, and the others skip Fraction's operator dispatch
 
     def add(self, a, b):
-        if a.__class__ is int and b.__class__ is int:
-            return a + b
-        return _q_add(a.numerator, a.denominator, b.numerator, b.denominator)
+        if a.__class__ is int:
+            if b.__class__ is int:
+                return a + b
+            na, da = a, 1
+        else:
+            na, da = a._numerator, a._denominator
+        if b.__class__ is int:
+            return _q_add(na, da, b, 1)
+        return _q_add(na, da, b._numerator, b._denominator)
 
     def sub(self, a, b):
-        if a.__class__ is int and b.__class__ is int:
-            return a - b
-        return _q_add(a.numerator, a.denominator, -b.numerator, b.denominator)
+        if a.__class__ is int:
+            if b.__class__ is int:
+                return a - b
+            na, da = a, 1
+        else:
+            na, da = a._numerator, a._denominator
+        if b.__class__ is int:
+            return _q_add(na, da, -b, 1)
+        return _q_add(na, da, -b._numerator, b._denominator)
 
     def neg(self, a):
-        return _canonical(-a)
+        if a.__class__ is int:
+            return -a
+        return _reduced(-a._numerator, a._denominator)
 
     def mul(self, a, b):
-        if a.__class__ is int and b.__class__ is int:
-            return a * b
-        na, da = a.numerator, a.denominator
-        nb, db = b.numerator, b.denominator
+        if a.__class__ is int:
+            if b.__class__ is int:
+                return a * b
+            na, da = a, 1
+        else:
+            na, da = a._numerator, a._denominator
+        if b.__class__ is int:
+            nb, db = b, 1
+        else:
+            nb, db = b._numerator, b._denominator
         g1 = gcd(na, db)
         g2 = gcd(nb, da)
-        n = (na // g1) * (nb // g2)
-        d = (da // g2) * (db // g1)
-        return n if d == 1 else Fraction(n, d)
+        return _reduced((na // g1) * (nb // g2), (da // g2) * (db // g1))
 
     def inv(self, a):
-        if a.__class__ is int and (a == 1 or a == -1):
-            return a
-        # never 1 / a: for an int that is a float; Fraction(n, 0) raises
-        # ZeroDivisionError
-        return _canonical(Fraction(a.denominator, a.numerator))
+        # never 1 / a: for an int that is a float
+        if a.__class__ is int:
+            n, d = a, 1
+        else:
+            n, d = a._numerator, a._denominator
+        if n > 0:
+            return _reduced(d, n)
+        if n < 0:
+            return _reduced(-d, -n)
+        raise ZeroDivisionError("inverse of 0 in Q")
 
     def is_zero(self, a):
-        return a == 0
+        # never Fraction.__eq__; a Fraction(0) that is not canonical is zero
+        if a.__class__ is int:
+            return a == 0
+        return not a._numerator
 
     def from_int(self, n):
         return int(n)

@@ -223,15 +223,16 @@ def _residue(ring, p):
 
 def _times_x(ring, v):
     """x v modulo omega for a commutative ring, v a run of residues of
-    _residue's form: shift each up, then take away c omega / lc(omega), c
-    the coefficient pushed to x^m; it drops off when omega = c x^m."""
-    fld, m = ring.field, ring.omega_deg
+    _residue's form: shift each up, then take away c w_t at x^t for each
+    pair (t, w_t) of ring.omega_tail, c the coefficient pushed to x^m;
+    nothing when c is zero or omega = c x^m."""
+    fld, m, tail = ring.field, ring.omega_deg, ring.omega_tail
     out = []
     for k in range(0, len(v), m):
         r, c = [fld.zero] + v[k:k + m - 1], v[k + m - 1]
-        if not (ring.omega_monomial or fld.is_zero(c)):
-            c = fld.mul(c, fld.inv(ring.lc(ring.omega)))
-            r = [fld.sub(a, fld.mul(c, w)) for a, w in zip(r, ring.omega)]
+        if tail and not fld.is_zero(c):
+            for t, w in tail:
+                r[t] = fld.sub(r[t], fld.mul(c, w))
         out += r
     return out
 
@@ -422,15 +423,17 @@ def _trivial_components(x, s, lam):
     for j in range(x.n):
         arc = x.arc(j, s)
         raw = mat_mul(ring, arc.m, lam.m, (x.ranks[j], lam.rows, lam.cols))
-        comps.append(TwistedMatrix(ring, raw, 0, rows=x.ranks[j], cols=lam.cols)
+        comps.append(TwistedMatrix._wrap(ring, raw, 0, x.ranks[j], lam.cols)
                      .sigma_entries(-arc.twist))
     return comps
 
 
 def trivial_counit(y, i):
     """theta^i(A^{r_i y}) -> y: slot j carries the arc d_Y^{i -> j} of y's
-    maps from slot i around to slot j (the identity at j = i)."""
-    comps = [TwistedMatrix(y.ring, y.arc(i, j).m, 0, rows=y.ranks[i], cols=y.ranks[j])
+    maps from slot i around to slot j (the identity at j = i). Each
+    component shares the grid of its arc, which no one mutates
+    (TwistedMatrix)."""
+    comps = [TwistedMatrix._wrap(y.ring, y.arc(i, j).m, 0, y.ranks[i], y.ranks[j])
              for j in range(y.n)]
     return Morphism(theta(y.ring, y.n, i, y.ranks[i]), y, comps)
 
@@ -438,11 +441,11 @@ def trivial_counit(y, i):
 def trivial_sum_counit(y, indices):
     """The trivial sum T of theta^i(A^{r_i y}) over i in indices, in that
     order, and the stacked counit T -> y: slot j stacks the arcs
-    d_Y^{i -> j} of trivial_counit."""
+    d_Y^{i -> j} of trivial_counit, sharing their rows."""
     ring, n = y.ring, y.n
     t = direct_sum([theta(ring, n, i, y.ranks[i]) for i in indices])
-    comps = [TwistedMatrix(ring, [row for i in indices for row in y.arc(i, j).m], 0,
-                           rows=t.ranks[j], cols=y.ranks[j]) for j in range(n)]
+    comps = [TwistedMatrix._wrap(ring, [row for i in indices for row in y.arc(i, j).m],
+                                 0, t.ranks[j], y.ranks[j]) for j in range(n)]
     return t, Morphism(t, y, comps)
 
 
@@ -471,18 +474,20 @@ def _lambda_image(x, y, indices, slots):
 
 def _lambda_morphism(x, y, t, indices, slots, coeffs):
     """The morphism x -> t whose blocks are the trivial_homs of the
-    parameters with entries coeffs, in slot order, side by side."""
+    parameters with entries coeffs, in slot order, side by side. coeffs
+    are fresh trimmed lists, as _solve makes them, and the grids are built
+    here, so every matrix takes its grid without a copy."""
     ring, n = x.ring, x.n
     mats = {i: [[[] for _ in range(y.ranks[i])] for _ in range(x.ranks[(i - 1) % n])]
             for i in indices}
     for (i, a, b), poly in zip(slots, coeffs):
         mats[i][a][b] = poly
-    parts = [_trivial_components(x, (i - 1) % n, TwistedMatrix(
-        ring, mats[i], 0, rows=x.ranks[(i - 1) % n], cols=y.ranks[i]))
+    parts = [_trivial_components(x, (i - 1) % n, TwistedMatrix._wrap(
+        ring, mats[i], 0, x.ranks[(i - 1) % n], y.ranks[i]))
         for i in indices]
-    comps = [TwistedMatrix(ring, [sum((g[j].m[r] for g in parts), [])
-                                  for r in range(x.ranks[j])], 0,
-                           rows=x.ranks[j], cols=t.ranks[j]) for j in range(n)]
+    comps = [TwistedMatrix._wrap(ring, [sum((g[j].m[r] for g in parts), [])
+                                        for r in range(x.ranks[j])], 0,
+                                 x.ranks[j], t.ranks[j]) for j in range(n)]
     return Morphism(x, t, comps)
 
 
@@ -570,7 +575,9 @@ class HomSpace:
 
     def morphism(self, top):
         """The morphism with slot n-1 component top, an r x r' matrix with
-        residues in the span of basis."""
+        residues in the span of basis, of fresh trimmed entries that the
+        morphism takes over without a copy; the other components are
+        solve_right's fresh products."""
         x, y, ring = self.x, self.y, self.ring
         last = x.n - 1
         x_into, y_into = x.arcs_into(last), y.arcs_into(last)
@@ -581,7 +588,7 @@ class HomSpace:
             if g is None:
                 raise ValueError("the top component does not extend to a morphism")
             comps.append(g)
-        return Morphism(x, y, [TwistedMatrix(ring, g, 0, rows=x.ranks[j], cols=y.ranks[j])
+        return Morphism(x, y, [TwistedMatrix._wrap(ring, g, 0, x.ranks[j], y.ranks[j])
                                for j, g in enumerate(comps + [top])])
 
 

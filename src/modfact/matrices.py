@@ -29,7 +29,9 @@ class TwistedMatrix:
     copies and trims the entries it is given; identity, zero, add, sub,
     then and sigma_entries build their grids fresh and take them without
     a copy (_wrap), and sigma_entries returns self when sigma^power is
-    the identity. Factorization.compose_range memoizes on this contract.
+    the identity. Factorization.compose_range memoizes on this contract,
+    and homotopy.py's counits share the grids and rows of the arcs they
+    are read off.
     """
 
     __slots__ = ("ring", "rows", "cols", "twist", "m")

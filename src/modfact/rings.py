@@ -36,6 +36,12 @@ class BaseRing:
         self.omega = omega
         m = self.omega_deg = len(omega) - 1
         self.omega_monomial = all(field.is_zero(c) for c in omega[:m])
+        # x^m = -sum_t w_t x^t modulo omega, over the pairs (t, w_t) of
+        # omega_tail: t runs over omega's nonzero coefficients below x^m,
+        # w_t = omega_t / lc(omega), and a monomial omega has none
+        lc_inv = field.inv(omega[m])
+        self.omega_tail = [(t, field.mul(c, lc_inv)) for t, c in enumerate(omega[:m])
+                           if not field.is_zero(c)]
         if self.commutative:
             self.auto_power = 0
         else:
@@ -105,29 +111,43 @@ class BaseRing:
         return [self.field.neg(c) for c in f]
 
     def mul(self, f, g):
+        """The product f g of trimmed polynomials, with x c = frob^s(c) x.
+
+        Schoolbook, row by row: row i, the products of f_i with g twisted
+        by frob^{s i}, adds into the coefficients that earlier rows wrote
+        and appends the rest, so no product is added into a coefficient
+        that no row has written. A zero f_i appends a zero at x^i when no
+        row has written it yet. Nothing is trimmed: A is a domain, so the
+        last coefficient, lc(f) frob^{s deg f}(lc g), which the last row
+        appends, is nonzero when f and g are trimmed, as every polynomial
+        here is.
+        """
         if not f or not g:
             return []
         fld = self.field
         s = self.sigma_power
-        out = [fld.zero] * (len(f) + len(g) - 1)
+        k = 0
+        out = []
         # binding fld.add and fld.mul to locals, or twisting g by a
         # comprehension, is slower at the few coefficients polynomials
         # here have: Python 3.11 already calls fld.add without a bound method
-        if s:
-            for i, a in enumerate(f):
-                if fld.is_zero(a):
-                    continue
+        for i, a in enumerate(f):
+            if fld.is_zero(a):
+                if len(out) == i:
+                    out.append(fld.zero)
+                continue
+            if s:
                 # frob^{s i} is the identity when s i = 0 mod e
                 k = s * i % fld.e
-                for j, b in enumerate(g, i):
-                    out[j] = fld.add(out[j], fld.mul(a, fld.frob(b, k) if k else b))
-        else:
-            for i, a in enumerate(f):
-                if fld.is_zero(a):
-                    continue
-                for j, b in enumerate(g, i):
+            top = len(out)
+            for j, b in enumerate(g, i):
+                if k:
+                    b = fld.frob(b, k)
+                if j < top:
                     out[j] = fld.add(out[j], fld.mul(a, b))
-        return self.trim(out)
+                else:
+                    out.append(fld.mul(a, b))
+        return out
 
     def scale(self, c, f):
         # constant on the left; degree 0 so no twist enters

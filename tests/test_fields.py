@@ -1,6 +1,8 @@
+import pickle
 import random
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,28 @@ def assert_canonical(c, expected):
     assert c == expected
     if Fraction(expected).denominator == 1:
         assert type(c) is int
-    else:
-        assert type(c) is Fraction
+        return
+    assert type(c) is Fraction
+    # built on its slots, so it must be in lowest terms with a positive
+    # denominator, and indistinguishable from the Fraction Fraction builds
+    n, d = c._numerator, c._denominator
+    assert gcd(n, d) == 1 and d > 0
+    want = Fraction(expected)
+    assert (hash(c), str(c), repr(c)) == (hash(want), str(want), repr(want))
+    back = pickle.loads(pickle.dumps(c))
+    assert type(back) is Fraction and back == want and hash(back) == hash(want)
+    third = Fraction(1, 3)
+    assert c + third == want + third and third - c == third - want
+    assert c * third == want * third and c / third == want / third
+    assert 3 * c == 3 * want and c ** 2 == want ** 2 and -c == -want
+    assert c < want + third and c > want - third and abs(c) == abs(want)
+
+
+def test_fraction_keeps_the_two_slots_rationals_are_built_on():
+    # RationalField builds reduced Fractions by setting these two slots
+    # on object.__new__(Fraction); a Fraction laid out otherwise must fail
+    # here, not corrupt arithmetic
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
 
 
 @given(rationals, rationals)

@@ -516,11 +516,39 @@ def _answers(x, y, f):
     return out
 
 
+def _use_positives(x, y, f):
+    # the answers whose matrices share grids with their inputs' arcs or
+    # were taken over without a copy: the positive trivial factorization's
+    # g and counit, and the stable_hom representatives; each is used as a
+    # morphism (composed, checked, shifted), which must change none of them
+    used = []
+    t = ho.factors_through_trivials(f)
+    if t:
+        assert t.g.is_valid() and t.counit.is_valid() and t.g.then(t.counit) == f
+        used += [t.g, t.counit]
+    trivials = len(used)
+    if x.ring.commutative:
+        for ideal in ("all", "theta0"):
+            for rep in ho.stable_hom(x, y, ideal).representatives:
+                assert rep.is_valid()
+                used.append(rep)
+    before = [g.to_json() for g in used]
+    for g in used:
+        g.then(Morphism.identity(g.target)).add(g)
+        Morphism.identity(g.source).then(g).sub(g)
+        shift_morphism(g)
+        face_morphism(g, 0)
+    assert [g.to_json() for g in used] == before
+    return trivials, len(used) - trivials
+
+
 def test_answers_neither_change_nor_share_their_inputs():
     # matrices and their entry lists are shared, never copied, wherever
     # that is safe (TwistedMatrix): no decider or functor may change its
-    # inputs, and each answer must be what fresh copies of them give
+    # inputs, each answer must be what fresh copies of them give, and
+    # using a shared answer must change neither it nor the inputs
     rng2 = random.Random(47)
+    positives = [0, 0]
     for ring in rg.default_instances():
         for n in (1, 2, 3, 4):
             x = rg.random_object(ring, rng2, n, max_rank=2)
@@ -531,9 +559,14 @@ def test_answers_neither_change_nor_share_their_inputs():
                 before = [x.to_json(), y.to_json(), f.to_json()]
                 answers = _answers(x, y, f)
                 assert [x.to_json(), y.to_json(), f.to_json()] == before
+                positives = [a + b for a, b in zip(positives, _use_positives(x, y, f))]
+                assert [x.to_json(), y.to_json(), f.to_json()] == before
+                assert _answers(x, y, f) == answers
                 fx = Factorization.from_json(ring, before[0])
                 fy = Factorization.from_json(ring, before[1])
                 assert _answers(fx, fy, Morphism.from_json(fx, fy, before[2])) == answers
+    # (g and counit of 93 trivial factorizations, 253 representatives)
+    assert positives[0] > 100 and positives[1] > 100
 
 
 def test_sigma_entries_is_the_matrix_itself_exactly_when_sigma_is_trivial():
@@ -676,6 +709,32 @@ def test_trivial_sum_is_built_only_for_positives(monkeypatch):
     assert sum('"into_trivial_sum"' in b for b in blobs) == 61
     assert hashlib.sha256("\n".join(blobs).encode()).hexdigest() == (
         "ac75006f67466849f96da4745baad088d3b9b7507f8b13f61e0f4f58cd9d19d3")
+
+
+def test_verdicts_and_stable_homs_keep_their_bytes():
+    # is_p_null_homotopic verdicts with their witnesses, and stable_hom
+    # reports under both ideals, on the 10 stock rings at folds 1-4; the
+    # digest was recorded while Q still built every Fraction through
+    # Fraction(n, d) and BaseRing.mul still added every product into a
+    # zeroed list and trimmed
+    rng2 = random.Random(67)
+    blobs = []
+    for ring in rg.default_instances():
+        for n in (1, 2, 3, 4):
+            x = rg.random_object(ring, rng2, n, max_rank=2)
+            y = rg.random_object(ring, rng2, n, max_rank=2)
+            null, _ = rg.random_null_morphism(rng2, x, y)
+            for f in (null, rg.random_morphism(rng2, x, y), Morphism.identity(x)):
+                blobs.append(json.dumps(ho.is_p_null_homotopic(f).to_json(), sort_keys=True))
+            if ring.commutative:
+                for ideal in ("all", "theta0"):
+                    blobs.append(json.dumps(ho.stable_hom(x, null.target, ideal).to_json(),
+                                            sort_keys=True))
+    assert sum('"witness"' in b for b in blobs) == 92
+    # answers with a rational that is not an integer
+    assert sum("/" in b for b in blobs) == 28
+    assert hashlib.sha256("\n".join(blobs).encode()).hexdigest() == (
+        "f015eea6d7354318261a266f738e2916e50aa63fb3351e81edeea28c3340cc43")
 
 
 def test_rebuild_and_witness_image_build_few_arcs():

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 from modfact.fields import (RationalField, PrimeField, ExtensionField, field_from_json,
                             is_prime, MR_LIMIT)
 from modfact.rings import BaseRing, NotNormalError, ring_from_json
+from modfact.randomgen import default_instances
 
 from common import R5x3, RQ2, RS, RS1, RS9
 
@@ -98,6 +99,46 @@ def test_skew_residue_mod_omega_is_truncation(data):
     ring, f = data
     m = ring.omega_deg
     assert ring.right_quo_rem(f, ring.omega)[1] == ring.trim(f[:m])
+
+
+# every ring the homotopy engine solves on: the stock rings, an F_8 ring
+# where the twist has order 3 and one over F_9 with omega = 2 x^2
+F8 = ExtensionField(2, 3)
+ENGINE_RINGS = default_instances() + [BaseRing(F8, 1, [F8.zero, F8.zero, F8.one]),
+                                      BaseRing(F8, 2, [F8.zero, F8.one]), RS9]
+
+
+def sparse_polys(ring, max_len=6):
+    # trimmed polynomials with many zero coefficients, at x^0 and in the
+    # middle as often as not, in canonical form
+    fld = ring.field
+    return st.lists(st.one_of(st.just(fld.zero), coeffs(ring)), max_size=max_len).map(
+        lambda cs: ring.trim([fld.coerce(c) for c in cs]))
+
+
+def schoolbook_mul(ring, f, g):
+    # every product f_i frob^{s i}(g_j) added into x^{i+j}, then trimmed
+    fld = ring.field
+    out = [fld.zero] * max(0, len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = fld.add(out[i + j], fld.mul(a, fld.frob(b, ring.sigma_power * i)))
+    return ring.trim(out)
+
+
+@given(st.sampled_from(ENGINE_RINGS).flatmap(
+    lambda r: st.tuples(st.just(r), sparse_polys(r), sparse_polys(r))))
+@settings(max_examples=400, deadline=None)
+def test_mul_is_the_schoolbook_product(data):
+    # mul adds no product into a coefficient no row has written and
+    # trims nothing; it must still give the full schoolbook sum, trimmed,
+    # with every coefficient in canonical form
+    ring, f, g = data
+    got, want = ring.mul(f, g), schoolbook_mul(ring, f, g)
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+    assert [type(ring.field.coerce(c)) for c in got] == [type(c) for c in got]
+    assert len(got) == (len(f) + len(g) - 1 if f and g else 0)
 
 
 def test_commutative_ring_has_trivial_sigma():
