@@ -31,7 +31,7 @@ Y = Factorization(ring, [2, 2], [d0, d1]).assert_valid()
 print("rank-2 object ranks:", Y.ranks)
 
 # 4. corrupting one entry breaks a rotation
-bad = [m.copy() for m in Y.maps]
+bad = [TwistedMatrix(ring, m.m, m.twist) for m in Y.maps]
 bad[0].m[0][1] = ring.add(list(bad[0].m[0][1]), one)
 broken = Factorization(ring, Y.ranks, bad)
 print("defects after corruption:", len(broken.rotation_defects()))

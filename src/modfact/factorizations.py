@@ -10,10 +10,25 @@ The functors here: shift (both directions), the trivial objects theta^i,
 face insertions, degeneracy fusions, and direct sums, each with its
 morphism action, plus the two adjunction transports whose unit/counit
 data is an explicit matrix formula.
+
+Shift, face and degeneracy are one reindexing rule on an n-fold x. A
+plan is a nondecreasing list of unrolled slots a, none past plan[0] + n;
+new slot j is slot a mod n of x, w = a // n laps past slot 0. With b the
+next entry of the plan (plan[0] + n after the last), the new map j is
+the arc d^{a mod n} ... d^{a mod n + b - a - 1} of x (the identity when
+b = a), hit entrywise by sigma^{t' - t - w}, with t the arc's twist and
+t' the new map's: 1 at the last slot, 0 elsewhere. Component j of a
+morphism is sigma^{-w}(f^{a mod n}). The plans:
+
+    shift_power(x, a)    [a, a+1, ..., a+n-1]
+    face(x, i)           [0, ..., i, i, i+1, ..., n-1]    ([0, ..., n] at i = n)
+    degeneracy(x, i)     [0, ..., n-1] without i+1        ([-1, 1, ..., n-2] at i = n-1)
+
+The new maps share the maps and memoized arcs of x (see TwistedMatrix).
 """
 
 from .fields import json_int
-from .matrices import TwistedMatrix, mat_mul
+from .matrices import TwistedMatrix
 
 
 class Factorization:
@@ -269,139 +284,89 @@ def theta_morphism(ring, n, i, g):
         raise ValueError("theta acts on twist-0 module maps")
     src = theta(ring, n, i, g.rows)
     tgt = theta(ring, n, i, g.cols)
-    comps = [g.sigma_entries(1) for _ in range(i)] + [g.copy() for _ in range(n - i)]
+    comps = [g.sigma_entries(1)] * i + [g] * (n - i)
     return Morphism(src, tgt, comps)
 
 
-# -- shift --
+# -- shift, face and degeneracy: one reindexing rule --
 
-def shift(x):
-    ring = x.ring
+def _reindex(x, plan):
+    """The object whose slot j is the unrolled slot plan[j] of x (see the
+    module docstring)."""
     n = x.n
-    if n == 1:
-        return Factorization(ring, list(x.ranks), [x.maps[0].sigma_entries(-1)])
-    ranks = x.ranks[1:] + [x.ranks[0]]
-    maps = [d.copy() for d in x.maps[1:n - 1]]
-    maps.append(x.maps[n - 1].sigma_entries(-1).with_twist(0))
-    maps.append(x.maps[0].with_twist(1))
-    return Factorization(ring, ranks, maps)
+    last = len(plan) - 1
+    maps = []
+    for j, a in enumerate(plan):
+        b = plan[j + 1] if j < last else plan[0] + n
+        laps, s = divmod(a, n)
+        arc = x.compose_range(s, s + b - a - 1)
+        twist = 1 if j == last else 0
+        maps.append(arc.sigma_entries(twist - arc.twist - laps).with_twist(twist))
+    return Factorization(x.ring, [x.ranks[a % n] for a in plan], maps)
 
 
-def shift_morphism(f):
+def _reindex_morphism(f, plan):
     n = f.n
-    if n == 1:
-        comps = [f.components[0].sigma_entries(-1)]
-    else:
-        comps = [c.copy() for c in f.components[1:]] + [f.components[0].sigma_entries(-1)]
-    return Morphism(shift(f.source), shift(f.target), comps)
+    comps = [f.components[a % n].sigma_entries(-(a // n)) for a in plan]
+    return Morphism(_reindex(f.source, plan), _reindex(f.target, plan), comps)
 
 
-def shift_inverse(y):
-    ring = y.ring
-    n = y.n
-    if n == 1:
-        return Factorization(ring, list(y.ranks), [y.maps[0].sigma_entries(1)])
-    ranks = [y.ranks[-1]] + y.ranks[:-1]
-    maps = [y.maps[n - 1].with_twist(0)]
-    maps.extend(d.copy() for d in y.maps[:n - 2])
-    maps.append(y.maps[n - 2].sigma_entries(1).with_twist(1))
-    return Factorization(ring, ranks, maps)
+def _face_plan(n, i):
+    if not (0 <= i <= n):
+        raise ValueError("face index %d out of range for fold %d" % (i, n))
+    return list(range(i + 1)) + list(range(i, n))
 
 
-def shift_inverse_morphism(f):
-    n = f.n
-    if n == 1:
-        comps = [f.components[0].sigma_entries(1)]
-    else:
-        comps = [f.components[n - 1].sigma_entries(1)] + [c.copy() for c in f.components[:n - 1]]
-    return Morphism(shift_inverse(f.source), shift_inverse(f.target), comps)
-
-
-def _reduced_power(ring, n, a):
-    """a reduced into (-p/2, p/2] for p = n e, e the degree of the field over
-    its prime field: shift^n is sigma_twist(-1) and sigma^e is the
-    identity, so shift^p is the identity on objects and on morphisms."""
-    p = n * ring.field.e
-    a %= p
-    return a - p if 2 * a > p else a
+def _degeneracy_plan(n, i):
+    if n < 2:
+        raise ValueError("degeneracy needs fold count at least 2")
+    if not (0 <= i <= n - 1):
+        raise ValueError("degeneracy index %d out of range for fold %d" % (i, n))
+    if i == n - 1:
+        return [-1] + list(range(1, n - 1))
+    return [a for a in range(n) if a != i + 1]
 
 
 def shift_power(x, a):
-    out = x
-    a = _reduced_power(x.ring, x.n, a)
-    step = shift if a >= 0 else shift_inverse
-    for _ in range(abs(a)):
-        out = step(out)
-    return out
+    return _reindex(x, list(range(a, a + x.n)))
 
 
 def shift_power_morphism(f, a):
-    out = f
-    a = _reduced_power(f.ring, f.n, a)
-    step = shift_morphism if a >= 0 else shift_inverse_morphism
-    for _ in range(abs(a)):
-        out = step(out)
-    return out
+    return _reindex_morphism(f, list(range(a, a + f.n)))
 
 
-# -- face and degeneracy --
+def shift(x):
+    return shift_power(x, 1)
+
+
+def shift_morphism(f):
+    return shift_power_morphism(f, 1)
+
+
+def shift_inverse(y):
+    return shift_power(y, -1)
+
+
+def shift_inverse_morphism(f):
+    return shift_power_morphism(f, -1)
+
 
 def face(x, i):
     """Insert a slot at position i (0 <= i <= n), raising the fold count by one."""
-    ring = x.ring
-    n = x.n
-    if not (0 <= i <= n):
-        raise ValueError("face index %d out of range for fold %d" % (i, n))
-    if i <= n - 1:
-        ranks = x.ranks[:i + 1] + [x.ranks[i]] + x.ranks[i + 1:]
-        maps = ([d.copy() for d in x.maps[:i]]
-                + [TwistedMatrix.identity(ring, x.ranks[i], 0)]
-                + [d.copy() for d in x.maps[i:]])
-        return Factorization(ring, ranks, maps)
-    ranks = x.ranks + [x.ranks[0]]
-    maps = [d.copy() for d in x.maps[:n - 1]]
-    maps.append(x.maps[n - 1].sigma_entries(-1).with_twist(0))
-    maps.append(TwistedMatrix.identity(ring, x.ranks[0], 1))
-    return Factorization(ring, ranks, maps)
+    return _reindex(x, _face_plan(x.n, i))
 
 
 def face_morphism(f, i):
-    n = f.n
-    if not (0 <= i <= n):
-        raise ValueError("face index %d out of range for fold %d" % (i, n))
-    if i <= n - 1:
-        comps = (f.components[:i + 1] + [f.components[i].copy()] + f.components[i + 1:])
-    else:
-        comps = f.components + [f.components[0].sigma_entries(-1)]
-    return Morphism(face(f.source, i), face(f.target, i), comps)
+    return _reindex_morphism(f, _face_plan(f.n, i))
 
 
 def degeneracy(x, i):
     """Fuse slots i and i+1 (indices mod the fold count), lowering the fold by one."""
-    n = x.n
-    if n < 2:
-        raise ValueError("degeneracy needs fold count at least 2")
-    if not (0 <= i <= n - 1):
-        raise ValueError("degeneracy index %d out of range for fold %d" % (i, n))
-    if i <= n - 2:
-        ranks = x.ranks[:i + 1] + x.ranks[i + 2:]
-        maps = ([d.copy() for d in x.maps[:i]]
-                + [x.maps[i].then(x.maps[i + 1])]
-                + [d.copy() for d in x.maps[i + 2:]])
-        return Factorization(x.ring, ranks, maps)
-    return shift_inverse(degeneracy(shift(x), n - 2))
+    return _reindex(x, _degeneracy_plan(x.n, i))
 
 
 def degeneracy_morphism(f, i):
-    n = f.n
-    if n < 2:
-        raise ValueError("degeneracy needs fold count at least 2")
-    if not (0 <= i <= n - 1):
-        raise ValueError("degeneracy index %d out of range for fold %d" % (i, n))
-    if i <= n - 2:
-        comps = f.components[:i + 1] + f.components[i + 2:]
-        return Morphism(degeneracy(f.source, i), degeneracy(f.target, i), comps)
-    return shift_inverse_morphism(degeneracy_morphism(shift_morphism(f), n - 2))
+    return _reindex_morphism(f, _degeneracy_plan(f.n, i))
 
 
 # -- direct sums --
@@ -465,33 +430,27 @@ def summand_projection(parts, t):
 #   unit (I, ..., I, sigma^{-1}(N_last)).
 
 def face0_unit(x):
-    return Morphism(x, degeneracy(face(x, 0), 0), [c.copy() for c in
-                                                   Morphism.identity(x).components])
+    return Morphism(x, degeneracy(face(x, 0), 0), Morphism.identity(x).components)
 
 
 def face0_counit(y):
     """face_0(degeneracy_0 Y) -> Y."""
     ring = y.ring
     src = face(degeneracy(y, 0), 0)
-    comps = [TwistedMatrix.identity(ring, y.ranks[0], 0),
-             y.maps[0].copy()]
+    comps = [TwistedMatrix.identity(ring, y.ranks[0], 0), y.maps[0]]
     comps += [TwistedMatrix.identity(ring, r, 0) for r in y.ranks[2:]]
     return Morphism(src, y, comps)
 
 
 def face0_transport(g):
     """Adjunct of g: face_0 X -> Y across (face_0, degeneracy_0)."""
-    x_src = degeneracy(g.source, 0)
-    comps = [g.components[0].copy()] + [c.copy() for c in g.components[2:]]
-    return Morphism(x_src, degeneracy(g.target, 0), comps)
+    return degeneracy_morphism(g, 0)
 
 
 def face0_transport_back(f, y):
     """Adjunct of f: X -> degeneracy_0 Y as a morphism face_0 X -> Y."""
-    x = f.source
-    comps = [f.components[0].copy(), f.components[0].then(y.maps[0])]
-    comps += [c.copy() for c in f.components[1:]]
-    return Morphism(face(x, 0), y, comps)
+    comps = [f.components[0], f.components[0].then(y.maps[0])] + f.components[1:]
+    return Morphism(face(f.source, 0), y, comps)
 
 
 def top_unit(y):
@@ -500,8 +459,7 @@ def top_unit(y):
     n = y.n - 1
     tgt = face(degeneracy(y, n - 1), n)
     comps = [TwistedMatrix.identity(ring, r, 0) for r in y.ranks[:n]]
-    comps.append(TwistedMatrix(ring, y.maps[n].sigma_entries(-1).m, 0,
-                               y.ranks[n], y.ranks[0]))
+    comps.append(y.maps[n].sigma_entries(-1).with_twist(0))
     return Morphism(y, tgt, comps)
 
 
@@ -514,17 +472,14 @@ def top_transport(f, y):
     """Adjunct of f: degeneracy_top Y -> X as a morphism Y -> face_top X."""
     x = f.target
     n = x.n
-    last = mat_mul(y.ring, y.maps[n].m, f.components[0].m)
-    gl = TwistedMatrix(y.ring, last, 0, y.ranks[n], x.ranks[0]).sigma_entries(-1)
-    comps = [c.copy() for c in f.components] + [gl]
-    return Morphism(y, face(x, n), comps)
+    last = y.maps[n].with_twist(0).then(f.components[0]).sigma_entries(-1)
+    return Morphism(y, face(x, n), f.components + [last])
 
 
 def top_transport_back(g, x):
     """Adjunct of g: Y -> face_top X by dropping the last component."""
-    y = g.source
-    n = y.n - 1
+    n = g.n - 1
     if face(x, n) != g.target:
         raise ValueError("target is not the top face of the given object")
-    comps = [c.copy() for c in g.components[:n]]
-    return Morphism(degeneracy(y, n - 1), x, comps)
+    h = degeneracy_morphism(g, n - 1)
+    return Morphism(h.source, x, h.components)

@@ -236,7 +236,7 @@ def _functor_laws(sc, rng, rep):
         rep.case(shift(shift_inverse(x)) == x, "shift right inverse")
         rep.case(shift_inverse_morphism(shift_morphism(f)).components
                  == f.components, "shift inverse on maps")
-        # n single shifts: shift_power reduces its exponent by this period
+        # n single shifts, against sigma_twist, which is built apart from them
         full = x
         for _ in range(n):
             full = shift(full)

@@ -25,13 +25,14 @@ class TwistedMatrix:
     grid of polynomials.
 
     A TwistedMatrix and its entry lists are never mutated after
-    construction, so they may be shared. The constructor, and so copy,
-    copies and trims the entries it is given; identity, zero, add, sub,
-    then and sigma_entries build their grids fresh and take them without
-    a copy (_wrap), and sigma_entries returns self when sigma^power is
-    the identity. Factorization.compose_range memoizes on this contract,
-    and homotopy.py's counits share the grids and rows of the arcs they
-    are read off.
+    construction, so they may be shared. The constructor copies and
+    trims the entries it is given; identity, zero, add, sub, then and
+    sigma_entries build their grids fresh and take them without a copy
+    (_wrap), with_twist shares its grid, and sigma_entries returns self
+    when sigma^power is the identity. Factorization.compose_range
+    memoizes on this contract, the shift, face and degeneracy functors
+    share the maps and arcs they are built from, and homotopy.py's
+    counits share the grids and rows of the arcs they are read off.
     """
 
     __slots__ = ("ring", "rows", "cols", "twist", "m")
@@ -80,11 +81,9 @@ class TwistedMatrix:
 
     # -- structure --
 
-    def copy(self):
-        return TwistedMatrix(self.ring, self.m, self.twist, self.rows, self.cols)
-
     def with_twist(self, twist):
-        return TwistedMatrix(self.ring, self.m, twist, self.rows, self.cols)
+        """The same grid, shared, at the given twist."""
+        return TwistedMatrix._wrap(self.ring, self.m, twist, self.rows, self.cols)
 
     def __eq__(self, other):
         return (isinstance(other, TwistedMatrix) and self.ring == other.ring

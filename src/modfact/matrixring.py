@@ -188,9 +188,7 @@ def psi_morphism(gm):
     """Morphism determined by a component tuple between valid grids."""
     x = psi(gm.source)
     y = psi(gm.target)
-    n = gm.n
-    comps = [gm.components[n - 1 - t].with_twist(0) for t in range(n)]
-    f = Morphism(x, y, comps)
+    f = Morphism(x, y, gm.components[::-1])
     bad = f.square_defects()
     if bad:
         raise ValueError("component tuple fails the squares at slots %s" % bad)

@@ -178,11 +178,11 @@ class BaseRing:
         s = self.sigma_power
         r = list(f)
         q = [fld.zero] * max(1, len(f) - len(g) + 1)
-        gl = self.lc(g)
+        gl_inv = fld.inv(self.lc(g)) if len(r) >= len(g) else None
         while len(r) >= len(g):
             d = len(r) - len(g)
-            denom = fld.frob(gl, s * d) if s else gl
-            qc = fld.mul(self.lc(r), fld.inv(denom))
+            # frob is a field automorphism: 1/frob^k(lc g) = frob^k(1/lc g)
+            qc = fld.mul(self.lc(r), fld.frob(gl_inv, s * d) if s else gl_inv)
             q[d] = fld.add(q[d], qc)
             # r -= (qc x^d) * g
             for j, b in enumerate(g):

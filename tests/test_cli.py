@@ -148,7 +148,8 @@ def test_functor_verbs(paths):
 
 def test_shift_power_of_a_huge_exponent_answers_at_once(paths):
     # shift^(n e) is the identity, e the degree of the field over its prime
-    # field, so the exponent is reduced before any shift runs
+    # field; shift_power takes the laps of a huge exponent as one power of
+    # sigma, with no shift per step
     rng = random.Random(23)
     xs = random_object(F4, rng, 2, max_rank=2)
     skew = paths["wj"]("xs.json", dict(xs.to_json(), ring=F4.to_json()))

@@ -1,25 +1,38 @@
+import hashlib
+import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from modfact.fields import ExtensionField
 from modfact.matrices import TwistedMatrix
+from modfact.rings import BaseRing
 from modfact.factorizations import (Factorization, Morphism, theta,
                                     theta_morphism, omega_morphism, shift,
                                     shift_inverse, shift_power,
                                     shift_power_morphism, shift_morphism,
+                                    shift_inverse_morphism,
                                     face, face_morphism, degeneracy,
                                     degeneracy_morphism, direct_sum,
                                     direct_sum_morphism, summand_inclusion,
                                     summand_projection, face0_transport,
                                     face0_transport_back, top_transport,
-                                    top_transport_back)
+                                    top_transport_back, face0_unit,
+                                    face0_counit, top_unit, top_counit)
 from modfact import randomgen as rg
+from modfact.laws import Scenario, run_suites
+from modfact.recollement import recollement
 
-from common import R5x2, R5x3, RQ2, RS, X2, X2b, X3b, XS, mk, x_, one
+from common import R5x2, R5x3, RQ2, RS, RS1, X2, X2b, X3b, XS, mk, x_, one
 
-RINGS = [R5x3, RQ2, RS]
+# sigma is not the identity on RS1, F_4[x; Frob] with omega = x, and has
+# order 3 on RS8, F_8[x; Frob] with omega = x^2, where sigma and its
+# inverse differ
+F8 = ExtensionField(2, 3)
+RS8 = BaseRing(F8, 1, [F8.zero, F8.zero, F8.one])
+RINGS = [R5x3, RQ2, RS, RS1, RS8]
 seeds = st.integers(0, 10 ** 6)
 folds = st.integers(1, 4)
 
@@ -42,7 +55,7 @@ def test_fold_one_objects_are_omega_identities():
 
 def test_rotation_defects_catch_corruption():
     assert not X3b.rotation_defects()
-    broken = [m.copy() for m in X3b.maps]
+    broken = [TwistedMatrix(R5x3, m.m, m.twist) for m in X3b.maps]
     broken[1].m[0][1] = R5x3.add(list(broken[1].m[0][1]), one)
     y = Factorization(R5x3, X3b.ranks, broken)
     assert y.rotation_defects()
@@ -61,8 +74,8 @@ def test_shift_inverts(ring, seed, n):
     x = robj(ring, seed, n)
     assert shift_inverse(shift(x)) == x
     assert shift(shift_inverse(x)) == x
-    # n applications of the shift twist the identity (one at a time, as
-    # shift_power reduces its exponent by this period)
+    # n applications of the shift twist the identity (one at a time,
+    # against sigma_twist, which is built apart from the shift)
     full = x
     for _ in range(x.n):
         full = shift(full)
@@ -133,8 +146,8 @@ def test_arcs_into_a_slot_are_the_arcs_and_fill_the_memo():
 
 def test_shift_power_reduces_by_the_period():
     # shift^(n e) is the identity, e the degree of the field over its prime
-    # field; shift_power reduces its exponent by that period, so a huge
-    # exponent costs no more than a small one
+    # field; shift_power takes the laps of a huge exponent as one power of
+    # sigma, so it costs no more than a small one
     rng = random.Random(22)
     for ring in rg.default_instances():
         e = getattr(ring.field, "e", 1)
@@ -152,6 +165,28 @@ def test_shift_power_reduces_by_the_period():
                 for big in (a + 10 ** 12 * n * e, a - 10 ** 12 * n * e):
                     assert shift_power(x, big) == y, (n, a)
                     assert shift_power_morphism(f, big) == g, (n, a)
+
+
+@given(st.sampled_from(RINGS), seeds, folds, seeds, seeds)
+@example(RS1, 5, 3, 7, 11)
+@example(RS8, 5, 3, 7, 11)
+@settings(max_examples=60, deadline=None)
+def test_shift_powers_add_their_laps(ring, seed, n, ra, rb):
+    # shift_power(x, a) reads a as laps around the cycle plus a start slot;
+    # powers of either sign add on objects and morphisms, for a and b in
+    # [-3 n e, 3 n e], and every face and degeneracy of a morphism is one
+    p = 3 * n * getattr(ring.field, "e", 1)
+    a, b = ra % (2 * p + 1) - p, rb % (2 * p + 1) - p
+    x = robj(ring, seed, n)
+    f = rmor(x, robj(ring, seed + 1, n), seed + 2)
+    assert shift_power(shift_power(x, a), b) == shift_power(x, a + b)
+    g = shift_power_morphism(shift_power_morphism(f, a), b)
+    assert g == shift_power_morphism(f, a + b)
+    assert g.is_valid()
+    images = [face_morphism(f, i) for i in range(n + 1)]
+    images += [degeneracy_morphism(f, i) for i in range(n if n >= 2 else 0)]
+    for h in images:
+        assert h.is_valid() and h.source.is_valid() and h.target.is_valid()
 
 
 @given(st.sampled_from(RINGS), seeds, folds)
@@ -251,3 +286,107 @@ def test_factorization_json_roundtrip():
         f = omega_morphism(x) if x.ring.commutative else Morphism.identity(x)
         back = Morphism.from_json(x, x, f.to_json())
         assert back == f
+
+
+def _functor_blobs(ring, rng, n):
+    # the JSON of every shift, face and degeneracy of one object and of one
+    # morphism with its endpoints, shift powers for |a| <= 2 n e + 1
+    e = getattr(ring.field, "e", 1)
+    x = rg.random_object(ring, rng, n, max_rank=2)
+    y = rg.random_object(ring, rng, n, max_rank=2)
+    f = rg.random_morphism(rng, x, y, max_deg=1)
+
+    def mor(g):
+        return [g.source.to_json(), g.target.to_json(), g.to_json()]
+
+    out = [shift(x).to_json(), shift_inverse(x).to_json(), mor(shift_morphism(f)),
+           mor(shift_inverse_morphism(f))]
+    for a in range(-2 * n * e - 1, 2 * n * e + 2):
+        out += [shift_power(x, a).to_json(), mor(shift_power_morphism(f, a))]
+    for i in range(n + 1):
+        out += [face(x, i).to_json(), mor(face_morphism(f, i))]
+    for i in range(n if n >= 2 else 0):
+        out += [degeneracy(x, i).to_json(), mor(degeneracy_morphism(f, i))]
+    return [json.dumps(b, sort_keys=True) for b in out]
+
+
+def test_functors_and_their_laws_keep_their_bytes():
+    # one sha256 over every functor output on the 10 stock rings at folds
+    # 1-4 and the seed-0 functor-laws, adjunction and recollement reports;
+    # recorded while each functor still had its own hand-written body
+    rng = random.Random(71)
+    blobs = []
+    for ring in rg.default_instances():
+        for n in (1, 2, 3, 4):
+            blobs += _functor_blobs(ring, rng, n)
+        rep = run_suites(Scenario(ring, seed=0, cases=6),
+                         names=["functor-laws", "adjunction", "recollement"])
+        assert rep["passed"]
+        blobs.append(json.dumps(rep, sort_keys=True))
+    assert len(blobs) == 1830
+    assert hashlib.sha256("\n".join(blobs).encode()).hexdigest() == (
+        "d99c4325f7cd67728f92f71e9b10479ef28454f574a44e683f506eaee4fa8e6f")
+
+
+def _functor_answers(x, y, f, g, h, k, m):
+    # every functor, transport, unit and counit on inputs of fold n (x, f)
+    # and n + 1 (y), g: face_0 x -> y, h: x -> degeneracy_0 y,
+    # k: degeneracy_top y -> x, m: y -> face_top x; and one recollement
+    # functor, the right section F_n -> F_{n+1}
+    n = x.n
+    out = [shift(x), shift_inverse(x), shift_morphism(f), shift_inverse_morphism(f)]
+    for a in (-2 * n - 1, 0, 2 * n + 1):
+        out += [shift_power(x, a), shift_power_morphism(f, a)]
+    out += [face(x, i) for i in range(n + 1)] + [face_morphism(f, i) for i in range(n + 1)]
+    out += [degeneracy(y, i) for i in range(n + 1)]
+    out += [degeneracy_morphism(g, i) for i in range(n + 1)]
+    out += [theta_morphism(x.ring, n, i, f.components[0]) for i in range(n)]
+    out += [direct_sum([x, x]), direct_sum_morphism([f, f]), summand_inclusion([x, x], 1),
+            summand_projection([x, x], 0)]
+    out += [face0_unit(x), face0_counit(y), face0_transport(g), face0_transport_back(h, y),
+            top_unit(y), top_counit(x), top_transport(k, y), top_transport_back(m, x)]
+    rec = recollement(n + 1, n)
+    out += [rec.section_right.obj(x), rec.section_right.mor(f)]
+    return out
+
+
+def _from_json(v):
+    # a copy of an object or a morphism and its endpoints that shares nothing
+    if isinstance(v, Morphism):
+        return Morphism.from_json(_from_json(v.source), _from_json(v.target), v.to_json())
+    return Factorization.from_json(v.ring, v.to_json())
+
+
+def test_functors_neither_change_nor_copy_their_inputs():
+    # the functors share the maps and arcs of their inputs, and the
+    # transports, units and counits their components, since no matrix is
+    # ever mutated; none may change an input, each answer is what fresh
+    # copies of the inputs give, and using the answers changes nothing
+    rng = random.Random(73)
+    for ring in rg.default_instances():
+        for n in (1, 2, 3):
+            x = rg.random_object(ring, rng, n, max_rank=2)
+            y = rg.random_object(ring, rng, n + 1, max_rank=2)
+            inputs = [
+                x, y,
+                rg.random_morphism(rng, x, rg.random_object(ring, rng, n, max_rank=2), 1),
+                rg.random_morphism(rng, face(x, 0), y, 1),
+                rg.random_morphism(rng, x, degeneracy(y, 0), 1),
+                rg.random_morphism(rng, degeneracy(y, n - 1), x, 1),
+                rg.random_morphism(rng, y, face(x, n), 1)]
+            before = [v.to_json() for v in inputs]
+            answers = _functor_answers(*inputs)
+            assert [v.to_json() for v in inputs] == before
+            after = [a.to_json() for a in answers]
+            for a in answers:
+                if isinstance(a, Morphism):
+                    assert a.is_valid()
+                    a.then(Morphism.identity(a.target)).add(a).neg()
+                    a = a.source
+                assert a.is_valid()
+                shift(a)
+                face(a, 0)
+            assert [v.to_json() for v in inputs] == before
+            assert [a.to_json() for a in answers] == after
+            fresh = [_from_json(v) for v in inputs]
+            assert [a.to_json() for a in _functor_answers(*fresh)] == after

@@ -1,6 +1,6 @@
 import random
 
-from modfact.matrices import mat_identity
+from modfact.matrices import TwistedMatrix, mat_identity
 from modfact.factorizations import theta
 import modfact.matrixring as mr
 import modfact.homotopy as ho
@@ -47,7 +47,7 @@ def test_every_single_entry_edit_is_rejected():
         mat = gm.maps[key]
         for a in range(mat.rows):
             for b in range(mat.cols):
-                corrupt = {k: v.copy() for k, v in gm.maps.items()}
+                corrupt = {k: TwistedMatrix(R5x3, v.m, v.twist) for k, v in gm.maps.items()}
                 entry = list(corrupt[key].m[a][b])
                 corrupt[key].m[a][b] = R5x3.add(entry, one)
                 gmc = mr.GammaModule(R5x3, gm.ranks, corrupt)
@@ -62,7 +62,7 @@ def test_some_morphism_edits_are_rejected():
     for t in range(gf.n):
         for a in range(gf.components[t].rows):
             for b in range(gf.components[t].cols):
-                comps = [c.copy() for c in gf.components]
+                comps = [TwistedMatrix(R5x3, c.m, c.twist) for c in gf.components]
                 comps[t].m[a][b] = R5x3.add(list(comps[t].m[a][b]), one)
                 gmc = mr.GammaMorphism(gf.source, gf.target, comps)
                 if gmc.defects():
