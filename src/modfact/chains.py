@@ -228,11 +228,6 @@ class ChainMorphism:
                  for a, b, (p, q, r) in zip(self.components, other.components, mods)]
         return ChainMorphism(self.source, other.target, comps)
 
-    @staticmethod
-    def identity(c):
-        return ChainMorphism(c, c, [mat_identity(c.ring, m.gens)
-                                    for m in c.modules])
-
     def to_json(self):
         comps = []
         for i, m in enumerate(self.components):
@@ -450,7 +445,9 @@ def chain_iso(c, d, rng=None):
     hit, the k-dimensions of Hom(C,C), Hom(C,D), Hom(D,C) and Hom(D,D) are
     compared: an isomorphism, composed on either side, makes all four
     spaces isomorphic, so any difference is a definitive negative.  Equal
-    dimensions are reported as non-definitive.
+    dimensions are reported as non-definitive.  Both chains must be chains
+    of omega-torsion injections: on one that is not, ValueError names its
+    first defect, as lift does.
     """
     import random as _random
     ring = c.ring
@@ -458,6 +455,10 @@ def chain_iso(c, d, rng=None):
         raise UnsupportedRingError("chain isomorphism needs the commutative case")
     if d.ring != ring:
         raise ValueError("chains live over different rings")
+    for chain in (c, d):
+        bad = chain.defects()
+        if bad:
+            raise ValueError(bad[0])
     if c.n != d.n:
         return ChainIsoResult(False, True, reason="different lengths")
     inv_c = c.slot_invariants()

@@ -213,12 +213,18 @@ class TrivialFactorization:
 def _residue(ring, p):
     """The deg omega coefficients of p modulo omega, zeros included: a
     truncation when omega = c x^m, since c x^m A has no term below x^m.
-    Any other omega divides only a p of degree deg omega or more; a p of
-    lower degree is its own residue."""
+    For any other omega a p of lower degree is its own residue, and a
+    longer p is reduced by Horner's rule on _times_x, with no division:
+    from its top deg omega coefficients, each lower one c, top down, is
+    added at x^0 to x times the residue so far; commutative rings only."""
     m = ring.omega_deg
-    if len(p) > m and not ring.omega_monomial:
-        p = ring.right_quo_rem(p, ring.omega)[1]
-    return p[:m] + [ring.field.zero] * (m - len(p))
+    if len(p) <= m or ring.omega_monomial:
+        return p[:m] + [ring.field.zero] * (m - len(p))
+    r = p[-m:]
+    for c in reversed(p[:-m]):
+        r = _times_x(ring, r)
+        r[0] = ring.field.add(r[0], c)
+    return r
 
 
 def _times_x(ring, v):

@@ -4,11 +4,11 @@ Everything is deterministic given the supplied random.Random instance;
 the harness relies on that for byte-identical reports.
 
 Objects come from diagonal seeds (slot entries multiplying to the normal
-element down every column), densified by conjugation with tracked-inverse
-elementary matrices, padded with trivial summands, and over commutative
-rings optionally rebuilt through the cokernel-chain lift.  Conjugator
-entries stay at degree <= 1 so the result does not blow past the seed
-degrees by much.
+element down every column), densified by conjugation with base changes
+made by row and column operations, padded with trivial summands, and
+over commutative rings optionally rebuilt through the cokernel-chain
+lift.  Conjugator entries stay at degree <= 1 so the result does not
+blow past the seed degrees by much.
 
 Stably nonzero certificates (commutative): if some cokernel of partial
 composites has an invariant factor e with gcd(e, omega/e) a nonunit,
@@ -21,7 +21,7 @@ padding, so the certificate survives both.
 """
 
 from .rings import UnsupportedRingError
-from .matrices import TwistedMatrix, invariant_factors
+from .matrices import TwistedMatrix, mat_identity, invariant_factors
 from .factorizations import (Factorization, Morphism, theta, direct_sum,
                              shift, omega_morphism)
 from .homotopy import random_witness, reconstruct_from_witness, HomSpace
@@ -138,31 +138,6 @@ def random_diagonal(ring, rng, n, rank):
     return _diagonal(ring, n, [random_split(ring, rng, n) for _ in range(rank)])
 
 
-def _elementary(ring, r, i, j, a):
-    fld = ring.field
-    ent = [[([fld.from_int(1)] if b == c else []) for c in range(r)]
-           for b in range(r)]
-    ent[i][j] = ring.trim(list(a))
-    return TwistedMatrix(ring, ent, 0)
-
-
-def _unit_scale(ring, r, i, c):
-    fld = ring.field
-    ent = [[([c] if b == d == i else [fld.from_int(1)] if b == d else [])
-            for d in range(r)] for b in range(r)]
-    return TwistedMatrix(ring, ent, 0)
-
-
-def _swap(ring, r, i, j):
-    fld = ring.field
-    ent = [[[] for _ in range(r)] for _ in range(r)]
-    perm = list(range(r))
-    perm[i], perm[j] = j, i
-    for b in range(r):
-        ent[b][perm[b]] = [fld.from_int(1)]
-    return TwistedMatrix(ring, ent, 0)
-
-
 def _nonzero_unit(ring, rng):
     fld = ring.field
     while True:
@@ -172,35 +147,42 @@ def _nonzero_unit(ring, rng):
 
 
 def random_invertible(ring, rng, r, max_deg=1, ops=None):
-    """(U, U_inverse) as twist-0 matrices, built from elementary steps."""
-    u = TwistedMatrix.identity(ring, r)
-    uinv = TwistedMatrix.identity(ring, r)
+    """(U, U_inverse) as twist-0 matrices, built from the identity by row
+    and column operations: each step acts on the columns of U from the
+    right and undoes itself on the rows of U_inverse from the left. A
+    step adds column i times a to column j of U and takes a times row j
+    from row i of U_inverse; or multiplies column i of U by a unit c on
+    the right, and row i of U_inverse by c^-1 on the left; or swaps i and
+    j in both."""
+    u = mat_identity(ring, r)
+    uinv = mat_identity(ring, r)
     if ops is None:
         ops = r + rng.randrange(r + 1)
     for _ in range(ops):
         kind = rng.randrange(3) if r > 1 else 1
-        if kind == 0:
-            i = rng.randrange(r)
+        i = rng.randrange(r)
+        if kind != 1:
             j = rng.randrange(r - 1)
             j += j >= i
+        if kind == 0:
             a = ring.random_poly(rng, max_deg)
             if ring.is_zero(a):
                 continue
-            u = u.then(_elementary(ring, r, i, j, a))
-            uinv = _elementary(ring, r, i, j, ring.neg(a)).then(uinv)
+            for row in u:
+                row[j] = ring.add(row[j], ring.mul(row[i], a))
+            uinv[i] = [ring.sub(p, ring.mul(a, q)) for p, q in zip(uinv[i], uinv[j])]
         elif kind == 1:
-            i = rng.randrange(r)
             c = _nonzero_unit(ring, rng)
-            u = u.then(_unit_scale(ring, r, i, c))
-            uinv = _unit_scale(ring, r, i, ring.field.inv(c)).then(uinv)
+            for row in u:
+                row[i] = ring.mul(row[i], [c])
+            cinv = ring.field.inv(c)
+            uinv[i] = [ring.scale(cinv, p) for p in uinv[i]]
         else:
-            i = rng.randrange(r)
-            j = rng.randrange(r - 1)
-            j += j >= i
-            s = _swap(ring, r, i, j)
-            u = u.then(s)
-            uinv = s.then(uinv)
-    return u, uinv
+            for row in u:
+                row[i], row[j] = row[j], row[i]
+            uinv[i], uinv[j] = uinv[j], uinv[i]
+    return (TwistedMatrix._wrap(ring, u, 0, r, r),
+            TwistedMatrix._wrap(ring, uinv, 0, r, r))
 
 
 def conjugate(x, units):

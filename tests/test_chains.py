@@ -96,6 +96,11 @@ def test_lift_roundtrips():
                 diag = [[f if a == b else [] for b in range(r)]
                         for a, f in enumerate(factors)]
                 assert L.compose_range(0, n - 2).m == diag, (ring, n)
+    # a fold-1 chain carries no modules: its lift is the rank-0 object
+    c1 = zero_chain(R5x2, 1)
+    L1 = lift(c1)
+    assert (L1.n, L1.ranks) == (1, [0]) and L1.is_valid()
+    assert cok0(L1) == c1
 
 
 def test_lift_uses_one_smith_form_and_two_hermite_forms_per_inner_slot(
@@ -173,6 +178,10 @@ def test_chain_iso_definitive_negatives():
     assert not res.found and res.definitive
     res = chain_iso(cok0(X2), zero_chain(R5x2, 2))
     assert not res.found and res.definitive
+    res = chain_iso(cok0(X2), zero_chain(R5x2, 3))
+    assert not res.found and res.definitive and res.reason == "different lengths"
+    with pytest.raises(ValueError, match="chains live over different rings"):
+        chain_iso(cok0(X2), cok0(X2Q))
     # equal slot invariants, no invertible chain map among the tries: the
     # chain-map dimensions differ, which rules an isomorphism out
     for seed, dims in ((19, (8, 8, 8, 9)), (219, (4, 4, 4, 5))):
@@ -203,6 +212,17 @@ def test_lift_rejects_bad_chains():
     assert ill.defects() == ["chain map into slot 2 is not well defined"]
     with pytest.raises(ValueError, match="into slot 2 is not well defined"):
         lift(ill)
+    # chain_iso refuses a defective chain on either side; its k-linear
+    # search alone would find ill isomorphic to itself
+    good = ChainModule(R5x2, [
+        ModulePresentation(R5x2, 1, [[x_]]),
+        ModulePresentation(R5x2, 1, [[xx]]),
+    ], [[[x_]]], n=3)
+    assert good.defects() == []
+    for c, d, defect in ((bad, bad, "not injective"), (ill, ill, "not well defined"),
+                         (good, ill, "not well defined"), (ill, good, "not well defined")):
+        with pytest.raises(ValueError, match="into slot 2 is %s" % defect):
+            chain_iso(c, d)
     free = ChainModule(R5x2, [ModulePresentation(R5x2, 1, [])], [], n=2)
     with pytest.raises(ValueError):
         lift(free)

@@ -371,9 +371,15 @@ def test_input_error_paths_print_one_line(paths):
                       + Morphism.identity(x).components[1:])
     broken = dict(broken.to_json(), source=x.to_json(), target=x.to_json(),
                   ring=Q2.to_json())
+    ill = wj("e-ill.json", ILL_DEFINED_CHAIN)
+    # A/(x) -> A/(x^2), e |-> x e: well defined and injective
+    f5chain = wj("e-f5chain.json", _chain_over_f5([0, 1], [0, 0, 1], [0, 1]))
     cases = [
         (("cok0", bare), "no ring supplied and none embedded"),
         (("cok0", badring), "bad embedded ring in %s" % badring),
+        (("chain-iso", ill, ill), "chain map into slot 2 is not well defined"),
+        (("chain-iso", f5chain, ill), "chain map into slot 2 is not well defined"),
+        (("chain-iso", paths["c.json"], f5chain), "chains live over different rings"),
         (("functor", "shift", paths["c.json"]),
          "functors act on factorizations or morphisms, not 'chain'"),
         (("homotopy-check", wj("broken.json", broken)),

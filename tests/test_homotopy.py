@@ -456,20 +456,22 @@ def test_skew_decisions_divide_only_to_complete(monkeypatch):
                     assert all(g == ring.omega for g in calls)
 
 
-def test_residues_divide_only_above_deg_omega(monkeypatch):
-    # over an omega that is not a monomial, a residue is a division, and
-    # an entry of degree below deg omega is its own residue: no residue
-    # division may see one; the completion still divides each entry of
-    # the top block
+def test_residues_never_divide(monkeypatch):
+    # over an omega that is not a monomial, a residue reduces by Horner's
+    # rule on _times_x and never divides, while entries of degree deg omega
+    # or more do reach it; the completion divides each entry of the top
+    # block of a positive once, and a negative not at all
     calls = []
     inside = []
+    long_residues = []
     real_quo_rem, real_residue = BaseRing.right_quo_rem, ho._residue
 
     def counting(self, f, g):
-        calls.append((bool(inside), len(f)))
+        calls.append(bool(inside))
         return real_quo_rem(self, f, g)
 
     def residue(ring, p):
+        long_residues.append(len(p) > ring.omega_deg)
         inside.append(p)
         try:
             return real_residue(ring, p)
@@ -477,7 +479,6 @@ def test_residues_divide_only_above_deg_omega(monkeypatch):
             inside.pop()
 
     rng2 = random.Random(43)
-    residue_divisions = 0
     for ring in (ring_q([0, 0, -1, 1]), ring5([0, 0, 4, 1])):
         assert not ring.omega_monomial
         for n in (1, 2, 3):
@@ -493,11 +494,9 @@ def test_residues_divide_only_above_deg_omega(monkeypatch):
                         mp.setattr(BaseRing, "right_quo_rem", counting)
                         mp.setattr(ho, "_residue", residue)
                         verdict = bool(decide(f))
-                    assert all(size > ring.omega_deg for within, size in calls if within)
-                    completion = [size for within, size in calls if not within]
-                    assert len(completion) == (top if verdict else 0)
-                    residue_divisions += len(calls) - len(completion)
-    assert residue_divisions > 0
+                    assert not any(calls)
+                    assert len(calls) == (top if verdict else 0)
+    assert any(long_residues)
 
 
 def _answers(x, y, f):
@@ -872,3 +871,12 @@ def test_companion_step_multiplies_residues_by_x(ring, coeffs):
     r = [ring.field.coerce(c) for c in coeffs]
     want = ring.right_quo_rem(ring.mul(ring.x, ring.trim(list(r))), ring.omega)[1]
     assert ring.trim(ho._times_x(ring, r)) == want
+
+
+@given(st.sampled_from([QX2X1, F5X2X1]),
+       st.lists(st.integers(-9, 9), max_size=9))
+@settings(max_examples=200, deadline=None)
+def test_residue_is_the_remainder_by_omega(ring, coeffs):
+    p = ring.trim([ring.field.coerce(c) for c in coeffs])
+    rem = ring.right_quo_rem(p, ring.omega)[1]
+    assert ho._residue(ring, p) == rem + [ring.field.zero] * (ring.omega_deg - len(rem))

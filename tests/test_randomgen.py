@@ -36,6 +36,18 @@ def test_generation_is_seed_deterministic():
     assert a.ranks == b.ranks and a.maps == b.maps
 
 
+def test_random_invertible_pairs_are_inverse():
+    # on the F_4 rings p c != c p, so a unit scaling that lands on the
+    # wrong side of U's column or U_inverse's row shows here
+    draws = random.Random(5)
+    for ring in RINGS:
+        for r in (1, 2, 3, 4):
+            for _ in range(8):
+                u, uinv = rg.random_invertible(ring, draws, r, max_deg=2)
+                eye = TwistedMatrix.identity(ring, r)
+                assert u.then(uinv) == eye and uinv.then(u) == eye
+
+
 def test_certified_nonzero_agrees_with_decider():
     for ring in [r for r in RINGS if not r.sigma_power]:
         for n in (2, 3):

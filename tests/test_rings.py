@@ -146,6 +146,13 @@ def test_commutative_ring_has_trivial_sigma():
     assert RQ2.commutative
 
 
+def test_pretty_prints_f4_coefficients_in_u():
+    # an element of F_4 = F_2[u] is its coordinates in 1, u; a sum is
+    # parenthesized before a power of x
+    poly = [(1, 1), (1, 1), (0, 1), (1, 0)]
+    assert RS.pretty(poly) == "1 + u + (1 + u)*x + u*x^2 + x^3"
+
+
 def test_skew_ring_requires_monomial_omega():
     F4 = ExtensionField(2, 2)
     with pytest.raises(NotNormalError):
