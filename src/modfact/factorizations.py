@@ -8,8 +8,7 @@ commute, the last one up to the induced automorphism.
 
 The functors here: shift (both directions), the trivial objects theta^i,
 face insertions, degeneracy fusions, and direct sums, each with its
-morphism action, plus the two adjunction transports whose unit/counit
-data is an explicit matrix formula.
+morphism action, plus the transports of the two base adjunctions.
 
 Shift, face and degeneracy are one reindexing rule on an n-fold x. A
 plan is a nondecreasing list of unrolled slots a, none past plan[0] + n;
@@ -23,6 +22,13 @@ morphism is sigma^{-w}(f^{a mod n}). The plans:
     shift_power(x, a)    [a, a+1, ..., a+n-1]
     face(x, i)           [0, ..., i, i, i+1, ..., n-1]    ([0, ..., n] at i = n)
     degeneracy(x, i)     [0, ..., n-1] without i+1        ([-1, 1, ..., n-2] at i = n-1)
+
+Plans compose: reindexing by p and then by q is reindexing by
+compose_plans(p, q, n), so a composite of these functors is one plan.
+Between two plans a <= b <= a + n (entrywise) of the same length there
+is the arc morphism from x reindexed by a to x reindexed by b, whose
+component j is the arc from unrolled slot a[j] to b[j]; every unit and
+counit of an adjunction between composites is one (see recollement).
 
 The new maps share the maps and memoized arcs of x (see TwistedMatrix).
 """
@@ -290,7 +296,7 @@ def theta_morphism(ring, n, i, g):
 
 # -- shift, face and degeneracy: one reindexing rule --
 
-def _reindex(x, plan):
+def reindex(x, plan):
     """The object whose slot j is the unrolled slot plan[j] of x (see the
     module docstring)."""
     n = x.n
@@ -305,19 +311,19 @@ def _reindex(x, plan):
     return Factorization(x.ring, [x.ranks[a % n] for a in plan], maps)
 
 
-def _reindex_morphism(f, plan):
+def reindex_morphism(f, plan):
     n = f.n
     comps = [f.components[a % n].sigma_entries(-(a // n)) for a in plan]
-    return Morphism(_reindex(f.source, plan), _reindex(f.target, plan), comps)
+    return Morphism(reindex(f.source, plan), reindex(f.target, plan), comps)
 
 
-def _face_plan(n, i):
+def face_plan(n, i):
     if not (0 <= i <= n):
         raise ValueError("face index %d out of range for fold %d" % (i, n))
     return list(range(i + 1)) + list(range(i, n))
 
 
-def _degeneracy_plan(n, i):
+def degeneracy_plan(n, i):
     if n < 2:
         raise ValueError("degeneracy needs fold count at least 2")
     if not (0 <= i <= n - 1):
@@ -327,12 +333,39 @@ def _degeneracy_plan(n, i):
     return [a for a in range(n) if a != i + 1]
 
 
+def compose_plans(p, q, n):
+    """The plan on fold n of reindexing by p, a plan on fold n, and then
+    by q, a plan on fold m = len(p): unrolled slot b of the first result
+    is slot b mod m of it, b // m laps on, which is unrolled slot
+    p[b mod m] + n (b // m) of x."""
+    m = len(p)
+    return [p[b % m] + n * (b // m) for b in q]
+
+
+def arc_morphism(x, a, b):
+    """The morphism from x reindexed by a to x reindexed by b, for plans
+    of one length with a[j] <= b[j] <= a[j] + n. Component j is the arc
+    of x from unrolled slot a[j] to b[j], hit by sigma^{-t-w} at twist 0,
+    with t the arc's twist and w = a[j] // n, as reindex treats its
+    maps; each square is then the arc from a[j] to b[j+1]."""
+    n = x.n
+    comps = []
+    for s, t in zip(a, b):
+        if not s <= t <= s + n:
+            raise ValueError("no arc from unrolled slot %d to %d at fold %d"
+                             % (s, t, n))
+        laps, i = divmod(s, n)
+        arc = x.compose_range(i, i + t - s - 1)
+        comps.append(arc.sigma_entries(-arc.twist - laps).with_twist(0))
+    return Morphism(reindex(x, a), reindex(x, b), comps)
+
+
 def shift_power(x, a):
-    return _reindex(x, list(range(a, a + x.n)))
+    return reindex(x, list(range(a, a + x.n)))
 
 
 def shift_power_morphism(f, a):
-    return _reindex_morphism(f, list(range(a, a + f.n)))
+    return reindex_morphism(f, list(range(a, a + f.n)))
 
 
 def shift(x):
@@ -353,20 +386,20 @@ def shift_inverse_morphism(f):
 
 def face(x, i):
     """Insert a slot at position i (0 <= i <= n), raising the fold count by one."""
-    return _reindex(x, _face_plan(x.n, i))
+    return reindex(x, face_plan(x.n, i))
 
 
 def face_morphism(f, i):
-    return _reindex_morphism(f, _face_plan(f.n, i))
+    return reindex_morphism(f, face_plan(f.n, i))
 
 
 def degeneracy(x, i):
     """Fuse slots i and i+1 (indices mod the fold count), lowering the fold by one."""
-    return _reindex(x, _degeneracy_plan(x.n, i))
+    return reindex(x, degeneracy_plan(x.n, i))
 
 
 def degeneracy_morphism(f, i):
-    return _reindex_morphism(f, _degeneracy_plan(f.n, i))
+    return reindex_morphism(f, degeneracy_plan(f.n, i))
 
 
 # -- direct sums --
@@ -420,27 +453,15 @@ def summand_projection(parts, t):
     return Morphism(total, parts[t], comps)
 
 
-# -- the two explicit adjunctions --
+# -- the transports of the two base adjunctions --
 #
 # (face at 0) left adjoint to (degeneracy at 0):
-#   Hom(face_0 X, Y) = Hom(X, degeneracy_0 Y), unit the identity,
-#   counit (I, N_0, I, ..., I).
+#   Hom(face_0 X, Y) = Hom(X, degeneracy_0 Y).
 # (degeneracy at top) left adjoint to (face at top):
-#   Hom(degeneracy_{n-1} Y, X) = Hom(Y, face_n X), counit the identity,
-#   unit (I, ..., I, sigma^{-1}(N_last)).
-
-def face0_unit(x):
-    return Morphism(x, degeneracy(face(x, 0), 0), Morphism.identity(x).components)
-
-
-def face0_counit(y):
-    """face_0(degeneracy_0 Y) -> Y."""
-    ring = y.ring
-    src = face(degeneracy(y, 0), 0)
-    comps = [TwistedMatrix.identity(ring, y.ranks[0], 0), y.maps[0]]
-    comps += [TwistedMatrix.identity(ring, r, 0) for r in y.ranks[2:]]
-    return Morphism(src, y, comps)
-
+#   Hom(degeneracy_{n-1} Y, X) = Hom(Y, face_n X).
+# Their units and counits are arc morphisms (recollement.AdjointPair).
+# The transports are written out apart from those, so the adjunction law
+# can check the face pair's unit and counit against them.
 
 def face0_transport(g):
     """Adjunct of g: face_0 X -> Y across (face_0, degeneracy_0)."""
@@ -451,21 +472,6 @@ def face0_transport_back(f, y):
     """Adjunct of f: X -> degeneracy_0 Y as a morphism face_0 X -> Y."""
     comps = [f.components[0], f.components[0].then(y.maps[0])] + f.components[1:]
     return Morphism(face(f.source, 0), y, comps)
-
-
-def top_unit(y):
-    """Y -> face_top(degeneracy_top Y) for the top pair (fold of Y is n+1)."""
-    ring = y.ring
-    n = y.n - 1
-    tgt = face(degeneracy(y, n - 1), n)
-    comps = [TwistedMatrix.identity(ring, r, 0) for r in y.ranks[:n]]
-    comps.append(y.maps[n].sigma_entries(-1).with_twist(0))
-    return Morphism(y, tgt, comps)
-
-
-def top_counit(x):
-    src = degeneracy(face(x, x.n), x.n - 1)
-    return Morphism(src, x, Morphism.identity(x).components)
 
 
 def top_transport(f, y):

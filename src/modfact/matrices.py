@@ -201,6 +201,8 @@ class TwistedMatrix:
             if key not in data:
                 raise ValueError("matrix object is missing %r" % key)
         rows, cols = json_int(data["rows"], "rows"), json_int(data["cols"], "cols")
+        if rows < 0 or cols < 0:
+            raise ValueError("a matrix cannot be %dx%d" % (rows, cols))
         entries = data["entries"]
         if len(entries) != rows or any(len(row) != cols for row in entries):
             raise ValueError("entry grid does not match the declared %dx%d shape" % (rows, cols))

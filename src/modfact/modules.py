@@ -32,6 +32,8 @@ class NotQuotientModule(ValueError):
 
 class ModulePresentation:
     def __init__(self, ring, gens, relations):
+        if gens < 0:
+            raise ValueError("a presentation cannot have %d generators" % gens)
         self.ring = ring
         self.gens = gens
         self.relations = [[ring.trim(list(e)) for e in row] for row in relations]

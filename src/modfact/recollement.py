@@ -2,9 +2,11 @@
 
 For 1 <= k <= n-1 the stable n-fold category is glued from the (n-k+1)-fold
 category (through inc) and the k-fold one (through the slot-0 projection
-tower).  This module assembles the six functors as composites of the shift,
-face and degeneracy primitives, together with strict unit/counit data for
-the two adjunctions on the quotient side, so the triangle identities can be
+tower).  Every functor here is a reindexing plan (factorizations.reindex):
+a composite of shifts, faces and degeneracies is one composed plan, applied
+in one pass.  The unit and counit of an adjunction L -| R are the arc
+morphisms from the identity plan to the plan of R after L, and from the
+plan of L after R to the identity, so the triangle identities can be
 checked bit-exact on concrete objects.
 
 The composites are normalized so every fold count lines up:
@@ -19,144 +21,96 @@ quotient; inc_left and inc_right are the declared adjoint composites of
 inc, built by conjugating the two base adjunctions with shift powers.
 """
 
-from .factorizations import (Morphism, shift_power, shift_power_morphism,
-                             face, face_morphism, degeneracy, degeneracy_morphism,
-                             face0_unit, face0_counit, top_unit, top_counit)
+from .factorizations import (Morphism, reindex, reindex_morphism, compose_plans,
+                             arc_morphism, face_plan, degeneracy_plan)
 from .homotopy import is_stably_zero
 
 
 class Functor:
-    """A named pair of object and morphism maps, composed left to right."""
+    """A named reindexing plan, plan(n) on fold n, composed left to right."""
 
-    def __init__(self, name, on_obj, on_mor):
+    def __init__(self, name, plan):
         self.name = name
-        self._obj = on_obj
-        self._mor = on_mor
+        self.plan = plan
 
     def obj(self, x):
-        return self._obj(x)
+        return reindex(x, self.plan(x.n))
 
     def mor(self, f):
-        return self._mor(f)
+        return reindex_morphism(f, self.plan(f.n))
 
     def then(self, other):
-        return Functor("%s %s" % (other.name, self.name),
-                       lambda x: other._obj(self._obj(x)),
-                       lambda f: other._mor(self._mor(f)))
+        def plan(n):
+            p = self.plan(n)
+            return compose_plans(p, other.plan(len(p)), n)
+        return Functor("%s %s" % (other.name, self.name), plan)
 
     def __repr__(self):
         return "Functor(%s)" % self.name
 
 
-def identity_functor():
-    return Functor("1", lambda x: x, lambda f: f)
-
-
 def shift_functor(a):
-    if a == 0:
-        return identity_functor()
-    return Functor("S^%d" % a,
-                   lambda x: shift_power(x, a),
-                   lambda f: shift_power_morphism(f, a))
+    return Functor("S^%d" % a, lambda n: list(range(a, a + n)))
 
 
 def face_functor(i):
-    return Functor("face_%d" % i,
-                   lambda x: face(x, i),
-                   lambda f: face_morphism(f, i))
+    return Functor("face_%d" % i, lambda n: face_plan(n, i))
 
 
 def degeneracy_functor(i):
-    return Functor("pr_%d" % i,
-                   lambda x: degeneracy(x, i),
-                   lambda f: degeneracy_morphism(f, i))
-
-
-def _rebase(f, src, tgt):
-    # endpoints must already be bit-equal; this only retags them
-    if f.source != src or f.target != tgt:
-        raise ValueError("functor composite endpoints drifted")
-    return Morphism(src, tgt, f.components)
+    return Functor("pr_%d" % i, lambda n: degeneracy_plan(n, i))
 
 
 class AdjointPair:
-    """(left adjoint, right adjoint) with strict unit and counit.
-
-    unit(x): x -> R(L(x)) for x in the source of left;
+    """(left adjoint, right adjoint), with the arc morphisms as
+    unit(x): x -> R(L(x)) for x in the source of left and
     counit(y): L(R(y)) -> y for y in the target of left.
     """
 
-    def __init__(self, left, right, unit, counit):
+    def __init__(self, left, right):
         self.left = left
         self.right = right
-        self._unit = unit
-        self._counit = counit
 
     def unit(self, x):
-        return self._unit(x)
+        n = x.n
+        return arc_morphism(x, list(range(n)), self.left.then(self.right).plan(n))
 
     def counit(self, y):
-        return self._counit(y)
+        n = y.n
+        return arc_morphism(y, self.right.then(self.left).plan(n), list(range(n)))
 
     def compose(self, other):
         """Glue with a pair one level up: left legs compose source-first."""
-        L = self.left.then(other.left)
-        R = other.right.then(self.right)
-
-        def unit(x):
-            u1 = self._unit(x)
-            u2 = other._unit(self.left.obj(x))
-            return u1.then(self.right.mor(u2))
-
-        def counit(y):
-            c2 = other._counit(y)
-            c1 = self._counit(other.right.obj(y))
-            return other.left.mor(c1).then(c2)
-
-        return AdjointPair(L, R, unit, counit)
+        return AdjointPair(self.left.then(other.left),
+                           other.right.then(self.right))
 
     def conjugate(self, a):
         """Transport the pair along S^a on both sides."""
-        if a == 0:
-            return self
-        pre = shift_functor(-a)
-        post = shift_functor(a)
-        L = pre.then(self.left).then(post)
-        R = pre.then(self.right).then(post)
-
-        def unit(x):
-            u = shift_power_morphism(self._unit(shift_power(x, -a)), a)
-            return _rebase(u, x, R.obj(L.obj(x)))
-
-        def counit(y):
-            c = shift_power_morphism(self._counit(shift_power(y, -a)), a)
-            return _rebase(c, L.obj(R.obj(y)), y)
-
-        return AdjointPair(L, R, unit, counit)
+        pre, post = shift_functor(-a), shift_functor(a)
+        return AdjointPair(pre.then(self.left).then(post),
+                           pre.then(self.right).then(post))
 
     def triangle_left(self, x):
         """(counit at L x) after L(unit at x) must be the identity of L x."""
         lx = self.left.obj(x)
-        t = self.left.mor(self._unit(x)).then(self._counit(lx))
+        t = self.left.mor(self.unit(x)).then(self.counit(lx))
         return t == Morphism.identity(lx)
 
     def triangle_right(self, y):
         """R(counit at y) after (unit at R y) must be the identity of R y."""
         ry = self.right.obj(y)
-        t = self._unit(ry).then(self.right.mor(self._counit(y)))
+        t = self.unit(ry).then(self.right.mor(self.counit(y)))
         return t == Morphism.identity(ry)
 
 
 def face0_pair(m):
     """face_0 : F_m -> F_{m+1} left adjoint to the slot-0 projection."""
-    return AdjointPair(face_functor(0), degeneracy_functor(0),
-                       face0_unit, face0_counit)
+    return AdjointPair(face_functor(0), degeneracy_functor(0))
 
 
 def top_pair(m):
     """Top projection F_{m+1} -> F_m left adjoint to the top face."""
-    return AdjointPair(degeneracy_functor(m - 1), face_functor(m),
-                       top_unit, top_counit)
+    return AdjointPair(degeneracy_functor(m - 1), face_functor(m))
 
 
 def pr0_pair(m):

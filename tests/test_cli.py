@@ -374,6 +374,11 @@ def test_input_error_paths_print_one_line(paths):
     ill = wj("e-ill.json", ILL_DEFINED_CHAIN)
     # A/(x) -> A/(x^2), e |-> x e: well defined and injective
     f5chain = wj("e-f5chain.json", _chain_over_f5([0, 1], [0, 0, 1], [0, 1]))
+    # -1 generators over a 0 x -1 relation matrix
+    negative = wj("e-negative.json", {
+        "n": 2, "ring": F5X2, "maps": [],
+        "modules": [{"generators": -1, "relations": {
+            "rows": 0, "cols": -1, "twist": 0, "entries": []}}]})
     cases = [
         (("cok0", bare), "no ring supplied and none embedded"),
         (("cok0", badring), "bad embedded ring in %s" % badring),
@@ -384,6 +389,9 @@ def test_input_error_paths_print_one_line(paths):
          "functors act on factorizations or morphisms, not 'chain'"),
         (("homotopy-check", wj("broken.json", broken)),
          "input is not a morphism; squares fail at slots"),
+        (("validate", negative), "a matrix cannot be 0x-1"),
+        (("lift", negative), "a matrix cannot be 0x-1"),
+        (("chain-iso", negative, negative), "a matrix cannot be 0x-1"),
     ]
     for argv, want in cases:
         code, out, err = run(*argv)

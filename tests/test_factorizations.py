@@ -19,11 +19,12 @@ from modfact.factorizations import (Factorization, Morphism, theta,
                                     direct_sum_morphism, summand_inclusion,
                                     summand_projection, face0_transport,
                                     face0_transport_back, top_transport,
-                                    top_transport_back, face0_unit,
-                                    face0_counit, top_unit, top_counit)
+                                    top_transport_back, reindex,
+                                    reindex_morphism, compose_plans,
+                                    arc_morphism)
 from modfact import randomgen as rg
 from modfact.laws import Scenario, run_suites
-from modfact.recollement import recollement
+from modfact.recollement import recollement, face0_pair, top_pair
 
 from common import R5x2, R5x3, RQ2, RS, RS1, X2, X2b, X3b, XS, mk, x_, one
 
@@ -189,6 +190,41 @@ def test_shift_powers_add_their_laps(ring, seed, n, ra, rb):
         assert h.is_valid() and h.source.is_valid() and h.target.is_valid()
 
 
+def _plan(draw, n):
+    # a plan on fold n: nondecreasing, laps either way, none past plan[0] + n
+    a0 = draw(st.integers(-2 * n, 2 * n))
+    rest = draw(st.lists(st.integers(a0, a0 + n), min_size=0, max_size=4))
+    return [a0] + sorted(rest)
+
+
+@given(st.sampled_from([R5x3, RQ2, RS1, RS8]), seeds, folds, st.data())
+@settings(max_examples=80, deadline=None)
+def test_composed_plans_reindex_in_one_pass(ring, seed, n, data):
+    # reindexing by p and then by q is reindexing by compose_plans(p, q, n),
+    # on objects and on morphisms
+    p = _plan(data.draw, n)
+    q = _plan(data.draw, len(p))
+    x = robj(ring, seed, n)
+    f = rmor(x, robj(ring, seed + 1, n), seed + 2)
+    pq = compose_plans(p, q, n)
+    assert reindex(reindex(x, p), q) == reindex(x, pq)
+    assert reindex_morphism(reindex_morphism(f, p), q) == reindex_morphism(f, pq)
+
+
+def test_arc_morphism_needs_plans_within_one_lap():
+    for a, b in (([0, 1, 2], [0, 0, 2]), ([0, 0, 0], [1, 3, 4])):
+        with pytest.raises(ValueError, match="no arc from unrolled slot"):
+            arc_morphism(X3b, a, b)
+    with pytest.raises(ValueError, match="share ring and fold count"):
+        arc_morphism(X3b, [0, 1], [0, 1, 2])
+    # both ends of the bound: the identity, and omega around a whole lap
+    for x in (X3b, XS, robj(RS8, 3, 3)):
+        ident, one_lap = list(range(x.n)), list(range(x.n, 2 * x.n))
+        assert arc_morphism(x, ident, ident) == Morphism.identity(x)
+        assert arc_morphism(x, ident, one_lap) == omega_morphism(x)
+        assert arc_morphism(x, [-1] * x.n, ident).is_valid()
+
+
 @given(st.sampled_from(RINGS), seeds, folds)
 @settings(max_examples=60, deadline=None)
 def test_face_degeneracy_identities(ring, seed, n):
@@ -343,8 +379,9 @@ def _functor_answers(x, y, f, g, h, k, m):
     out += [theta_morphism(x.ring, n, i, f.components[0]) for i in range(n)]
     out += [direct_sum([x, x]), direct_sum_morphism([f, f]), summand_inclusion([x, x], 1),
             summand_projection([x, x], 0)]
-    out += [face0_unit(x), face0_counit(y), face0_transport(g), face0_transport_back(h, y),
-            top_unit(y), top_counit(x), top_transport(k, y), top_transport_back(m, x)]
+    out += [face0_pair(n).unit(x), face0_pair(n).counit(y), face0_transport(g),
+            face0_transport_back(h, y), top_pair(n).unit(y), top_pair(n).counit(x),
+            top_transport(k, y), top_transport_back(m, x)]
     rec = recollement(n + 1, n)
     out += [rec.section_right.obj(x), rec.section_right.mor(f)]
     return out

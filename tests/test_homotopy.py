@@ -166,6 +166,19 @@ def test_hom_module_of_theta_pair():
     assert sh.is_zero() and sh.k_dimension == 0
 
 
+def test_a_top_component_that_does_not_extend_is_refused():
+    # theta^0 -> theta^1 with top 1 needs g * omega = 1 at slot 0
+    hom = ho.HomSpace(theta(R5x2, 2, 0), theta(R5x2, 2, 1))
+    with pytest.raises(ValueError, match="does not extend to a morphism"):
+        hom.morphism([[one]])
+
+
+def test_omega_power_divides_only_the_factors_of_omega_powers():
+    rq3 = ring_q([0, 0, 0, 1])
+    assert ho._omega_power_divides(rq3, [0, 0, 1])
+    assert not ho._omega_power_divides(rq3, [-2, 1])
+
+
 def test_stable_end_of_x_x_is_one_dimensional():
     sh = ho.stable_hom(X2, X2)
     assert sh.k_dimension == 1 and sh.omega_torsion

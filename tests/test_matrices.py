@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -7,7 +8,7 @@ from modfact.matrices import (TwistedMatrix, mat_mul, mat_identity,
                               hermite_form, solve_right, smith_form,
                               invariant_factors)
 
-from common import R5x2, R5x3, RQ2, RS, RS1, x_, one
+from common import R5x2, R5x3, RQ2, RS, RS1, ring_q, x_, one
 
 RINGS = [R5x3, RQ2, RS, RS1]
 COMMUTATIVE = [R5x3, RQ2]
@@ -98,6 +99,12 @@ def test_solve_right_empty_rhs():
     assert solve_right(R5x3, [[x_]], []) == []
 
 
+def test_solve_right_has_no_answer_off_the_row_space():
+    # rhs in a column without a pivot, and a pivot that does not divide it
+    assert solve_right(R5x3, [[one, []]], [[[], one]]) is None
+    assert solve_right(ring_q([0, 0, 0, 1]), [[x_]], [[one]]) is None
+
+
 @given(st.sampled_from(COMMUTATIVE), seeds, shapes)
 @settings(max_examples=60, deadline=None)
 def test_smith_form_contract(ring, seed, shape):
@@ -136,3 +143,7 @@ def test_twisted_matrix_json_roundtrip():
     for ring in RINGS:
         m = TwistedMatrix(ring, rand_mat(ring, rng, 2, 3), 1, rows=2, cols=3)
         assert TwistedMatrix.from_json(ring, m.to_json()) == m
+    for rows, cols in ((0, -1), (-1, 0), (-2, 3)):
+        bad = {"rows": rows, "cols": cols, "twist": 0, "entries": []}
+        with pytest.raises(ValueError, match="cannot be %dx%d" % (rows, cols)):
+            TwistedMatrix.from_json(RINGS[0], bad)

@@ -59,6 +59,16 @@ def test_presentation_json_roundtrip():
     assert back == m
 
 
+def test_negative_sizes_are_rejected():
+    # a 0 x -1 relation matrix and -1 generators once read as an empty chain
+    with pytest.raises(ValueError, match="cannot have -1 generators"):
+        ModulePresentation(R5x2, -1, [])
+    neg = {"generators": -1,
+           "relations": {"rows": 0, "cols": -1, "twist": 0, "entries": []}}
+    with pytest.raises(ValueError, match="cannot be 0x-1"):
+        ModulePresentation.from_json(R5x2, neg)
+
+
 def test_field_matrix_helpers():
     fld = PrimeField(5)
     m = [[1, 2], [3, 4]]

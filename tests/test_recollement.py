@@ -1,11 +1,17 @@
+import hashlib
+import json
+import random
+
 import pytest
 
+from modfact import randomgen as rg
 from modfact.matrices import TwistedMatrix
 from modfact.factorizations import Factorization, Morphism, theta, face, shift_power
-from modfact.recollement import (recollement, face0_pair, top_pair, pr0_pair,
-                                 shift_functor, face_functor)
+from modfact.recollement import (AdjointPair, recollement, face0_pair, top_pair,
+                                 pr0_pair, shift_functor, face_functor)
 
-from common import R5x2, R5x3, ring5, X2, X2b, X3, X3b, XS, mk, x_, one
+from common import (R5x2, R5x3, RQ2, RS, RS1, ring5, ring_q, X2, X2b, X3, X3b, XS,
+                    mk, x_, one)
 
 R5x4 = ring5([0, 0, 0, 0, 1])
 xx = [0, 0, 1]
@@ -117,3 +123,70 @@ def test_inc_composites_land_in_kernel_fold(n, k):
         assert zl.n == n - k + 1 and zr.n == n - k + 1
         zl.assert_valid()
         zr.assert_valid()
+
+
+@pytest.mark.parametrize("ring", [RQ2, R5x3, RS1, RS], ids=["Q2", "F5x3", "RS1", "RS"])
+def test_base_pair_units_are_the_written_matrices(ring):
+    # face_0 -| pr_0: unit the identity, counit (I, d^0, I, ..., I);
+    # pr_top -| face_top: unit (I, ..., I, sigma^-1(d^top)), counit the identity
+    rng = random.Random(83)
+    for n in (1, 2, 3):
+        x = rg.random_object(ring, rng, n, max_rank=2)
+        y = rg.random_object(ring, rng, n + 1, max_rank=2)
+        ident = [TwistedMatrix.identity(ring, r, 0) for r in y.ranks]
+        assert face0_pair(n).unit(x) == Morphism.identity(x)
+        assert face0_pair(n).counit(y).components == [ident[0], y.maps[0]] + ident[2:]
+        last = y.maps[n].sigma_entries(-1).with_twist(0)
+        assert top_pair(n).unit(y).components == ident[:n] + [last]
+        assert top_pair(n).counit(x) == Morphism.identity(x)
+
+
+def _unit_pairs():
+    # (pair, fold of the left adjoint's source, fold of its target)
+    for m in (1, 2, 3, 4):
+        yield face0_pair(m), m, m + 1
+        yield top_pair(m), m + 1, m
+        yield pr0_pair(m + 1), m + 1, m
+        for i in range(1, m + 2):
+            yield face0_pair(m).conjugate(-i), m, m + 1
+    for n in range(2, 6):
+        for k in range(1, n):
+            rec = recollement(n, k)
+            yield rec.adj_left, k, n
+            yield rec.adj_right, n, k
+
+
+def test_units_and_counits_keep_their_bytes():
+    # one sha256 over every unit and counit, with their endpoints, on the
+    # 10 stock rings; recorded while each base pair had hand-written units
+    # and composites and conjugates built theirs from those
+    rng = random.Random(79)
+    blobs = []
+    for ring in rg.default_instances():
+        for pair, a, b in _unit_pairs():
+            x = rg.random_object(ring, rng, a, max_rank=2)
+            y = rg.random_object(ring, rng, b, max_rank=2)
+            for u in (pair.unit(x), pair.counit(y)):
+                blobs.append(json.dumps([u.source.to_json(), u.to_json(),
+                                         u.target.to_json()], sort_keys=True))
+    assert len(blobs) == 920
+    assert hashlib.sha256("\n".join(blobs).encode()).hexdigest() == (
+        "4d361c5b454013774a9d0caecbed430c79d249e3bcd8036063a1bd134d964537")
+
+
+INC_RINGS = [RQ2, ring_q([0, 0, 0, 1]), ring_q([0, 0, 0, 0, 1]), RS1, RS]
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2)])
+def test_inc_is_adjoint_to_its_declared_adjoints(n, k):
+    # inc_left -| inc -| inc_right, with arc-morphism units and counits
+    rec = recollement(n, k)
+    m = n - k + 1
+    rng = random.Random(89)
+    for ring in INC_RINGS:
+        for pair, a, b in ((AdjointPair(rec.inc_left, rec.inc), n, m),
+                           (AdjointPair(rec.inc, rec.inc_right), m, n)):
+            x = rg.random_object(ring, rng, a, max_rank=2)
+            y = rg.random_object(ring, rng, b, max_rank=2)
+            assert pair.triangle_left(x), (n, k, ring)
+            assert pair.triangle_right(y), (n, k, ring)
