@@ -21,8 +21,8 @@ lift needs one Smith normal form, the top module's, chain_iso needs the
 Smith forms of every slot, and chain_factors_projective needs k-linear
 chain maps, which are Frobenius-semilinear over a skew ring: all three
 raise UnsupportedRingError over a skew base ring.  cok0 itself, morphism
-transport and the chain checks only use Hermite elimination and work over
-every supported ring.
+transport and the chain checks read residues modulo omega
+(modules.Linearization) and work over every supported ring.
 """
 
 from .fields import json_int
@@ -89,20 +89,20 @@ class ChainModule:
         return all(m.check_abar() for m in self.modules)
 
     def defects(self):
-        """Why this is not a chain of omega-torsion injections: torsion,
-        maps that do not send relations to relations, then, when all are
-        well defined, the first map that is not injective (by target slot)."""
-        out = [] if self.check_torsion() else ["a module is not killed by omega"]
+        """Why this is not a chain of omega-torsion injections: a module
+        omega does not kill (alone: no other check has coordinates then),
+        else the maps that do not send relations to relations, else the
+        first map that is not injective (by target slot)."""
+        if not self.check_torsion():
+            return ["a module is not killed by omega"]
         lins = [m.linearization() for m in self.modules]
         ill = ["chain map into slot %d is not well defined" % (i + 2)
                for i, m in enumerate(self.maps)
                if not lins[i].map_well_defined(lins[i + 1], m)]
         if ill:
-            return out + ill
+            return ill
         mono, slot = chain_is_mono(self)
-        if not mono:
-            out.append("chain map into slot %d is not injective" % (slot + 1))
-        return out
+        return [] if mono else ["chain map into slot %d is not injective" % (slot + 1)]
 
     def kmaps(self):
         """k-matrices of the chain maps, computed once (chains never change)."""
@@ -182,12 +182,9 @@ class ChainMorphism:
         self.components = comps
 
     def well_defined(self):
-        for i, m in enumerate(self.components):
-            src = self.source.modules[i].linearization()
-            tgt = self.target.modules[i].linearization()
-            if not src.map_well_defined(tgt, m):
-                return False
-        return True
+        return all(p.linearization().map_well_defined(q.linearization(), m)
+                   for p, q, m in zip(self.source.modules, self.target.modules,
+                                      self.components))
 
     def kmats(self):
         """The k-matrices of the components, source.dims()[i] x target.dims()[i]."""
@@ -213,12 +210,10 @@ class ChainMorphism:
 
     def is_zero_map(self):
         """All generator images vanish in the target quotients."""
-        for i, m in enumerate(self.components):
-            tgt = self.target.modules[i].linearization()
-            for row in m:
-                if any(tgt.normal_form(row)):
-                    return False
-        return True
+        fld = self.ring.field
+        return all(fld.is_zero(c)
+                   for mod, m in zip(self.target.modules, self.components)
+                   for row in m for c in mod.linearization().encode(row))
 
     def then(self, other):
         if other.source is not self.target and other.source != self.target:

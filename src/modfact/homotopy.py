@@ -50,14 +50,15 @@ blocks X_k, so one assembler (matrices.term_image) builds each image as
 outer products from a table of terms read off the arcs of x and y: the
 witness map (_witness_image) without running reconstruct_from_witness,
 and the trivial-factorization maps (_lambda_image) without building a
-trivial_hom, counit or theta per block. The engine only solves. Every
+trivial_hom, counit or theta per block. The engine only solves, on the
+residues that modules.py defines (residues, times_x, residue_rows). Every
 positive answer is rebuilt in full from the solution and compared bit for bit with f: a
 witness through reconstruct_from_witness, a factorization by composing
 it with the counit, which with the trivial sum is built only then, so a
 negative never builds them.
 
 stable_hom reads stable Hom off the same component modulo omega: the
-HomSpace of those of morphisms modulo the _residue_rows of the witness
+HomSpace of those of morphisms modulo the residue_rows of the witness
 map (ideal='all') or the theta^0 map (ideal='theta0'). Only
 HomSpace.morphism takes Hermite forms, to complete a morphism by division.
 """
@@ -66,7 +67,8 @@ from .fields import PrimeField
 from .rings import UnsupportedRingError
 from .matrices import (TwistedMatrix, mat_mul, solve_right, smith_form,
                        block_slots, term_image)
-from .modules import kmat_solve, kmat_nullspace, kmat_mul
+from .modules import (kmat_solve, kmat_nullspace, kmat_mul, residues, times_x,
+                      residue_rows)
 from .factorizations import Morphism, theta, direct_sum
 
 
@@ -210,51 +212,6 @@ class TrivialFactorization:
 # image(u, poly) returns the entries of the slot n-1 component of its
 # morphism, row by row.
 
-def _residue(ring, p):
-    """The deg omega coefficients of p modulo omega, zeros included: a
-    truncation when omega = c x^m, since c x^m A has no term below x^m.
-    For any other omega a p of lower degree is its own residue, and a
-    longer p is reduced by Horner's rule on _times_x, with no division:
-    from its top deg omega coefficients, each lower one c, top down, is
-    added at x^0 to x times the residue so far; commutative rings only."""
-    m = ring.omega_deg
-    if len(p) <= m or ring.omega_monomial:
-        return p[:m] + [ring.field.zero] * (m - len(p))
-    r = p[-m:]
-    for c in reversed(p[:-m]):
-        r = _times_x(ring, r)
-        r[0] = ring.field.add(r[0], c)
-    return r
-
-
-def _times_x(ring, v):
-    """x v modulo omega for a commutative ring, v a run of residues of
-    _residue's form: shift each up, then take away c w_t at x^t for each
-    pair (t, w_t) of ring.omega_tail, c the coefficient pushed to x^m;
-    nothing when c is zero or omega = c x^m."""
-    fld, m, tail = ring.field, ring.omega_deg, ring.omega_tail
-    out = []
-    for k in range(0, len(v), m):
-        r, c = [fld.zero] + v[k:k + m - 1], v[k + m - 1]
-        if tail and not fld.is_zero(c):
-            for t, w in tail:
-                r[t] = fld.sub(r[t], fld.mul(c, w))
-        out += r
-    return out
-
-
-def _residue_rows(ring, unit_count, image):
-    """The residues of image(u, x^d) for d < deg omega, u by u, each row
-    the run of its entries' residues; commutative rings only. As
-    image(u, x^d) = x^d image(u, 1), a row is the one before it times x."""
-    rows = []
-    for u in range(unit_count):
-        rows.append([c for p in image(u, ring.one) for c in _residue(ring, p)])
-        for _ in range(1, ring.omega_deg):
-            rows.append(_times_x(ring, rows[-1]))
-    return rows
-
-
 def _solve(f, unit_count, image, top):
     """Polys c_u whose morphism, sum_u of the image of c_u in unknown u,
     is f, or None, a definitive no.
@@ -271,11 +228,12 @@ def _solve(f, unit_count, image, top):
     omega is normal, so (omega) = A omega = omega A, and writing c_u =
     c_low + omega c_high with deg c_low < deg omega = m shows that f must
     be image(c_low) modulo omega: one linear system, with an unknown per
-    u and per x^d below x^m. A commutative ring solves it over its field,
-    on the rows of _residue_rows. A skew ring solves it
-    over F_p, with an unknown per unit of F_q = F_{p^e} too: an element
-    is its own tuple of e coordinates (fields.py), read off each residue
-    of image(u, unit x^d) and grouped back from the solution.
+    u and per x^d below x^m, on residues (modules.residues). A commutative
+    ring solves it over its field, on the rows of residue_rows. A skew
+    ring solves it over F_p, with an unknown per unit of F_q = F_{p^e}
+    too: an element is its own tuple of e coordinates (fields.py), read
+    off each residue of image(u, unit x^d) and grouped back from the
+    solution.
 
     With a solution the remainder f - image(c_low), for a morphism f, is a
     morphism with top component K omega; as d_y^{n-1} d_y^0 ... d_y^{n-2}
@@ -288,21 +246,16 @@ def _solve(f, unit_count, image, top):
     fld = ring.field
     m = ring.omega_deg
     target = [p for row in f.components[-1].m for p in row]
+
+    def flat(vec):
+        res = residues(ring, vec)
+        return res if ring.commutative else [a for c in res for a in c]
+
     if ring.commutative:
         kfld, e = fld, 1
-
-        def flat(vec):
-            return [c for p in vec for c in _residue(ring, p)]
-
-        rows = _residue_rows(ring, unit_count, image)
+        rows = residue_rows(ring, unit_count, image)
     else:
         kfld, e = PrimeField(fld.p), fld.e
-        pad = [fld.zero] * m
-
-        def flat(vec):
-            # omega = c x^m on a skew ring: each residue is a truncation
-            return [a for p in vec for c in (p + pad)[:m] for a in c]
-
         units = [tuple(int(i == c) for i in range(e)) for c in range(e)]
         rows = [flat(image(u, [fld.zero] * d + [unit]))
                 for u in range(unit_count) for d in range(m) for unit in units]
@@ -540,7 +493,7 @@ def _pivotless(fld, basis):
 class HomSpace:
     """The k-space of slot n-1 components of morphisms x -> y modulo
     omega; commutative base only. A basis vector holds the residues
-    (_residue) of the entries of an r x r' matrix M, row-major, for
+    (modules.residues) of the entries of an r x r' matrix M, row-major, for
     r = r_{n-1}(x) and r' = r_{n-1}(y); rank, that of Hom(x, y), is r r'.
 
     A morphism g is fixed by M = g^{n-1} (see _solve). M extends to one
@@ -548,7 +501,7 @@ class HomSpace:
     j < n-1 (morphism): each square then holds times a non-zero-divisor
     arc of y. As d_Y^{j -> n-1} d_Y^{n-1 -> j} = omega I, that is when
     d_X^{j -> n-1} M d_Y^{n-1 -> j} vanishes modulo omega, a condition on
-    M modulo omega: basis spans the null space of the _residue_rows of
+    M modulo omega: basis spans the null space of the residue_rows of
     that map, which term_image assembles as the deciders' maps.
     """
 
@@ -567,7 +520,7 @@ class HomSpace:
         terms = {last: [(j, into[j].m, y.arc(last, j).m, 0) for j in range(last)]}
         image = term_image(ring, [(j, x.ranks[j], y.ranks[j]) for j in range(last)],
                            terms, slots)
-        self.basis = kmat_nullspace(ring.field, _residue_rows(ring, len(slots), image))
+        self.basis = kmat_nullspace(ring.field, residue_rows(ring, len(slots), image))
 
     @property
     def rank(self):
@@ -627,7 +580,7 @@ class StableHomReport:
         lifts = [hom.basis[k] for k in _pivotless(fld, z)]
         q = len(lifts)
         # row i: x times quotient basis vector i, in quotient coordinates
-        xs = [_times_x(ring, v) for v in lifts]
+        xs = [times_x(ring, v) for v in lifts]
         act = kmat_mul(fld, [[v[f] for f in free] for v in xs], [list(c) for c in zip(*z)], q)
         pres = [[ring.trim([fld.neg(act[i][j])] + [fld.one] * (i == j))
                  for j in range(q)] for i in range(q)]
@@ -636,12 +589,12 @@ class StableHomReport:
         self.representatives = []
         for t in range(q):
             if ring.deg(d[t][t]) > 0:
-                # sum_k v_inv[t][k](x) lifts[k], x acting by _times_x
+                # sum_k v_inv[t][k](x) lifts[k], x acting by times_x
                 top = [fld.zero] * len(hom.basis[0])
                 for p, v in zip(v_inv[t], lifts):
                     for c in p:
                         top = [fld.add(a, fld.mul(c, b)) for a, b in zip(top, v)]
-                        v = _times_x(ring, v)
+                        v = times_x(ring, v)
                 self.invariant_factors.append(list(d[t][t]))
                 self.representatives.append(hom.morphism(hom.lift(top)))
         self.k_dimension = q
@@ -679,4 +632,4 @@ def stable_hom(x, y, ideal="all"):
     else:
         slots = _lambda_slots(x, y, [0])
         image = _lambda_image(x, y, [0], slots)
-    return StableHomReport(hom, _residue_rows(x.ring, len(slots), image), ideal)
+    return StableHomReport(hom, residue_rows(x.ring, len(slots), image), ideal)

@@ -28,6 +28,8 @@ def read_json(path):
         raise InputError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise InputError("bad JSON in %s: %s" % (path, exc))
+    except RecursionError:
+        raise InputError("JSON in %s is nested too deeply" % path)
 
 
 def write_json(data, path=None):

@@ -341,6 +341,11 @@ def _adjunction(sc, rng, rep):
         rep.case(top_transport(top_transport_back(hh, x), y).components
                  == hh.components, "top bijection round trip from above")
         tpair = top_pair(n)
+        rep.case(tpair.unit(y).then(face_morphism(h, n)).components
+                 == ht.components, "unit form of the top bijection")
+        rep.case(degeneracy_morphism(hh, n - 1).then(tpair.counit(x)).components
+                 == top_transport_back(hh, x).components,
+                 "counit form of the top bijection")
         rep.case(tpair.triangle_left(y), "top pair triangle at the source")
         rep.case(tpair.triangle_right(x), "top pair triangle at the target")
 

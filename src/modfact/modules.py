@@ -1,10 +1,14 @@
-"""Finitely presented modules over the base ring and their k-linear shadows.
+"""The k-coordinates of Lambda = A/(omega), and finitely presented modules.
 
-A presentation is a generator count g plus a relation matrix whose row
-space is the relation submodule of A^g. When the quotient is killed by
-omega it can be linearized: the Hermite form of the relations yields a
-canonical normal form for cosets, a finite k-basis, and matrices for the
-x-action and for any A-linear map given on generators.
+A vector over A modulo omega is the deg omega residues of its entries
+(residues), x acts on them by times_x, and residue_rows stacks the
+residues of a map's images of x^d: the coordinates that the homotopy
+engine and the chain modules read. A presentation is a generator count
+g plus a relation matrix whose row space is the relation submodule of
+A^g. When omega kills the quotient (check_abar, the one question over A
+that residues cannot answer), Linearization takes the quotient of the
+residues by those of the relations: a finite k-basis, coordinates, and
+matrices for x and for maps given on generators.
 
 The k-matrix helpers at the bottom (kmat_*) work over a coefficient field
 and back the finite-dimensional searches in chains.py and the one
@@ -23,11 +27,65 @@ the column count of its product, as mat_mul takes its shape.
 """
 
 from .fields import json_int
-from .matrices import TwistedMatrix, hermite_form, mat_mul
+from .matrices import TwistedMatrix, mat_mul, solve_right
 
 
 class NotQuotientModule(ValueError):
     pass
+
+
+# -- residues: coordinates of A/(omega) --
+
+def residues(ring, vec):
+    """The residues of the entries of vec, run after run: the deg omega
+    coefficients of each modulo omega, zeros included. For omega = c x^m
+    (every skew omega is one) that is a truncation, since c x^m A has no
+    term below x^m. For any other omega an entry is reduced by Horner's
+    rule on times_x, with no division: from its top deg omega coefficients
+    (all of a shorter entry, padded), each lower one c, top down, is added
+    at x^0 to x times the run so far."""
+    fld, m = ring.field, ring.omega_deg
+    pad = [fld.zero] * m
+    if ring.omega_monomial:
+        return [c for p in vec for c in (p + pad)[:m]]
+    out = []
+    for p in vec:
+        r = p[-m:] + pad[len(p):]
+        for c in reversed(p[:-m]):
+            r = times_x(ring, r)
+            r[0] = fld.add(r[0], c)
+        out += r
+    return out
+
+
+def times_x(ring, v):
+    """x v modulo omega, v a run of residues of residues' form: twist each
+    by frob^s, as x c = frob^s(c) x, and shift it up, then take away
+    c w_t at x^t for each pair (t, w_t) of ring.omega_tail, c the
+    coefficient pushed to x^m; nothing when c is zero or omega = c x^m."""
+    fld, m, tail, s = ring.field, ring.omega_deg, ring.omega_tail, ring.sigma_power
+    out = []
+    for k in range(0, len(v), m):
+        r, c = [fld.zero] + v[k:k + m - 1], v[k + m - 1]
+        if s:
+            r, c = [fld.frob(a, s) for a in r], fld.frob(c, s)
+        if tail and not fld.is_zero(c):
+            for t, w in tail:
+                r[t] = fld.sub(r[t], fld.mul(c, w))
+        out += r
+    return out
+
+
+def residue_rows(ring, unit_count, image):
+    """The residues of image(u, x^d) for d < deg omega, u by u, each row
+    the run of its entries' residues. As image(u, x^d) = x^d image(u, 1),
+    a row is the one before it times x."""
+    rows = []
+    for u in range(unit_count):
+        rows.append(residues(ring, image(u, ring.one)))
+        for _ in range(1, ring.omega_deg):
+            rows.append(times_x(ring, rows[-1]))
+    return rows
 
 
 class ModulePresentation:
@@ -42,6 +100,7 @@ class ModulePresentation:
                 raise ValueError("relation width %d does not match %d generators"
                                  % (len(row), gens))
         self._lin = None
+        self._abar = None
 
     def __eq__(self, other):
         return (isinstance(other, ModulePresentation) and self.ring == other.ring
@@ -53,14 +112,14 @@ class ModulePresentation:
         return self._lin
 
     def check_abar(self):
-        """omega * e_j must lie in the relation row space for every generator."""
-        lin = self.linearization()
-        ring = self.ring
-        for j in range(self.gens):
-            v = [list(ring.omega) if jj == j else [] for jj in range(self.gens)]
-            if any(lin.normal_form(v)):
-                return False
-        return True
+        """Does omega e_j lie in the relations' row space for every j? One
+        solve_right against omega I, computed once."""
+        if self._abar is None:
+            ring, rels = self.ring, self.relations
+            omega_i = TwistedMatrix.scalar(ring, self.gens, ring.omega).m
+            self._abar = (solve_right(ring, rels, omega_i) is not None
+                          if rels else not self.gens)
+        return self._abar
 
     def to_json(self):
         rel = TwistedMatrix(self.ring, self.relations, 0,
@@ -81,94 +140,77 @@ class ModulePresentation:
 
 
 class Linearization:
-    """Finite k-basis of A^g / rowspace(relations), with transport matrices.
+    """Finite k-basis of A^g / rowspace(relations), with transport matrices;
+    NotQuotientModule unless omega kills the module.
 
-    Requires every generator direction to be torsion (each column of the
-    Hermite form pivotal); otherwise the quotient is not finite dimensional
-    over k and NotQuotientModule is raised.
+    _kmat_eliminate reduces the residue rows of the relations with the
+    columns x^d e_j in order j up, then d down: position over term, so
+    the pivotless columns x^t e_j (t < d_j for generator j) are the basis
+    a Hermite form would give, and v's coordinate at column f is v[f]
+    less v[p] times the pivot row of p at f, over the pivot columns p.
     """
 
     def __init__(self, pres):
-        ring = pres.ring
-        self.ring = ring
-        self.pres = pres
-        h, _, pivots = hermite_form(ring, pres.relations) if pres.relations else ([], [], [])
-        if len(pivots) < pres.gens:
-            raise NotQuotientModule(
-                "quotient is not omega-torsion (free direction present)")
-        # pivots fill all columns, so rows 0..g-1 of h are upper triangular
-        self.h = [h[i] for i in range(pres.gens)]
-        self.pivot_deg = [len(self.h[j][j]) - 1 for j in range(pres.gens)]
-        self.basis = [(j, t) for j in range(pres.gens) for t in range(self.pivot_deg[j])]
+        if not pres.check_abar():
+            raise NotQuotientModule("a module is not killed by omega")
+        ring, rels = pres.ring, pres.relations
+        fld, m = ring.field, ring.omega_deg
+        self.ring, self.pres = ring, pres
+        # x^d e_j is residue j m + d; order[f] is the one in column f
+        order = [j * m + d for j in range(pres.gens) for d in reversed(range(m))]
+        rows = [[r[c] for c in order]
+                for r in residue_rows(ring, len(rels), lambda u, p: rels[u])]
+        pivots = _kmat_eliminate(fld, rows, len(order))
+        free = sorted(set(range(len(order))) - set(pivots), key=order.__getitem__)
+        self.basis = [divmod(order[f], m) for f in free]
         self.dim = len(self.basis)
+        # per basis column: its residue, and (residue of p, row of p there)
+        self._reduce = [(order[f], [(order[p], row[f]) for p, row in zip(pivots, rows)
+                                    if not fld.is_zero(row[f])]) for f in free]
 
-    def normal_form(self, vec):
-        """Canonical coset representative: degree at column j below pivot_deg[j]."""
-        ring = self.ring
-        v = [ring.trim(list(e)) for e in vec]
-        if len(v) != self.pres.gens:
-            raise ValueError("vector length does not match generators")
-        for j in range(self.pres.gens):
-            if len(v[j]) > self.pivot_deg[j]:
-                q, _ = ring.right_quo_rem(v[j], self.h[j][j])
-                for jj in range(j, self.pres.gens):
-                    if self.h[j][jj]:
-                        v[jj] = ring.sub(v[jj], ring.mul(q, self.h[j][jj]))
-        return v
-
-    def encode(self, vec):
+    def _coords(self, flat):
+        """Coordinates of the vector whose entries have the residues flat."""
         fld = self.ring.field
-        nf = self.normal_form(vec)
         out = []
-        for (j, t) in self.basis:
-            out.append(nf[j][t] if t < len(nf[j]) else fld.zero)
+        for f, terms in self._reduce:
+            a = flat[f]
+            for p, c in terms:
+                if not fld.is_zero(flat[p]):
+                    a = fld.sub(a, fld.mul(flat[p], c))
+            out.append(a)
         return out
 
-    def decode(self, coords):
-        fld = self.ring.field
-        v = [[] for _ in range(self.pres.gens)]
-        for c, (j, t) in zip(coords, self.basis):
-            poly = v[j]
-            while len(poly) <= t:
-                poly.append(fld.zero)
-            poly[t] = fld.add(poly[t], c)
-        return [self.ring.trim(p) for p in v]
+    def encode(self, vec):
+        if len(vec) != self.pres.gens:
+            raise ValueError("vector length does not match generators")
+        return self._coords(residues(self.ring, vec))
 
     def x_matrix(self):
-        """Row b = coords of x * basis_b.
-
-        Commutative: coords(x*v) = coords(v) * X. Skew: the x-action is
-        frobenius-semilinear, coords(x*v) = frob^s(coords(v)) * X with s
-        the ring's sigma_power.
-        """
-        ring = self.ring
-        rows = []
-        for (j, t) in self.basis:
-            v = [[] for _ in range(self.pres.gens)]
-            v[j] = [ring.field.zero] * (t + 1) + [ring.field.one]
-            rows.append(self.encode(v))
-        return rows
+        """Row b = coords of x * basis_b: coords(x*v) = frob^s(coords(v)) * X,
+        with s the ring's sigma_power (0 when it is commutative)."""
+        return self.map_matrix(self, TwistedMatrix.scalar(self.ring, self.pres.gens,
+                                                          self.ring.x).m)
 
     def map_matrix(self, target_lin, gen_images):
-        """k-matrix of the A-linear map sending e_j to row j of gen_images."""
+        """k-matrix of the A-linear map sending e_j to row j of gen_images:
+        row (j, t) holds the coordinates of x^t times row j, by times_x on
+        residues, as t runs up from 0 for each j."""
         ring = self.ring
         if len(gen_images) != self.pres.gens:
             raise ValueError("one image row per generator required")
         rows = []
-        for (j, t) in self.basis:
-            img = [ring.mul(ring.x_power(t), e) if e else [] for e in gen_images[j]]
-            rows.append(target_lin.encode(img))
+        for j, t in self.basis:
+            v = times_x(ring, v) if t else residues(ring, gen_images[j])
+            rows.append(target_lin._coords(v))
         return rows
 
     def map_well_defined(self, target_lin, gen_images):
         """Relations must map into the target relation space."""
-        ring = self.ring
-        shape = (1, self.pres.gens, target_lin.pres.gens)
-        for rel in self.pres.relations:
-            img = mat_mul(ring, [rel], gen_images, shape)[0]
-            if any(target_lin.normal_form(img)):
-                return False
-        return True
+        rels = self.pres.relations
+        imgs = mat_mul(self.ring, rels, gen_images,
+                       (len(rels), self.pres.gens, target_lin.pres.gens))
+        return all(self.ring.field.is_zero(c)
+                   for img in imgs for c in target_lin.encode(img))
 
 
 # -- plain Gaussian elimination over the coefficient field --

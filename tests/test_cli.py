@@ -96,6 +96,12 @@ def _chain_over_f5(rel1, rel2, image):
 
 
 ILL_DEFINED_CHAIN = _chain_over_f5([0, 1], [0, 0, 1], [1])
+# A -> A/(x^2), e |-> e: the first module is free
+FREE_CHAIN = dict(_chain_over_f5([0, 1], [0, 0, 1], [1]), modules=[
+    {"generators": 1, "relations": {"rows": 0, "cols": 1, "twist": 0, "entries": []}},
+    {"generators": 1, "relations": _one_by_one([0, 0, 1])}])
+# A/(x^3) -> A/(x^2), e |-> e: torsion, but omega = x^2 does not kill A/(x^3)
+LOOSE_CHAIN = _chain_over_f5([0, 0, 0, 1], [0, 0, 1], [1])
 # x * : A/(x^2) -> A/(x^2) is well defined and not injective
 NON_INJECTIVE_CHAIN = _chain_over_f5([0, 0, 1], [0, 0, 1], [0, 1])
 # 2-fold (x, x + 1): its rotated composites are x^2 + x, not omega
@@ -119,7 +125,11 @@ def test_validate_rejects_broken_object(paths):
             ("ill.json", ILL_DEFINED_CHAIN,
              "chain map into slot 2 is not well defined"),
             ("noninj.json", NON_INJECTIVE_CHAIN,
-             "chain map into slot 2 is not injective")):
+             "chain map into slot 2 is not injective"),
+            # a module omega does not kill has no coordinates, so its
+            # chain is judged on that alone
+            ("free.json", FREE_CHAIN, "a module is not killed by omega"),
+            ("loose.json", LOOSE_CHAIN, "a module is not killed by omega")):
         code, out, err = run("validate", paths["wj"](name, chain))
         rep = json.loads(out)
         assert code == 2 and not rep["passed"], name
@@ -379,7 +389,20 @@ def test_input_error_paths_print_one_line(paths):
         "n": 2, "ring": F5X2, "maps": [],
         "modules": [{"generators": -1, "relations": {
             "rows": 0, "cols": -1, "twist": 0, "entries": []}}]})
+    free = wj("e-free.json", FREE_CHAIN)
+    loose = wj("e-loose.json", LOOSE_CHAIN)
+    # arrays nested past the parser's recursion limit
+    deep = str(paths["tmp"] / "e-deep.json")
+    with open(deep, "w") as fh:
+        fh.write("[" * 200000 + "]" * 200000)
     cases = [
+        (("validate", deep), "JSON in %s is nested too deeply" % deep),
+        (("validate", paths["c.json"], "--ring", deep),
+         "JSON in %s is nested too deeply" % deep),
+        (("lift", free), "a module is not killed by omega"),
+        (("lift", loose), "a module is not killed by omega"),
+        (("chain-iso", free, f5chain), "a module is not killed by omega"),
+        (("chain-iso", f5chain, loose), "a module is not killed by omega"),
         (("cok0", bare), "no ring supplied and none embedded"),
         (("cok0", badring), "bad embedded ring in %s" % badring),
         (("chain-iso", ill, ill), "chain map into slot 2 is not well defined"),
@@ -632,6 +655,76 @@ def test_oversized_fields_are_input_errors(paths):
         assert code == 3 and "field size cap" in err, (field, code, err)
         assert "Traceback" not in err and out == "", field
         assert time.perf_counter() - start < 1, field
+
+
+HOSTILE = [None, "x", -1, 0, 10 ** 6, 2 ** 70, 1.5, True, [], {}, [[]], "1/0"]
+
+
+def _json_paths(data, path=()):
+    """Every path into data, itself first, keys and indices in order."""
+    yield path
+    if isinstance(data, dict):
+        for key in sorted(data):
+            yield from _json_paths(data[key], path + (key,))
+    elif isinstance(data, list):
+        for i, item in enumerate(data):
+            yield from _json_paths(item, path + (i,))
+
+
+def _set_at(data, path, value):
+    out = json.loads(json.dumps(data))
+    if not path:
+        return value
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+def test_a_hostile_value_anywhere_ends_in_an_exit_code(paths):
+    # each fixture kind with one field, at a seeded path, set to a hostile
+    # value, through every verb that reads that kind: no exception may
+    # escape, and the run ends in one of the documented exit codes
+    wj = paths["wj"]
+    ring = ring_from_json(F5X2)
+    rng = random.Random(103)
+    x = random_object(ring, rng, 3, max_rank=2)
+    y = random_object(ring, rng, 3, max_rank=2)
+    f = random_morphism(rng, x, y)
+    emb = {"ring": F5X2}
+    fixtures = {
+        "factorization": dict(x.to_json(), **emb),
+        "morphism": dict(f.to_json(), source=x.to_json(), target=y.to_json(), **emb),
+        "chain": dict(cok0(x).to_json(), **emb),
+        "gamma": dict(phi(x).to_json(), **emb),
+    }
+    xp = wj("z-x.json", fixtures["factorization"])
+    cp = wj("z-c.json", fixtures["chain"])
+    verbs = {
+        "factorization": [["validate"], ["functor", "shift"],
+                          ["functor", "face", "--i", "1"], ["stably-zero"],
+                          ["stable-hom", "{}", xp], ["cok0"], ["phi"],
+                          ["recollement", "3", "1", "{}", "--cases", "1"]],
+        "morphism": [["validate"], ["functor", "shift"], ["homotopy-check"]],
+        "chain": [["validate"], ["lift"], ["chain-iso", "{}", cp]],
+        "gamma": [["validate"], ["psi"]],
+    }
+    runs = 0
+    for kind, data in fixtures.items():
+        spots = list(_json_paths(data))
+        for k in range(100):
+            path = spots[rng.randrange(len(spots))]
+            value = HOSTILE[rng.randrange(len(HOSTILE))]
+            hostile = wj("z-%s-%d.json" % (kind, k), _set_at(data, path, value))
+            for argv in verbs[kind]:
+                argv = [a.replace("{}", hostile) for a in argv]
+                if hostile not in argv:
+                    argv.append(hostile)
+                code, out, err = run(*argv)
+                assert code in (0, 2, 3, 4, 5), (argv, path, value, code, err)
+                runs += 1
+    assert runs == 100 * sum(len(v) for v in verbs.values())
 
 
 def test_unwritable_json_target_is_input_error(paths):

@@ -1,14 +1,21 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from modfact.modules import (ModulePresentation, NotQuotientModule,
-                             kmat_mul, kmat_identity, kmat_rank, kmat_solve,
-                             kmat_nullspace, kmat_inv)
+                             residues, times_x, kmat_mul, kmat_identity,
+                             kmat_rank, kmat_solve, kmat_nullspace, kmat_inv)
 from modfact.fields import PrimeField, ExtensionField, RationalField
+from modfact.rings import BaseRing
+from modfact.chains import ChainModule, cok0, cok0_morphism
+from modfact.randomgen import default_instances, random_object, random_morphism
 
-from common import R5x2, R5x3, RS, x_, one
+from common import R5x2, R5x3, RS, RS9, x_, one
 
 xx = [0, 0, 1]
 
@@ -25,11 +32,10 @@ def test_cyclic_quotient_dimensions():
 def test_normal_form_is_a_coset_representative():
     m = ModulePresentation(R5x2, 2, [[x_, one], [[], x_]])
     lin = m.linearization()
-    # x * e0 + e1 is a relation, so its normal form vanishes
-    assert lin.normal_form([x_, one]) == [[], []]
-    nf = lin.normal_form([xx, []])
-    assert lin.encode([xx, []]) == lin.encode(nf)
-    assert lin.decode(lin.encode(nf)) == nf
+    # x * e0 + e1 is a relation, so it encodes to zeros
+    assert lin.encode([x_, one]) == [0] * lin.dim
+    # x^2 e0 and x^2 e0 plus that relation are one coset
+    assert lin.encode([xx, []]) == lin.encode([[0, 1, 1], one])
 
 
 def test_free_directions_are_rejected():
@@ -39,6 +45,9 @@ def test_free_directions_are_rejected():
     # relation x^3 does not absorb omega = x^2 acting on the generator
     loose = ModulePresentation(R5x2, 1, [[[0, 0, 0, 1]]])
     assert not loose.check_abar()
+    # residues would read it as A/(x^2), so it has no linearization
+    with pytest.raises(NotQuotientModule):
+        loose.linearization()
 
 
 def test_x_matrix_represents_multiplication():
@@ -50,6 +59,70 @@ def test_x_matrix_represents_multiplication():
     lhs = lin.encode([R5x2.mul(x_, p) for p in v])
     rhs = kmat_mul(R5x2.field, [lin.encode(v)], xm, lin.dim)[0]
     assert lhs == rhs
+
+
+F8 = ExtensionField(2, 3)
+RS8 = BaseRing(F8, 1, [F8.zero, F8.zero, F8.one])  # sigma of order 3
+
+
+def _linearization_answers(ring, rng):
+    """Basis, dim, x_matrix and encode of every module of cok0 chains at
+    folds 2-4, their kmaps, dims and defects, the same modules under
+    random maps (ill defined or, over a commutative ring, x times the
+    chain's own, which may not be injective), and the kmats of a random
+    morphism's chain map; field elements as JSON."""
+    fld = ring.field
+
+    def k(m):
+        return [[fld.elem_to_json(e) for e in row] for row in m]
+
+    out = []
+    for n in (2, 3, 4):
+        for _ in range(3):
+            x = random_object(ring, rng, n, max_rank=3)
+            y = random_object(ring, rng, n, max_rank=3)
+            c = cok0(x)
+            for mod in c.modules:
+                lin = mod.linearization()
+                vecs = [[ring.random_poly(rng, 5) for _ in range(mod.gens)]
+                        for _ in range(3)]
+                out.append([lin.basis, lin.dim, k(lin.x_matrix()),
+                            k([lin.encode(v) for v in vecs])])
+            out.append([k(m) for m in c.kmaps()] + [c.dims(), c.defects()])
+            for ruin in ("random", "times x"):
+                if ruin == "random":
+                    maps = [[[ring.random_poly(rng, 2) for _ in range(b.gens)]
+                             for _ in range(a.gens)]
+                            for a, b in zip(c.modules, c.modules[1:])]
+                elif ring.commutative:
+                    maps = [[[ring.mul(ring.x, e) for e in row]
+                             for row in m] for m in c.maps]
+                else:
+                    continue
+                out.append(ChainModule(ring, c.modules, maps, n=n).defects())
+            out.append([k(m) for m in cok0_morphism(random_morphism(rng, x, y)).kmats()])
+    return out
+
+
+def test_linearization_answers_keep_their_bytes():
+    # one sha256 over the linearization answers on the 10 stock rings,
+    # F_8 with omega = x^2 and F_9 with omega = 2 x^2, recorded while
+    # Linearization reduced by a Hermite form over A
+    rng = random.Random(97)
+    blobs = [json.dumps(_linearization_answers(ring, rng), sort_keys=True)
+             for ring in default_instances() + [RS8, RS9]]
+    assert hashlib.sha256("\n".join(blobs).encode()).hexdigest() == (
+        "5f0fd28f8e7731b788aa2e48d52a51a59752490f72024a933badfd37319043a5")
+
+
+@given(st.sampled_from([RS, RS9, RS8]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_times_x_is_x_times_modulo_omega(ring, data):
+    # x c = frob^s(c) x, so on a skew ring times_x twists what it shifts
+    fld = ring.field
+    coords = st.lists(st.integers(0, fld.p - 1), min_size=fld.e, max_size=fld.e)
+    p = ring.trim([fld.coerce(c) for c in data.draw(st.lists(coords, max_size=7))])
+    assert times_x(ring, residues(ring, [p])) == residues(ring, [ring.mul(ring.x, p)])
 
 
 def test_presentation_json_roundtrip():
