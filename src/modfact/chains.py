@@ -13,9 +13,10 @@ of theta^0 objects, and it induces a map factoring through a projective
 chain exactly when it is null-homotopic.  Both directions are computed
 independently and compared, nothing is inferred from one side alone.
 
-Every k-linear decision reads one view: ChainModule.kmaps() for the chain
-maps, once per chain, and ChainMorphism.kmats() for a morphism's components;
-each product of them is given its width, so a slot of dimension 0 keeps it.
+A chain map is fixed by its top component, the k-matrix at slot n-1: the
+chain maps are injective, so each lower component is its restriction. The
+chain-map spaces solve for that one k-matrix, reading ChainModule.kmaps()
+once per chain, each product given its width.
 
 lift needs one Smith normal form, the top module's, chain_iso needs the
 Smith forms of every slot, and chain_factors_projective needs k-linear
@@ -25,13 +26,16 @@ transport and the chain checks read residues modulo omega
 (modules.Linearization) and work over every supported ring.
 """
 
+import random
+
 from .fields import json_int
 from .rings import UnsupportedRingError
 from .matrices import (TwistedMatrix, mat_mul, mat_identity, hermite_form,
                        solve_right, smith_form, invariant_factors, block_slots,
                        term_image)
-from .modules import (ModulePresentation, kmat_mul, kmat_sub, kmat_is_zero,
-                      kmat_nullspace, kmat_inv, kmat_rank, kmat_solve)
+from .modules import (ModulePresentation, kmat_identity, kmat_mul, kmat_sub,
+                      kmat_is_zero, kmat_nullspace, kmat_inv, kmat_rank,
+                      kmat_solve)
 from .factorizations import Factorization
 from . import homotopy
 
@@ -356,10 +360,9 @@ def lift(c):
 # -- chain isomorphism testing --
 
 class ChainIsoResult:
-    def __init__(self, found, definitive, forward=None, reason=""):
+    def __init__(self, found, definitive, reason=""):
         self.found = found
         self.definitive = definitive
-        self.forward = forward
         self.reason = reason
 
     def __bool__(self):
@@ -379,51 +382,43 @@ class ChainIsoResult:
 
 
 def _chain_map_space(c, d):
-    """Basis of k-linear slotwise maps commuting with x and the chain maps.
-
-    Returns (basis, shapes) where each basis element is a flat coefficient
-    vector and shapes lists the (dim_c, dim_d) per slot. The unknown H_s
-    is a dim_c x dim_d k-matrix per slot, and its equations x_c H_s -
-    H_s x_d = 0, slot by slot, then s_c H_{s+1} - H_s s_d = 0, square by
-    square, are a term table for term_image with the k-matrices entering
-    as constants of A; s_c and s_d are the chains' own kmaps().
+    """(basis, (dim_c, dim_d)): the top components H of the chain maps
+    c -> d, dim_c x dim_d k-matrices between the top modules, each a flat
+    row-major vector. As d's maps are injective (defects()), H extends
+    exactly when x_c H = H x_d, x the top modules' x_matrix(), and, for
+    each lower slot s, S_s H N_s = 0: S_s, T_s are the chains' kmaps()
+    composed from slot s up to the top, and the columns of N_s span the w
+    with T_s w = 0 (all of k^dim_d when D_s = 0). Both are terms of one
+    table for term_image, the k-matrices entering as constants of A.
     """
-    ring = c.ring
-    fld = ring.field
-    lins_c = [m.linearization() for m in c.modules]
-    lins_d = [m.linearization() for m in d.modules]
-    kc, kd = c.kmaps(), d.kmaps()
-    shapes = list(zip(c.dims(), d.dims()))
-    blocks = [(s, a, b) for s, (a, b) in enumerate(shapes)]
-    slots = block_slots(blocks)
-    if not slots:
-        return [], shapes
+    ring, fld = c.ring, c.ring.field
+    if c.n == 1:
+        return [], (0, 0)
+    lc, ld = c.modules[-1].linearization(), d.modules[-1].linearization()
+    shape = (lc.dim, ld.dim)
+    slots = block_slots([(0,) + shape])
 
     def const(m, sign=1):
         return [[ring.from_field(e if sign > 0 else fld.neg(e)) for e in row]
                 for row in m]
 
-    eqs = ([(("x", s), a, b) for s, a, b in blocks]
-           + [(("s", s), a, shapes[s + 1][1]) for s, a, _ in blocks[:-1]])
-    terms = []
-    for s, (lc, ld) in enumerate(zip(lins_c, lins_d)):
-        terms.append([(("x", s), const(lc.x_matrix()), mat_identity(ring, ld.dim), 0),
-                      (("x", s), mat_identity(ring, lc.dim),
-                       const(ld.x_matrix(), -1), 0)])
-        if s:
-            terms[s].append((("s", s - 1), const(kc[s - 1]), mat_identity(ring, ld.dim), 0))
-        if s < len(c.maps):
-            terms[s].append((("s", s), mat_identity(ring, lc.dim), const(kd[s], -1), 0))
-    image = term_image(ring, eqs, terms, slots)
-    one = ring.one
-    rows = [[p[0] if p else fld.zero for p in image(u, one)]
+    eqs = [("x",) + shape]
+    terms = [("x", const(lc.x_matrix()), mat_identity(ring, ld.dim), 0),
+             ("x", mat_identity(ring, lc.dim), const(ld.x_matrix(), -1), 0)]
+    # S_s and T_s from the top down, each a chain map times the one above
+    kc, kd = c.kmaps(), d.kmaps()
+    up_c, up_d = kmat_identity(fld, lc.dim), kmat_identity(fld, ld.dim)
+    for s in reversed(range(len(kc))):
+        up_c = kmat_mul(fld, kc[s], up_c, lc.dim)
+        up_d = kmat_mul(fld, kd[s], up_d, ld.dim)
+        null = kmat_nullspace(fld, [[row[b] for row in up_d] for b in range(ld.dim)])
+        if up_c and null:
+            eqs.append((s, len(up_c), len(null)))
+            terms.append((s, const(up_c), const(zip(*null)), 0))
+    image = term_image(ring, eqs, [terms], slots)
+    rows = [[p[0] if p else fld.zero for p in image(u, ring.one)]
             for u in range(len(slots))]
-    return kmat_nullspace(fld, rows), shapes
-
-
-def _reshape(vec, shapes):
-    it = iter(vec)
-    return [[[next(it) for _ in range(b)] for _ in range(a)] for a, b in shapes]
+    return kmat_nullspace(fld, rows), shape
 
 
 # random combinations of the chain-map space that chain_iso tests
@@ -434,17 +429,17 @@ def chain_iso(c, d, rng=None):
     """Decide isomorphism of chains by slot invariants plus a k-linear search.
 
     Differing invariant factors at any slot give a definitive negative.
-    Otherwise random combinations of the chain-map space are tested for
-    slotwise invertibility; success returns the forward components as
-    k-matrices over the common basis.  When the budget runs out without a
-    hit, the k-dimensions of Hom(C,C), Hom(C,D), Hom(D,C) and Hom(D,D) are
-    compared: an isomorphism, composed on either side, makes all four
-    spaces isomorphic, so any difference is a definitive negative.  Equal
+    Otherwise random combinations of the chain-map space's top components
+    are tested for invertibility: with the slot dimensions equal, an
+    injective top restricts to invertible lower components, so the first
+    invertible top is a definitive positive.  When the budget runs out
+    without a hit, the k-dimensions of Hom(C,C), Hom(C,D), Hom(D,C) and
+    Hom(D,D) are compared: an isomorphism, composed on either side, makes
+    all four spaces isomorphic, so any difference is a definitive negative.  Equal
     dimensions are reported as non-definitive.  Both chains must be chains
     of omega-torsion injections: on one that is not, ValueError names its
     first defect, as lift does.
     """
-    import random as _random
     ring = c.ring
     if not ring.commutative:
         raise UnsupportedRingError("chain isomorphism needs the commutative case")
@@ -456,32 +451,22 @@ def chain_iso(c, d, rng=None):
             raise ValueError(bad[0])
     if c.n != d.n:
         return ChainIsoResult(False, True, reason="different lengths")
-    inv_c = c.slot_invariants()
-    inv_d = d.slot_invariants()
-    for i, (a, b) in enumerate(zip(inv_c, inv_d)):
+    for i, (a, b) in enumerate(zip(c.slot_invariants(), d.slot_invariants())):
         if sorted(map(tuple, a)) != sorted(map(tuple, b)):
             return ChainIsoResult(False, True,
                                   reason="invariant factors differ in slot %d" % (i + 1))
     if c.is_zero():
-        return ChainIsoResult(True, True, forward=[[] for _ in c.modules])
-    basis, shapes = _chain_map_space(c, d)
+        return ChainIsoResult(True, True)
+    basis, (dim, _) = _chain_map_space(c, d)
     if not basis:
         return ChainIsoResult(False, True, reason="no nonzero chain maps exist")
-    fld = ring.field
-    if rng is None:
-        rng = _random.Random(20260814)
+    fld, rng = ring.field, rng or random.Random(20260814)
     for attempt in range(_ISO_TRIES):
-        if attempt < len(basis):
-            vec = list(basis[attempt])
-        else:
-            vec = [fld.zero] * len(basis[0])
-            for row in basis:
-                coeff = fld.random(rng)
-                for t, e in enumerate(row):
-                    vec[t] = fld.add(vec[t], fld.mul(coeff, e))
-        mats = _reshape(vec, shapes)
-        if all(kmat_inv(fld, m) is not None for m in mats):
-            return ChainIsoResult(True, True, forward=mats)
+        vec = (basis[attempt] if attempt < len(basis) else kmat_mul(
+            fld, [[fld.random(rng) for _ in basis]], basis, len(basis[0]))[0])
+        top = [vec[a * dim:(a + 1) * dim] for a in range(dim)]
+        if kmat_inv(fld, top) is not None:
+            return ChainIsoResult(True, True)
     dims = (len(_chain_map_space(c, c)[0]), len(basis),
             len(_chain_map_space(d, c)[0]), len(_chain_map_space(d, d)[0]))
     if len(set(dims)) > 1:
@@ -504,42 +489,43 @@ def chain_factors_projective(f):
     entering slot.  That cover is onto in every slot, so factoring through
     any projective is the same as factoring through it, and a chain map
     into it is a sum of maps into its summands.  So g = cok0_morphism(f)
-    factors exactly when its k-matrices are a combination of the basis
-    maps into each staircase composed with the cover: one kmat_solve.
-    Commutative base rings only.
+    factors exactly when its top component is a combination of those of
+    the basis maps into each staircase composed with the cover: one
+    kmat_solve.  Commutative base rings only.
     """
     return _factors_through_cover(cok0_morphism(f), f.target)
 
 
 def _factors_through_cover(g, y):
     """chain_factors_projective for g = cok0_morphism(f), y = f.target."""
+    if g.source.n == 1:
+        return True
+    top = g.source.modules[-1].linearization().map_matrix(
+        g.target.modules[-1].linearization(), g.components[-1])
     rows = _cover_composites(g.source, g.target, y)
-    target = [e for m in g.kmats() for r in m for e in r]
-    return kmat_solve(g.ring.field, rows, [target]) is not None
+    return kmat_solve(g.ring.field, rows, [[e for r in top for e in r]]) is not None
 
 
 def _cover_composites(c, d, y):
-    """The k-vectors of the basis maps from c into each staircase of the
-    cover of d = cok0(y), composed with the cover: they span the maps
-    c -> d through a projective. Each staircase cover is a
-    ChainMorphism(stair, d, arcs) read through its kmats(); a composite
-    with it has d's width in every slot."""
+    """The top components of the basis maps from c into each staircase of
+    the cover of d = cok0(y), times the cover's, the k-matrix of the arc
+    d_Y^{j -> n-1}: flat, they span the top components of the maps c -> d
+    through a projective."""
     ring = c.ring
     if not ring.commutative:
         raise UnsupportedRingError(
             "projective chain factoring needs the commutative case")
-    fld, dims = ring.field, d.dims()
+    fld, n = ring.field, c.n
     rows = []
-    for j in range(1, c.n):
-        stair = staircase_chain(ring, c.n, j, y.ranks[j])
-        basis, shapes = _chain_map_space(c, stair)
-        # slot s (1-based) of the cover: the arc d_Y^{j -> s}
-        cover = ChainMorphism(stair, d,
-                              [y.compose_range(j, s - 1).m if s >= j else []
-                               for s in range(1, c.n)]).kmats()
+    for j in range(1, n):
+        stair = staircase_chain(ring, n, j, y.ranks[j])
+        basis, (dim, width) = _chain_map_space(c, stair)
+        top = d.modules[-1].linearization()
+        cover = stair.modules[-1].linearization().map_matrix(
+            top, y.compose_range(j, n - 2).m)
         for vec in basis:
-            rows.append([e for h, p, w in zip(_reshape(vec, shapes), cover, dims)
-                         for r in kmat_mul(fld, h, p, w) for e in r])
+            h = [vec[a * width:(a + 1) * width] for a in range(dim)]
+            rows.append([e for r in kmat_mul(fld, h, cover, top.dim) for e in r])
     return rows
 
 

@@ -41,7 +41,7 @@ MAX_CARD = 2 ** MAX_E
 def is_prime(n):
     """Deterministic Miller-Rabin; ValueError for n >= MR_LIMIT."""
     if n >= MR_LIMIT:
-        raise ValueError("%d is beyond the deterministic primality range" % n)
+        raise ValueError("%s is beyond the deterministic primality range" % shown(n))
     if n < 2 or any(n % b == 0 for b in _MR_BASES):
         return n in _MR_BASES
     d, s = n - 1, 0
@@ -260,11 +260,13 @@ class RationalField:
         # an exponent would let a few characters ask for 10^(10^9)
         if not isinstance(data, str) or "e" in data or "E" in data:
             raise ValueError("rational elements encode as strings with no "
-                             "exponent: %r" % (data,))
+                             "exponent: %s" % shown(data))
         try:
             return _canonical(Fraction(data))
         except ZeroDivisionError:
-            raise ValueError("zero denominator: %r" % (data,)) from None
+            raise ValueError("zero denominator: %s" % shown(data)) from None
+        except ValueError:  # Fraction's message would echo it whole
+            raise ValueError("not a rational: %s" % shown(data)) from None
 
     def to_json(self):
         return {"kind": "rationals"}
@@ -276,7 +278,7 @@ class PrimeField:
 
     def __init__(self, p):
         if not is_prime(p):
-            raise ValueError("not a prime: %r" % (p,))
+            raise ValueError("not a prime: %s" % shown(p))
         self.p = p
         self.char = p
         self.card = p
@@ -315,7 +317,7 @@ class PrimeField:
     def coerce(self, a):
         n = int(a)
         if n != a:
-            raise TypeError("prime field coefficients must be integers: %r" % (a,))
+            raise TypeError("prime field coefficients must be integers: %s" % shown(a))
         return n % self.p
 
     def frob(self, a, power=1):
@@ -355,7 +357,7 @@ class ExtensionField:
 
     def __init__(self, p, e, modulus=None):
         if not is_prime(p):
-            raise ValueError("not a prime: %r" % (p,))
+            raise ValueError("not a prime: %s" % shown(p))
         if e < 2:
             raise ValueError("use PrimeField for e = 1")
         # checked before any modulus search; e > MAX_E exceeds the cap at
@@ -481,7 +483,7 @@ class ExtensionField:
         if isinstance(a, int):
             return self.from_int(a)
         if len(a) != self.e:
-            raise ValueError("element needs %d coordinates, got %r" % (self.e, a))
+            raise ValueError("element needs %d coordinates, got %s" % (self.e, shown(a)))
         return tuple(int(x) % self.p for x in a)
 
     def frob(self, a, power=1):
@@ -528,11 +530,17 @@ class ExtensionField:
         return {"kind": "finite", "p": self.p, "e": self.e, "modulus": list(self.modulus)}
 
 
+def shown(value):
+    """repr(value) for an input error line, cut after 60 characters."""
+    text = repr(value)
+    return text if len(text) <= 60 else "%s... (%d characters)" % (text[:60], len(text))
+
+
 def json_int(value, name):
     """value if it is a JSON integer; a float, a string or a bool (an int
     subclass, hence the exact type test) is a ValueError, never truncated."""
     if type(value) is not int:
-        raise ValueError("%s must be an integer, not %r" % (name, value))
+        raise ValueError("%s must be an integer, not %s" % (name, shown(value)))
     return value
 
 
@@ -549,4 +557,4 @@ def field_from_json(data):
         return ExtensionField(
             json_int(data["p"], "p"), json_int(data["e"], "e"),
             modulus and [json_int(c, "a modulus coefficient") for c in modulus])
-    raise ValueError("unknown field kind %r" % (kind,))
+    raise ValueError("unknown field kind %s" % shown(kind))

@@ -453,7 +453,8 @@ def _lambda_morphism(x, y, t, indices, slots, coeffs):
 def _factors_through(f, indices):
     """Decide whether f factors as x -> T -> y through the trivial sum T
     of trivial_sum_counit(y, indices). indices starts at 0, so the i = 0
-    parameter block, which acts as h^{n-1}, is the engine's top."""
+    parameter block, which acts as h^{n-1}, is the engine's top. g is
+    built from trivial_hom components: a morphism when x is valid."""
     x, y = f.source, f.target
     slots = _lambda_slots(x, y, indices)
     coeffs = _solve(f, len(slots), _lambda_image(x, y, indices, slots), 0)
@@ -461,7 +462,7 @@ def _factors_through(f, indices):
         return TrivialFactorization(False)
     t, eps = trivial_sum_counit(y, indices)
     g = _lambda_morphism(x, y, t, indices, slots, coeffs)
-    if not _rebuilds(f, g.is_valid() and g.then(eps) == f, "factorization"):
+    if not _rebuilds(f, x.is_valid() and g.then(eps) == f, "factorization"):
         return TrivialFactorization(False)
     return TrivialFactorization(True, g=g, counit=eps, through=t)
 

@@ -5,10 +5,11 @@ A vector over A modulo omega is the deg omega residues of its entries
 residues of a map's images of x^d: the coordinates that the homotopy
 engine and the chain modules read. A presentation is a generator count
 g plus a relation matrix whose row space is the relation submodule of
-A^g. When omega kills the quotient (check_abar, the one question over A
-that residues cannot answer), Linearization takes the quotient of the
-residues by those of the relations: a finite k-basis, coordinates, and
-matrices for x and for maps given on generators.
+A^g. Linearization takes the quotient of the residues by those of the
+relations, M/omega M for the quotient M: a finite k-basis, coordinates,
+and matrices for x and for maps given on generators. It exists when
+omega kills M (check_abar): when dim_k M/omega M = dim_k M, the sum of
+the pivot degrees of the relations' Hermite form, one pivot per generator.
 
 The k-matrix helpers at the bottom (kmat_*) work over a coefficient field
 and back the finite-dimensional searches in chains.py and the one
@@ -27,7 +28,7 @@ the column count of its product, as mat_mul takes its shape.
 """
 
 from .fields import json_int
-from .matrices import TwistedMatrix, mat_mul, solve_right
+from .matrices import TwistedMatrix, mat_mul, hermite_form
 
 
 class NotQuotientModule(ValueError):
@@ -100,26 +101,25 @@ class ModulePresentation:
                 raise ValueError("relation width %d does not match %d generators"
                                  % (len(row), gens))
         self._lin = None
-        self._abar = None
 
     def __eq__(self, other):
         return (isinstance(other, ModulePresentation) and self.ring == other.ring
                 and self.gens == other.gens and self.relations == other.relations)
 
     def linearization(self):
-        if self._lin is None:
-            self._lin = Linearization(self)
+        if not self.check_abar():
+            raise NotQuotientModule("a module is not killed by omega")
         return self._lin
 
     def check_abar(self):
-        """Does omega e_j lie in the relations' row space for every j? One
-        solve_right against omega I, computed once."""
-        if self._abar is None:
-            ring, rels = self.ring, self.relations
-            omega_i = TwistedMatrix.scalar(ring, self.gens, ring.omega).m
-            self._abar = (solve_right(ring, rels, omega_i) is not None
-                          if rels else not self.gens)
-        return self._abar
+        """Does omega kill the module? Exactly when its Linearization
+        exists, which is built once, as is a failure (False)."""
+        if self._lin is None:
+            try:
+                self._lin = Linearization(self)
+            except NotQuotientModule:
+                self._lin = False
+        return self._lin is not False
 
     def to_json(self):
         rel = TwistedMatrix(self.ring, self.relations, 0,
@@ -141,7 +141,7 @@ class ModulePresentation:
 
 class Linearization:
     """Finite k-basis of A^g / rowspace(relations), with transport matrices;
-    NotQuotientModule unless omega kills the module.
+    NotQuotientModule unless omega kills the module (by dimension, above).
 
     _kmat_eliminate reduces the residue rows of the relations with the
     columns x^d e_j in order j up, then d down: position over term, so
@@ -151,8 +151,6 @@ class Linearization:
     """
 
     def __init__(self, pres):
-        if not pres.check_abar():
-            raise NotQuotientModule("a module is not killed by omega")
         ring, rels = pres.ring, pres.relations
         fld, m = ring.field, ring.omega_deg
         self.ring, self.pres = ring, pres
@@ -164,6 +162,9 @@ class Linearization:
         free = sorted(set(range(len(order))) - set(pivots), key=order.__getitem__)
         self.basis = [divmod(order[f], m) for f in free]
         self.dim = len(self.basis)
+        h, _, piv = hermite_form(ring, rels)
+        if len(piv) < pres.gens or sum(len(h[r][c]) - 1 for r, c in piv) != self.dim:
+            raise NotQuotientModule("a module is not killed by omega")
         # per basis column: its residue, and (residue of p, row of p there)
         self._reduce = [(order[f], [(order[p], row[f]) for p, row in zip(pivots, rows)
                                     if not fld.is_zero(row[f])]) for f in free]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -14,8 +16,9 @@ from modfact.chains import (ChainModule, ChainMorphism, zero_chain,
                             staircase_chain, cok0, cok0_morphism,
                             chain_is_mono, lift, chain_iso,
                             chain_factors_projective, faithfulness_report,
-                            _chain_map_space, _reshape)
-from modfact.modules import kmat_identity, kmat_mul, kmat_rank
+                            _chain_map_space, _cover_composites)
+from modfact.modules import (kmat_identity, kmat_mul, kmat_rank, kmat_solve,
+                             kmat_nullspace)
 
 from common import (R5x2, R5x3, RS, X2, X3, X2Q, X2b, X3b, XSneg, mk, x_, one,
                     equal_invariant_pair)
@@ -141,9 +144,20 @@ def test_conjugated_object_gives_isomorphic_chain():
     assert chain_iso(cok0(X3diag), cok0(Xp)).found
 
 
-def test_chain_map_space_is_the_chain_maps():
-    # every basis element commutes with x and with the chain maps, the
-    # basis is independent, and an endomorphism space holds the identity
+def test_chain_map_space_is_the_chain_maps(monkeypatch):
+    # every basis element is the top component H of a chain map: it
+    # commutes with x, and S_s H lies in the row space of T_s for each
+    # lower slot s (is 0 when D_s = 0, where T_s has no rows), S_s and
+    # T_s the chain maps composed up to the top; the basis is independent,
+    # an endomorphism space holds the identity, and the one system solved
+    # has a row per unknown, dim C_top x dim D_top of them
+    systems = []
+
+    def nullspace(fld, m):
+        systems.append(len(m))
+        return kmat_nullspace(fld, m)
+
+    monkeypatch.setattr(ch, "kmat_nullspace", nullspace)
     rng2 = random.Random(15)
     for ring in [r for r in rg.default_instances() if r.commutative]:
         fld = ring.field
@@ -151,25 +165,54 @@ def test_chain_map_space_is_the_chain_maps():
             x = rg.random_object(ring, rng2, n, max_rank=3)
             y = rg.random_object(ring, rng2, n, max_rank=3)
             for c, d in ((cok0(x), cok0(x)), (cok0(x), cok0(y))):
-                basis, shapes = _chain_map_space(c, d)
+                systems.clear()
+                basis, (a, b) = _chain_map_space(c, d)
                 lc = [m.linearization() for m in c.modules]
                 ld = [m.linearization() for m in d.modules]
+                assert (a, b) == (lc[-1].dim, ld[-1].dim)
+                assert systems[-1] == a * b
                 for vec in basis:
-                    hs = _reshape(vec, shapes)
-                    for s, (h, (_, w)) in enumerate(zip(hs, shapes)):
-                        assert (kmat_mul(fld, lc[s].x_matrix(), h, w)
-                                == kmat_mul(fld, h, ld[s].x_matrix(), w))
-                    for s in range(len(c.maps)):
-                        sc = lc[s].map_matrix(lc[s + 1], c.maps[s])
-                        sd = ld[s].map_matrix(ld[s + 1], d.maps[s])
-                        w = shapes[s + 1][1]
-                        assert (kmat_mul(fld, sc, hs[s + 1], w)
-                                == kmat_mul(fld, hs[s], sd, w))
+                    h = [vec[i * b:(i + 1) * b] for i in range(a)]
+                    assert (kmat_mul(fld, lc[-1].x_matrix(), h, b)
+                            == kmat_mul(fld, h, ld[-1].x_matrix(), b))
+                    sc, td = kmat_identity(fld, a), kmat_identity(fld, b)
+                    for s in reversed(range(len(c.maps))):
+                        sc = kmat_mul(fld, lc[s].map_matrix(lc[s + 1], c.maps[s]), sc, a)
+                        td = kmat_mul(fld, ld[s].map_matrix(ld[s + 1], d.maps[s]), td, b)
+                        assert kmat_solve(fld, td, kmat_mul(fld, sc, h, b)) is not None
                 assert kmat_rank(fld, basis) == len(basis)
                 if c == d and basis:
-                    eye = [e for a, _ in shapes for row in kmat_identity(fld, a)
-                           for e in row]
+                    eye = [e for row in kmat_identity(fld, a) for e in row]
                     assert kmat_rank(fld, basis + [eye]) == len(basis)
+
+
+def test_chain_answers_keep_their_bytes():
+    # chain-map space dimensions, chain_iso answers, projective factoring,
+    # faithfulness reports and cover ranks on the 8 commutative stock
+    # rings at folds 1-5, zero chains included; the digest was recorded
+    # while _chain_map_space still solved for a matrix at every slot
+    rng2 = random.Random(73)
+    blobs = []
+    for ring in [r for r in rg.default_instances() if r.commutative]:
+        for n in range(1, 6):
+            x = rg.random_object(ring, rng2, n, max_rank=2)
+            y = rg.random_object(ring, rng2, n, max_rank=2)
+            c, d, z = cok0(x), cok0(y), zero_chain(ring, n)
+            e = cok0(rg.random_conjugate(x, rng2))
+            blobs.append(json.dumps([len(_chain_map_space(a, b)[0]) for a, b in
+                                     ((c, d), (c, c), (d, c), (c, z), (z, c), (c, e))]))
+            for a, b in ((c, d), (c, e), (c, z), (cok0(lift(c)), c)):
+                blobs.append(json.dumps(chain_iso(a, b).to_json(), sort_keys=True))
+            null, _ = rg.random_null_morphism(rng2, x, y)
+            for f in (null, rg.random_morphism(rng2, x, y), Morphism.identity(x)):
+                blobs.append(json.dumps([chain_factors_projective(f),
+                                         faithfulness_report(f)], sort_keys=True))
+            cover = _cover_composites(c, d, y)
+            blobs.append(str(kmat_rank(ring.field, cover) if cover else 0))
+    assert sum('"isomorphic": true' in b for b in blobs) == 98
+    assert sum('"projective_chain": true' in b for b in blobs) == 82
+    assert hashlib.sha256("\n".join(blobs).encode()).hexdigest() == (
+        "29060b6f0b70b827b5561b3e0014787ebbafe3a22224a14bbe7159cbc2c64495")
 
 
 def test_chain_iso_definitive_negatives():

@@ -416,11 +416,25 @@ def test_input_error_paths_print_one_line(paths):
         (("lift", negative), "a matrix cannot be 0x-1"),
         (("chain-iso", negative, negative), "a matrix cannot be 0x-1"),
     ]
-    for argv, want in cases:
+    # oversized hostile values: the line shows only the head of each
+    chain, obj = jsonio.read_json(paths["c.json"]), jsonio.read_json(paths["x.json"])
+    rational = jsonio.read_json(paths["x.json"])
+    rational["maps"][0]["entries"][0][0] = ["x" * 100000]
+    hostile = [
+        (("validate", wj("e-huge-n.json", dict(chain, n=[0] * 200000))),
+         "n must be an integer, not [0, 0, "),
+        (("validate", wj("e-huge-rank.json",
+                         dict(obj, ranks=["x" * 100000] + obj["ranks"][1:]))),
+         "a rank must be an integer, not 'xxx"),
+        (("validate", wj("e-huge-rational.json", rational)),
+         "not a rational: 'xxx"),
+    ]
+    for argv, want in cases + hostile:
         code, out, err = run(*argv)
         assert code == 3 and out == "", argv
         assert err.startswith("input error: ") and err.count("\n") == 1, err
         assert want in err, (argv, err)
+        assert len(err.encode()) < 300 or (argv, want) not in hostile, argv
 
 
 def test_laws_reports_are_byte_identical(paths):
@@ -430,8 +444,8 @@ def test_laws_reports_are_byte_identical(paths):
         code, out, err = run("laws", "--ring", paths["ring"], "--seed", "11",
                              "--cases", "3", "--json", p)
         assert code == 0, err
-    b1 = open(p1, "rb").read()
-    b2 = open(p2, "rb").read()
+    with open(p1, "rb") as fh1, open(p2, "rb") as fh2:
+        b1, b2 = fh1.read(), fh2.read()
     assert b1 == b2 and len(b1) > 100
 
 
