@@ -157,6 +157,14 @@ class RationalField:
     terms with a positive denominator, and on nothing else: hash, str,
     repr, comparison, pickling and Fraction's own operators read only
     them, so a result built here is indistinguishable from Fraction(n, d).
+
+    elem_from_json reads canonical text without Fraction's regex parser:
+    an optional "-" and decimal digits is int(s), and n/d with decimal
+    parts, d > 1 and gcd(n, d) = 1 is _reduced(n, d). Every other string
+    goes to Fraction(s), so the accepted inputs, the values, their types
+    and the error messages are the ones that reading every string by
+    Fraction(s) gives; a test compares the two. elem_to_json writes an
+    int by str alone.
     """
 
     kind = "rationals"
@@ -254,7 +262,8 @@ class RationalField:
         return str(a)
 
     def elem_to_json(self, a):
-        return str(Fraction(a))
+        # str of an int is already the canonical text, with no Fraction made
+        return str(a) if a.__class__ is int else str(Fraction(a))
 
     def elem_from_json(self, data):
         # an exponent would let a few characters ask for 10^(10^9)
@@ -262,6 +271,15 @@ class RationalField:
             raise ValueError("rational elements encode as strings with no "
                              "exponent: %s" % shown(data))
         try:
+            # the fast path for canonical text (see the class docstring)
+            num, slash, den = data.partition("/")
+            if (num[1:] if num[:1] == "-" else num).isdecimal():
+                if not slash:
+                    return int(num)
+                if den.isdecimal():
+                    n, d = int(num), int(den)
+                    if d > 1 and gcd(n, d) == 1:
+                        return _reduced(n, d)
             return _canonical(Fraction(data))
         except ZeroDivisionError:
             raise ValueError("zero denominator: %s" % shown(data)) from None

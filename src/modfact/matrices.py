@@ -26,10 +26,10 @@ class TwistedMatrix:
 
     A TwistedMatrix and its entry lists are never mutated after
     construction, so they may be shared. The constructor copies and
-    trims the entries it is given; identity, zero, add, sub, then and
-    sigma_entries build their grids fresh and take them without a copy
-    (_wrap), with_twist shares its grid, and sigma_entries returns self
-    when sigma^power is the identity. Factorization.compose_range
+    trims the entries it is given; identity, zero, add, sub, then,
+    sigma_entries and from_json build their grids fresh and take them
+    without a copy (_wrap), with_twist shares its grid, and sigma_entries
+    returns self when sigma^power is the identity. Factorization.compose_range
     memoizes on this contract, the shift, face and degeneracy functors
     share the maps and arcs they are built from, and homotopy.py's
     counits share the grids and rows of the arcs they are read off.
@@ -206,8 +206,10 @@ class TwistedMatrix:
         entries = data["entries"]
         if len(entries) != rows or any(len(row) != cols for row in entries):
             raise ValueError("entry grid does not match the declared %dx%d shape" % (rows, cols))
+        # poly_from_json returns fresh trimmed lists, and the grid has the
+        # shape just checked, so it needs no copy
         m = [[ring.poly_from_json(e) for e in row] for row in entries]
-        return TwistedMatrix(ring, m, json_int(data["twist"], "twist"), rows, cols)
+        return TwistedMatrix._wrap(ring, m, json_int(data["twist"], "twist"), rows, cols)
 
 
 # -- raw matrices: bare lists of coefficient-list polynomials --

@@ -60,6 +60,8 @@ class BaseRing:
         self.x = [field.zero, field.one]
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return (isinstance(other, BaseRing) and other.field == self.field
                 and other.sigma_power == self.sigma_power and other.omega == self.omega)
 
@@ -273,5 +275,8 @@ def ring_from_json(data):
             raise ValueError("ring spec is missing %r" % key)
     field = field_from_json(data["field"])
     sigma_power = json_int(data.get("sigma_power", 0), "sigma_power")
-    omega = [field.elem_from_json(c) for c in data["omega"]]
+    omega = data["omega"]
+    if not isinstance(omega, list):
+        raise ValueError("omega encodes as a coefficient array")
+    omega = [field.elem_from_json(c) for c in omega]
     return BaseRing(field, sigma_power, omega)

@@ -416,6 +416,12 @@ def test_input_error_paths_print_one_line(paths):
         (("lift", negative), "a matrix cannot be 0x-1"),
         (("chain-iso", negative, negative), "a matrix cannot be 0x-1"),
     ]
+    # omega as a string or an object, not a coefficient array
+    for name, omega in (("e-omega-str.json", "0001"),
+                        ("e-omega-obj.json", {"0": 1, "1": 2})):
+        ring = wj(name, {"field": {"kind": "rationals"}, "omega": omega})
+        cases.append((("laws", "--ring", ring),
+                      "bad ring in %s: omega encodes as a coefficient array" % ring))
     # oversized hostile values: the line shows only the head of each
     chain, obj = jsonio.read_json(paths["c.json"]), jsonio.read_json(paths["x.json"])
     rational = jsonio.read_json(paths["x.json"])

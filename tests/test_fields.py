@@ -9,7 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from modfact.fields import (RationalField, ExtensionField, MAX_CARD,
-                            field_from_json)
+                            _canonical, field_from_json, shown)
 
 Q = RationalField()
 
@@ -107,6 +107,62 @@ def test_rational_json_refuses_exponents_and_zero_denominators():
     assert_canonical(Q.elem_from_json("0.5"), Fraction(1, 2))
     assert_canonical(Q.elem_from_json("-1.25"), Fraction(-5, 4))
     assert_canonical(Q.elem_from_json(" 4/2 "), 2)
+
+
+def fraction_parse(data):
+    """elem_from_json as it read every string before its fast path:
+    Fraction's own parser, with the same refusals and messages."""
+    if not isinstance(data, str) or "e" in data or "E" in data:
+        raise ValueError("rational elements encode as strings with no "
+                         "exponent: %s" % shown(data))
+    try:
+        return _canonical(Fraction(data))
+    except ZeroDivisionError:
+        raise ValueError("zero denominator: %s" % shown(data)) from None
+    except ValueError:
+        raise ValueError("not a rational: %s" % shown(data)) from None
+
+
+def outcome(decode, data):
+    try:
+        value = decode(data)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "value", type(value), value
+
+
+def assert_parses_as_fraction_does(data):
+    assert outcome(Q.elem_from_json, data) == outcome(fraction_parse, data), data
+
+
+# digits of other scripts: "\u0663" is Arabic-Indic 3, which Fraction and
+# int() both read; "\u00b3" is superscript 3, which neither does
+RATIONAL_CORPUS = [
+    "0", "-0", "00", "007", "-12", "0/5", "-0/5", "2/4", "-3/1", "1/1", "0/1",
+    "3/4", "-3/4", "3/0", "-3/0", "+3", "+3/4", " 3", "3 ", "3/ 4", "3 /4",
+    "3/-4", "-3/-4", "--3", "1_000", "1_000/3", "1.5", "-.5", "1e5", "-",
+    "", "/", "3/", "/4", "1/2/3", "\u0663", "-\u0663/4", "\u00b3", "3\u00b3",
+    "1" * 5000, "-" + "1" * 5000, "1/" + "3" * 5000, "3" * 5000 + "/7",
+    "-" + "1" * 4300, "1" * 4300 + "/7", "1/" + "7" * 4301,
+]
+
+
+def test_rational_fast_path_matches_fractions_parser_on_a_corpus():
+    for data in RATIONAL_CORPUS:
+        assert_parses_as_fraction_does(data)
+
+
+rational_text = st.one_of(
+    st.text(alphabet="0123456789-+/ _.eE\u0663\u00b3", max_size=10),
+    st.integers().map(str),
+    st.builds("{}/{}".format, st.integers(-10 ** 30, 10 ** 30),
+              st.integers(-5, 10 ** 30)))
+
+
+@given(rational_text)
+@settings(max_examples=500, deadline=None)
+def test_rational_fast_path_matches_fractions_parser(data):
+    assert_parses_as_fraction_does(data)
 
 
 # -- F_{p^e} --------------------------------------------------------------

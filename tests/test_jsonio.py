@@ -1,11 +1,16 @@
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from modfact import jsonio
+from modfact import fields, jsonio
 from modfact import randomgen as rg
-from modfact.matrixring import phi
-from modfact.chains import cok0
+from modfact.chains import ChainModule, ChainMorphism, cok0, cok0_morphism
+from modfact.factorizations import Factorization, Morphism
+from modfact.matrixring import GammaModule, phi
+from modfact.modules import ModulePresentation
+from modfact.rings import ring_from_json
 
 rng = random.Random(7)
 RINGS = rg.default_instances()
@@ -88,3 +93,64 @@ def test_load_any_parses_each_file_once(tmp_path, ring, obj, monkeypatch):
         got_kind, got = jsonio.load_any(path, ring)
         assert got_kind == kind and reads == [path]
         assert got == single[kind](path, ring)
+
+
+def _decoded_and_encoded(ring, rng):
+    """(decode, json) pairs for one random object of every kind over ring:
+    decode(json).to_json() must give json back."""
+    x = rg.random_object(ring, rng, 3, max_rank=2)
+    y = rg.random_object(ring, rng, 3, max_rank=2)
+    f = rg.random_morphism(rng, x, y)
+    cx, cy = cok0(x), cok0(y)
+
+    def morphism(j):
+        return Morphism.from_json(Factorization.from_json(ring, j["source"]),
+                                  Factorization.from_json(ring, j["target"]), j)
+
+    def chain_morphism(j):
+        return ChainMorphism.from_json(ChainModule.from_json(ring, j["source"]),
+                                       ChainModule.from_json(ring, j["target"]), j)
+
+    return [
+        (ring_from_json, ring.to_json()),
+        (lambda j: Factorization.from_json(ring, j), x.to_json()),
+        (morphism, dict(f.to_json(), source=x.to_json(), target=y.to_json())),
+        (lambda j: ModulePresentation.from_json(ring, j), cx.modules[-1].to_json()),
+        (lambda j: ChainModule.from_json(ring, j), cx.to_json()),
+        (chain_morphism, dict(cok0_morphism(f).to_json(), source=cx.to_json(),
+                              target=cy.to_json())),
+        (lambda j: GammaModule.from_json(ring, j), phi(x).to_json()),
+    ]
+
+
+def test_decoding_then_encoding_gives_the_same_bytes():
+    # every object kind on the 10 stock rings; over Q the JSON holds both
+    # integers and n/d in lowest terms
+    for k, ring in enumerate(RINGS):
+        for seed in range(4):
+            for decode, data in _decoded_and_encoded(ring, random.Random(100 * k + seed)):
+                back = decode(data).to_json()
+                for key in ("source", "target"):
+                    if key in data:
+                        back[key] = data[key]
+                assert json.dumps(back) == json.dumps(data)
+
+
+def test_canonical_rationals_are_read_without_fractions_parser(monkeypatch):
+    strings = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            strings.extend(a for a in args if isinstance(a, str))
+            return Fraction(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "Fraction", Counting)
+    fractions = 0
+    for ring in RINGS[:4]:  # the rationals
+        for decode, data in _decoded_and_encoded(ring, random.Random(3)):
+            fractions += "/" in json.dumps(data)
+            decode(data)
+    assert strings == [] and fractions
+    # text that is not canonical still goes through the parser
+    fields.RationalField().elem_from_json("2/4")
+    assert strings == ["2/4"]
