@@ -32,7 +32,7 @@ from .fields import json_int
 from .rings import UnsupportedRingError
 from .matrices import (TwistedMatrix, mat_mul, mat_identity, hermite_form,
                        solve_right, smith_form, invariant_factors, block_slots,
-                       term_image)
+                       TermImage)
 from .modules import (ModulePresentation, kmat_identity, kmat_mul, kmat_sub,
                       kmat_is_zero, kmat_nullspace, kmat_inv, kmat_rank,
                       kmat_solve)
@@ -389,7 +389,7 @@ def _chain_map_space(c, d):
     each lower slot s, S_s H N_s = 0: S_s, T_s are the chains' kmaps()
     composed from slot s up to the top, and the columns of N_s span the w
     with T_s w = 0 (all of k^dim_d when D_s = 0). Both are terms of one
-    table for term_image, the k-matrices entering as constants of A.
+    table for TermImage, the k-matrices entering as constants of A.
     """
     ring, fld = c.ring, c.ring.field
     if c.n == 1:
@@ -415,7 +415,7 @@ def _chain_map_space(c, d):
         if up_c and null:
             eqs.append((s, len(up_c), len(null)))
             terms.append((s, const(up_c), const(zip(*null)), 0))
-    image = term_image(ring, eqs, [terms], slots)
+    image = TermImage(ring, eqs, [terms], slots)
     rows = [[p[0] if p else fld.zero for p in image(u, ring.one)]
             for u in range(len(slots))]
     return kmat_nullspace(fld, rows), shape

@@ -46,29 +46,30 @@ Each decider hands the engine its linear map as image(u, poly), the
 slot n-1 component of the morphism that poly placed in unknown u alone
 maps to. Every such map, like the HomSpace conditions and the chain-map
 space of chains.py, is a sum of terms L sigma^t(X_k) R in its unknown
-blocks X_k, so one assembler (matrices.term_image) builds each image as
+blocks X_k, so one assembler (matrices.TermImage) builds each image as
 outer products from a table of terms read off the arcs of x and y: the
 witness map (_witness_image) without running reconstruct_from_witness,
 and the trivial-factorization maps (_lambda_image) without building a
-trivial_hom, counit or theta per block. The engine only solves, on the
-residues that modules.py defines (residues, times_x, residue_rows). Every
-positive answer is rebuilt in full from the solution and compared bit for bit with f: a
+trivial_hom, counit or theta per block. The engine only solves: it reads
+(field, rows) from the coordinate layer of modules.py
+(modules.linear_system), on every ring, and the target's coordinates and
+the solution's polynomials from the same layer. Every positive answer is
+rebuilt in full from the solution and compared bit for bit with f: a
 witness through reconstruct_from_witness, a factorization by composing
 it with the counit, which with the trivial sum is built only then, so a
 negative never builds them.
 
 stable_hom reads stable Hom off the same component modulo omega: the
-HomSpace of those of morphisms modulo the residue_rows of the witness
-map (ideal='all') or the theta^0 map (ideal='theta0'). Only
+HomSpace of those of morphisms modulo the rows of the witness map
+(ideal='all') or the theta^0 map (ideal='theta0'). Only
 HomSpace.morphism takes Hermite forms, to complete a morphism by division.
 """
 
-from .fields import PrimeField
 from .rings import UnsupportedRingError
 from .matrices import (TwistedMatrix, mat_mul, solve_right, smith_form,
-                       block_slots, term_image)
-from .modules import (kmat_solve, kmat_nullspace, kmat_mul, residues, times_x,
-                      residue_rows)
+                       block_slots, TermImage)
+from .modules import (kmat_solve, kmat_nullspace, kmat_mul, times_x, coordinates,
+                      polys, linear_system)
 from .factorizations import Morphism, theta, direct_sum
 
 
@@ -212,7 +213,7 @@ class TrivialFactorization:
 # image(u, poly) returns the entries of the slot n-1 component of its
 # morphism, row by row.
 
-def _solve(f, unit_count, image, top):
+def _solve(f, image, top):
     """Polys c_u whose morphism, sum_u of the image of c_u in unknown u,
     is f, or None, a definitive no.
 
@@ -228,12 +229,11 @@ def _solve(f, unit_count, image, top):
     omega is normal, so (omega) = A omega = omega A, and writing c_u =
     c_low + omega c_high with deg c_low < deg omega = m shows that f must
     be image(c_low) modulo omega: one linear system, with an unknown per
-    u and per x^d below x^m, on residues (modules.residues). A commutative
-    ring solves it over its field, on the rows of residue_rows. A skew
-    ring solves it over F_p, with an unknown per unit of F_q = F_{p^e}
-    too: an element is its own tuple of e coordinates (fields.py), read
-    off each residue of image(u, unit x^d) and grouped back from the
-    solution.
+    u and per x^d below x^m, and on a skew ring per unit of F_q = F_{p^e}
+    over F_p too. modules.linear_system gives the field it is solved over
+    and its rows, on every ring (the ring's field when it is commutative,
+    F_p when it is skew); the target's coordinates and the polynomials of
+    the solution are modules.coordinates and modules.polys.
 
     With a solution the remainder f - image(c_low), for a morphism f, is a
     morphism with top component K omega; as d_y^{n-1} d_y^0 ... d_y^{n-2}
@@ -243,28 +243,12 @@ def _solve(f, unit_count, image, top):
     full from the coefficients and compares it with f.
     """
     ring = f.ring
-    fld = ring.field
-    m = ring.omega_deg
     target = [p for row in f.components[-1].m for p in row]
-
-    def flat(vec):
-        res = residues(ring, vec)
-        return res if ring.commutative else [a for c in res for a in c]
-
-    if ring.commutative:
-        kfld, e = fld, 1
-        rows = residue_rows(ring, unit_count, image)
-    else:
-        kfld, e = PrimeField(fld.p), fld.e
-        units = [tuple(int(i == c) for i in range(e)) for c in range(e)]
-        rows = [flat(image(u, [fld.zero] * d + [unit]))
-                for u in range(unit_count) for d in range(m) for unit in units]
-    sol = kmat_solve(kfld, rows, [flat(target)])
+    fld, rows = linear_system(ring, image)
+    sol = kmat_solve(fld, rows, [coordinates(ring, target)])
     if sol is None:
         return None
-    elems = sol[0] if e == 1 else [tuple(sol[0][k:k + e])
-                                   for k in range(0, len(sol[0]), e)]
-    coeffs = [ring.trim(elems[u * m:(u + 1) * m]) for u in range(unit_count)]
+    coeffs = polys(ring, sol[0])
     rest = target
     for u, poly in enumerate(coeffs):
         if poly:
@@ -291,7 +275,7 @@ def _witness_image(x, y, slots):
     f^{n-1} gets exactly one summand from h^j, the composite L h^j R of
     the arcs L = d_X^{n-1 -> j} and R = d_Y^{j+1 -> n-1}. Composites are
     associative, so with t the twist of h^j and t_R that of R the summand
-    is sigma^{t+t_R}(L) sigma^{t_R}(h^j) R, one term of term_image for
+    is sigma^{t+t_R}(L) sigma^{t_R}(h^j) R, one term of TermImage for
     each j.
     """
     last = x.n - 1
@@ -301,7 +285,7 @@ def _witness_image(x, y, slots):
         left, right = x.arc(last, j), into[(j + 1) % x.n]
         terms.append([(last, left.sigma_entries(t + right.twist).m, right.m,
                        right.twist)])
-    return term_image(x.ring, [(last, x.ranks[last], y.ranks[last])], terms, slots)
+    return TermImage(x.ring, [(last, x.ranks[last], y.ranks[last])], terms, slots)
 
 
 def _witness_from_coeffs(x, y, slots, coeffs):
@@ -323,7 +307,7 @@ def is_p_null_homotopic(f):
     x, y = f.source, f.target
     slots = _witness_slots(x, y)
     top = len(slots) - x.ranks[-1] * y.ranks[0]
-    coeffs = _solve(f, len(slots), _witness_image(x, y, slots), top)
+    coeffs = _solve(f, _witness_image(x, y, slots), top)
     if coeffs is None:
         return HomotopyVerdict(False)
     w = _witness_from_coeffs(x, y, slots, coeffs)
@@ -428,7 +412,7 @@ def _lambda_image(x, y, indices, slots):
         left = x.arc(last, i - 1)
         terms[i] = [(last, left.sigma_entries(-left.twist).m, into[i].m,
                      -left.twist)]
-    return term_image(x.ring, [(last, x.ranks[last], y.ranks[last])], terms, slots)
+    return TermImage(x.ring, [(last, x.ranks[last], y.ranks[last])], terms, slots)
 
 
 def _lambda_morphism(x, y, t, indices, slots, coeffs):
@@ -457,7 +441,7 @@ def _factors_through(f, indices):
     built from trivial_hom components: a morphism when x is valid."""
     x, y = f.source, f.target
     slots = _lambda_slots(x, y, indices)
-    coeffs = _solve(f, len(slots), _lambda_image(x, y, indices, slots), 0)
+    coeffs = _solve(f, _lambda_image(x, y, indices, slots), 0)
     if coeffs is None:
         return TrivialFactorization(False)
     t, eps = trivial_sum_counit(y, indices)
@@ -502,8 +486,9 @@ class HomSpace:
     j < n-1 (morphism): each square then holds times a non-zero-divisor
     arc of y. As d_Y^{j -> n-1} d_Y^{n-1 -> j} = omega I, that is when
     d_X^{j -> n-1} M d_Y^{n-1 -> j} vanishes modulo omega, a condition on
-    M modulo omega: basis spans the null space of the residue_rows of
-    that map, which term_image assembles as the deciders' maps.
+    M modulo omega: basis spans the null space of the rows
+    (modules.linear_system) of that map, which TermImage assembles as the
+    deciders' maps.
     """
 
     def __init__(self, x, y):
@@ -519,9 +504,9 @@ class HomSpace:
         slots = block_slots([(last, x.ranks[last], y.ranks[last])])
         into = x.arcs_into(last)
         terms = {last: [(j, into[j].m, y.arc(last, j).m, 0) for j in range(last)]}
-        image = term_image(ring, [(j, x.ranks[j], y.ranks[j]) for j in range(last)],
-                           terms, slots)
-        self.basis = kmat_nullspace(ring.field, residue_rows(ring, len(slots), image))
+        image = TermImage(ring, [(j, x.ranks[j], y.ranks[j]) for j in range(last)],
+                          terms, slots)
+        self.basis = kmat_nullspace(*linear_system(ring, image))
 
     @property
     def rank(self):
@@ -529,9 +514,9 @@ class HomSpace:
 
     def lift(self, vec):
         """The r x r' matrix whose entries have the residues in vec."""
-        m, c = self.ring.omega_deg, self.y.ranks[-1]
-        polys = [self.ring.trim(vec[k:k + m]) for k in range(0, len(vec), m)]
-        return [polys[a * c:(a + 1) * c] for a in range(self.x.ranks[-1])]
+        c = self.y.ranks[-1]
+        entries = polys(self.ring, vec)
+        return [entries[a * c:(a + 1) * c] for a in range(self.x.ranks[-1])]
 
     def morphism(self, top):
         """The morphism with slot n-1 component top, an r x r' matrix with
@@ -633,4 +618,4 @@ def stable_hom(x, y, ideal="all"):
     else:
         slots = _lambda_slots(x, y, [0])
         image = _lambda_image(x, y, [0], slots)
-    return StableHomReport(hom, residue_rows(x.ring, len(slots), image), ideal)
+    return StableHomReport(hom, linear_system(x.ring, image)[1], ideal)

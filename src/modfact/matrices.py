@@ -10,7 +10,7 @@ work on bare coefficient-list matrices. Hermite reduction only
 uses left row operations and right division of entries, so it is valid
 over the skew instances as well; Smith form raises UnsupportedRingError
 there.
-term_image assembles every A-linear system that the homotopy deciders,
+TermImage assembles every A-linear system that the homotopy deciders,
 HomSpace, stable_hom and the chain-map space of chains.py solve: each is
 a sum of terms L sigma^t(X_k) R in unknown blocks X_k, built entry by
 entry as outer products.
@@ -247,29 +247,36 @@ def block_slots(blocks):
             for a in range(rows) for b in range(cols)]
 
 
-def term_image(ring, outs, terms, slots):
+class TermImage:
     """image(u, poly) of the map X |-> sum of L sigma^t(X_k) R over terms.
 
     slots[u] = (k, a, b) is entry (a, b) of the unknown block X_k, and
     terms[k] lists the (o, L, R, t) by which X_k reaches output block o.
     The output is the blocks (o, rows, cols) of outs flattened in that
-    order, each row-major. An X_k whose one nonzero entry is p at (a, b)
-    adds, for each of its terms, the outer product of column a of L,
-    sigma^t(p) and row b of R to block o; entries of L and R equal to 1,
-    as in identity factors, multiply nothing.
+    order, each row-major: block o starts at entry offsets[o][0] and has
+    offsets[o][1] columns, and there are total entries. An X_k whose one
+    nonzero entry is p at (a, b) adds, for each of its terms, the outer
+    product of column a of L, sigma^t(p) and row b of R to block o;
+    entries of L and R equal to 1, as in identity factors, multiply
+    nothing. The table stays readable, for modules.linear_system.
     """
-    offsets = {}
-    total = 0
-    for o, rows, cols in outs:
-        offsets[o] = (total, cols)
-        total += rows * cols
-    one = ring.one
-    twisted = ring.auto_power
 
-    def image(u, poly):
-        k, a, b = slots[u]
-        vec = [[]] * total
-        for o, left, right, t in terms[k]:
+    def __init__(self, ring, outs, terms, slots):
+        self.ring, self.terms, self.slots = ring, terms, slots
+        self.offsets = {}
+        total = 0
+        for o, rows, cols in outs:
+            self.offsets[o] = (total, cols)
+            total += rows * cols
+        self.total = total
+
+    def __call__(self, u, poly):
+        ring, offsets = self.ring, self.offsets
+        one = ring.one
+        twisted = ring.auto_power
+        k, a, b = self.slots[u]
+        vec = [[]] * self.total
+        for o, left, right, t in self.terms[k]:
             pos, width = offsets[o]
             p = ring.apply_sigma(poly, t) if twisted else poly
             row = right[b]
@@ -282,8 +289,6 @@ def term_image(ring, outs, terms, slots):
                             vec[v] = ring.add(vec[v], prod) if vec[v] else prod
                 pos += width
         return vec
-
-    return image
 
 
 def mat_identity(ring, n):

@@ -1,25 +1,29 @@
-"""The k-coordinates of Lambda = A/(omega), and finitely presented modules.
+"""The coordinates of Lambda = A/(omega), and finitely presented modules.
 
 A vector over A modulo omega is the deg omega residues of its entries
 (residues), x acts on them by times_x, and residue_rows stacks the
-residues of a map's images of x^d: the coordinates that the homotopy
-engine and the chain modules read. A presentation is a generator count
-g plus a relation matrix whose row space is the relation submodule of
-A^g. Linearization takes the quotient of the residues by those of the
-relations, M/omega M for the quotient M: a finite k-basis, coordinates,
-and matrices for x and for maps given on generators. It exists when
-omega kills M (check_abar): when dim_k M/omega M = dim_k M, the sum of
-the pivot degrees of the relations' Hermite form, one pivot per generator.
+residues of a map's images of x^d. Their coordinates are over the ring's
+coordinate_field: k on a commutative ring; F_p on a skew one, where each
+F_{p^e} residue splits into its e coordinates (coordinates; polys reads
+polynomials back). linear_system hands the homotopy engine (homotopy.py)
+the field it solves over and the rows of a matrices.TermImage map modulo
+omega, on every ring: residue_rows when the ring is commutative, rows
+written in F_p coordinates straight from the term table when it is skew.
+A presentation is a generator count g plus a relation matrix whose row
+space is the relation submodule of A^g. Linearization takes the quotient
+of the residues by those of the relations, M/omega M for the quotient M:
+a finite k-basis, coordinates, and matrices for x and for maps given on
+generators. It exists when omega kills M (check_abar): when dim_k M/omega
+M = dim_k M, the sum of the pivot degrees of the relations' Hermite form,
+one pivot per generator.
 
 The k-matrix helpers at the bottom (kmat_*) work over a coefficient field
 and back the finite-dimensional searches in chains.py and the one
-homotopy engine in homotopy.py, which solves modulo omega the A-linear
-systems that matrices.term_image assembles: over the ring's field when it
-is commutative, over the prime field when it is skew. One Gauss-Jordan
-routine, _kmat_eliminate, runs once per call: on a copy of m for
-kmat_rank, on m^T for kmat_nullspace and on [m^T | rhs^T] for kmat_solve
-(X m = rhs is m^T X^T = rhs^T); kmat_inv is kmat_solve against the
-identity. Answers are read off the reduced echelon form outside the
+homotopy engine in homotopy.py, which solves the rows of linear_system.
+One Gauss-Jordan routine, _kmat_eliminate, runs once per call: on a copy
+of m for kmat_rank, on m^T for kmat_nullspace and on [m^T | rhs^T] for
+kmat_solve (X m = rhs is m^T X^T = rhs^T); kmat_inv is kmat_solve
+against the identity. Answers are read off the reduced echelon form outside the
 pivot columns (pivot positions, pivotless columns and the rhs part), so
 they depend on the system alone: an unknown whose row of m depends on the
 rows before it is 0 in a solution, and the null-space basis is the reduced
@@ -87,6 +91,82 @@ def residue_rows(ring, unit_count, image):
         for _ in range(1, ring.omega_deg):
             rows.append(times_x(ring, rows[-1]))
     return rows
+
+
+def coordinates(ring, vec):
+    """The coordinates of vec modulo omega over ring.coordinate_field: its
+    residues, each split on a skew ring into the e coordinates over F_p
+    of the tuple that stores it (fields.py)."""
+    res = residues(ring, vec)
+    return res if ring.commutative else [a for c in res for a in c]
+
+
+def polys(ring, flat):
+    """The trimmed polynomials of degree below deg omega whose coordinates
+    are flat, one per run: the inverse of coordinates on them."""
+    if not ring.commutative:
+        e = ring.field.e
+        flat = [tuple(flat[k:k + e]) for k in range(0, len(flat), e)]
+    m = ring.omega_deg
+    return [ring.trim(flat[k:k + m]) for k in range(0, len(flat), m)]
+
+
+def linear_system(ring, image):
+    """(field, rows): the rows of the matrices.TermImage image modulo
+    omega, over ring.coordinate_field, which it is solved over. Row (u, d),
+    and on a skew ring (u, d, k), holds the coordinates of image(u, x^d)
+    or of image(u, c_k x^d), d < deg omega and c_k the k-th unit vector
+    of F_q = F_{p^e} over F_p, in that order.
+
+    A commutative ring gives its field and residue_rows. On a skew ring
+    omega = c x^m, so a residue is the product truncated below x^m, and
+    each row is written in F_p coordinates straight from the term table:
+    with slots[u] = (k, a, b), a term (o, L, R, t) of block k adds, for
+    each coefficient l_i x^i of an entry of L in column a and r_j x^j of
+    an entry of R in row b with i + d + j < m,
+    l_i frob^{s i + auto t}(c_k) frob^{s (i + d)}(r_j) at x^{i+d+j}, as
+    x^i c = frob^{s i}(c) x^i and sigma^t(c x^d) = frob^{auto t}(c) x^d,
+    s the ring's sigma_power and auto its auto_power. Coordinates over
+    F_p add componentwise modulo p, so each product's e coordinates are
+    added into the row as it is made."""
+    if ring.commutative:
+        return ring.coordinate_field, residue_rows(ring, len(image.slots), image)
+    fld, m, s, auto = ring.field, ring.omega_deg, ring.sigma_power, ring.auto_power
+    e, p, zero, one = fld.e, fld.p, fld.zero, fld.one
+    units = [tuple([0] * k + [1] + [0] * (e - 1 - k)) for k in range(e)]
+    # the units twisted by frob^j, j < e
+    twisted = [units] + [[fld.frob(c, j) for c in units] for j in range(1, e)]
+    width = image.total * m * e
+    rows = []
+    for kb, a, b in image.slots:
+        # rows d e to d e + e - 1 are those of x^d
+        block = [[0] * width for _ in range(m * e)]
+        for o, left, right, t in image.terms[kb]:
+            pos, cols = image.offsets[o]
+            rrow = right[b]
+            for lrow in left:
+                for i, li in enumerate(lrow[a][:m]):
+                    if li == zero:
+                        continue
+                    us = twisted[(s * i + auto * t) % e]
+                    for v, r in enumerate(rrow, pos):
+                        for j, rj in enumerate(r[:m - i]):
+                            if rj == zero:
+                                continue
+                            at = (v * m + i + j) * e
+                            for d in range(m - i - j):
+                                k = s * (i + d) % e
+                                c = fld.frob(rj, k) if k else rj
+                                if li != one:
+                                    c = fld.mul(li, c)
+                                for row, w in zip(block[d * e:d * e + e], us):
+                                    cw = c if w == one else fld.mul(c, w)
+                                    for z, cz in enumerate(cw, at + d * e):
+                                        if cz:
+                                            row[z] = (row[z] + cz) % p
+                pos += cols
+        rows += block
+    return ring.coordinate_field, rows
 
 
 class ModulePresentation:

@@ -8,9 +8,14 @@ A normal omega induces a ring automorphism via omega*a = sigma(a)*omega.
 For the supported skew instances omega = c*x^m with frob^s(c) = c, and the
 induced automorphism acts coefficientwise by frob^(s*m); apply_sigma
 implements exactly that map (and the identity in the commutative case).
+
+Lambda = A/(omega) has coordinates over coordinate_field: over k when the
+ring is commutative, over the prime field F_p of k = F_{p^e} when it is
+skew, since x c = frob^s(c) x is only F_p-linear in c. The ring builds
+that field once, for every linear system solved on it.
 """
 
-from .fields import field_from_json, json_int
+from .fields import PrimeField, field_from_json, json_int
 
 
 class UnsupportedRingError(ValueError):
@@ -53,6 +58,7 @@ class BaseRing:
             if field.frob(c, self.sigma_power) != c:
                 raise NotNormalError("leading coefficient of omega is not sigma-fixed")
             self.auto_power = (self.sigma_power * m) % field.e
+        self.coordinate_field = field if self.commutative else PrimeField(field.p)
         if self.apply_sigma(self.omega) != self.omega:
             raise NotNormalError("omega is not fixed by its induced automorphism")
         self.zero = []
@@ -163,7 +169,7 @@ class BaseRing:
         0: on every commutative ring, and on a skew ring when sigma_power
         deg(omega) is a multiple of e. Callers on a hot path skip the call,
         and its copy, there: TwistedMatrix.sigma_entries and
-        matrices.term_image."""
+        matrices.TermImage."""
         if not self.auto_power or not f:
             return list(f)
         k = self.auto_power * power

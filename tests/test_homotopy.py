@@ -14,7 +14,8 @@ from modfact.modules import kmat_rank, kmat_solve, residues, times_x, residue_ro
 from modfact import randomgen as rg
 from modfact.factorizations import (Factorization, Morphism, theta, omega_morphism,
                                     shift, shift_morphism, face, face_morphism,
-                                    degeneracy, degeneracy_morphism, direct_sum_morphism)
+                                    degeneracy, degeneracy_morphism, direct_sum,
+                                    direct_sum_morphism)
 import modfact.homotopy as ho
 from modfact.fields import ExtensionField, PrimeField
 from modfact.rings import BaseRing
@@ -474,7 +475,8 @@ def test_residues_never_divide(monkeypatch):
     # over an omega that is not a monomial, a residue reduces by Horner's
     # rule on times_x and never divides, while entries of degree deg omega
     # or more do reach it; the completion divides each entry of the top
-    # block of a positive once, and a negative not at all
+    # block of a positive once, and a negative not at all. The engine
+    # reads residues through the layer in modules alone
     calls = []
     inside = []
     long_residues = []
@@ -506,7 +508,6 @@ def test_residues_never_divide(monkeypatch):
                     del calls[:]
                     with monkeypatch.context() as mp:
                         mp.setattr(BaseRing, "right_quo_rem", counting)
-                        mp.setattr(ho, "residues", residue)
                         mp.setattr(modules, "residues", residue)
                         verdict = bool(decide(f))
                     assert not any(calls)
@@ -664,6 +665,97 @@ def test_skew_engine_solves_one_system(monkeypatch):
                     del shapes[:]
                     decide(g)
                     assert shapes == [(fld, slots * per_entry, entries * per_entry)]
+
+
+def _reference_skew_rows(ring, image):
+    # the skew rows by their definition, as the engine built them before
+    # modules.linear_system wrote them from the term table: the F_p
+    # coordinates of the residues of image(u, unit x^d), over u, then d,
+    # then unit
+    fld, e = ring.field, ring.field.e
+    units = [tuple(int(i == k) for i in range(e)) for k in range(e)]
+    return [[a for c in residues(ring, image(u, [fld.zero] * d + [unit])) for a in c]
+            for u in range(len(image.slots)) for d in range(ring.omega_deg)
+            for unit in units]
+
+
+_F4, _F8 = ExtensionField(2, 2), ExtensionField(2, 3)
+# every skew ring of _skew_instances (sigma of order 2 on F_4 x^2, order 3
+# on F_8 x^2), and omega = x^3 over F_4 and F_8, where a product reaches
+# x^2 through the twists of three coefficients
+_ROW_RINGS = _skew_instances() + [BaseRing(f, 1, [f.zero] * 3 + [f.one]) for f in (_F4, _F8)]
+
+
+@given(st.sampled_from(_ROW_RINGS), st.integers(1, 4),
+       st.sampled_from(("witness", "trivials", "theta0")), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_skew_rows_are_the_coordinates_of_the_images(ring, n, which, seed):
+    # the rows linear_system writes on a skew ring equal, row for row and
+    # entry for entry, the flattened residues of the images, for the
+    # witness map, the trivial-sum map and the theta^0 map
+    rng2 = random.Random(seed)
+    x = rg.random_object(ring, rng2, n, max_rank=2)
+    y = rg.random_object(ring, rng2, n, max_rank=2)
+    if which == "witness":
+        image = ho._witness_image(x, y, ho._witness_slots(x, y))
+    else:
+        indices = range(n) if which == "trivials" else [0]
+        image = ho._lambda_image(x, y, indices, ho._lambda_slots(x, y, indices))
+    fld, rows = modules.linear_system(ring, image)
+    assert fld is ring.coordinate_field and fld == PrimeField(ring.field.p)
+    assert rows == _reference_skew_rows(ring, image)
+
+
+def test_skew_answers_keep_their_bytes():
+    # every decider's answer, witnesses, factorizations and counits
+    # included, on skew rings beyond the stock ones: sigma of order 3 (F_8
+    # x^2), a non-monic omega (F_9 2 x^2) and omega = x^3 (F_4), at folds
+    # 1-4; the digest was recorded while the skew rows were still the
+    # flattened residues of full images
+    f9 = ExtensionField(3, 2)
+    rings = [BaseRing(_F8, 1, [_F8.zero, _F8.zero, _F8.one]),
+             BaseRing(f9, 1, [f9.zero, f9.zero, f9.from_int(2)]),
+             BaseRing(_F4, 1, [_F4.zero] * 3 + [_F4.one])]
+    rng2 = random.Random(71)
+    blobs = []
+    for ring in rings:
+        for n in (1, 2, 3, 4):
+            x = rg.random_object(ring, rng2, n, max_rank=2)
+            y = rg.random_object(ring, rng2, n, max_rank=2)
+            null, _ = rg.random_null_morphism(rng2, x, y)
+            for f in (null, rg.random_morphism(rng2, x, y), Morphism.identity(x)):
+                for decide in _DECIDERS:
+                    blobs.append(json.dumps(decide(f).to_json(), sort_keys=True))
+    assert sum('"witness"' in b for b in blobs) == 29
+    assert sum('"counit"' in b for b in blobs) == 51
+    assert hashlib.sha256("\n".join(blobs).encode()).hexdigest() == (
+        "c3a07c57f988829177f26da11e6dacff67f5bc456fca8ce2041376b2ddf79e12")
+
+
+def test_skew_negative_builds_no_prime_field_and_no_product(monkeypatch):
+    # work counted, not timed: deciding the skew (x, x) identity, and that
+    # of its double, no decider builds a PrimeField (the ring holds F_2)
+    # or multiplies two polynomials, as its rows come from the term table
+    # and a negative is not completed
+    counts = []
+    real_mul, real_init = BaseRing.mul, PrimeField.__init__
+
+    def mul(self, f, g):
+        counts.append("mul")
+        return real_mul(self, f, g)
+
+    def init(self, p):
+        counts.append("prime")
+        real_init(self, p)
+
+    monkeypatch.setattr(BaseRing, "mul", mul)
+    monkeypatch.setattr(PrimeField, "__init__", init)
+    for z in (XSneg, direct_sum([XSneg] * 2)):
+        for decide in _DECIDERS:
+            x = Factorization(z.ring, z.ranks, z.maps)
+            del counts[:]
+            assert not decide(Morphism.identity(x))
+            assert counts == []
 
 
 def test_theta0_factorization_is_the_one_block_trivial_sum():
