@@ -6,6 +6,9 @@ descend to a chain C_1 -> C_2 -> ... -> C_{n-1} of injections.  This module
 computes that chain (`cok0`), transports morphisms along it, rebuilds a
 factorization from any abstract chain of omega-torsion module injections
 (`lift`), and decides chain isomorphism at the k-linear level (`chain_iso`).
+The presentations' relations, the chain maps and the morphism components
+are twist-0 TwistedMatrix objects, shared and never copied: cok0 hands
+over the factorization's own arcs and maps.
 
 The witness-level checks at the bottom tie the chain picture to the homotopy
 one: a morphism induces zero on chains exactly when it factors through sums
@@ -50,15 +53,16 @@ def _check_map_count(modules, maps):
 class ChainModule:
     """A chain M^1 -> M^2 -> ... -> M^{n-1} of omega-torsion modules.
 
-    modules[i] presents M^{i+1}; maps[i] is the generator-image matrix of
-    M^{i+1} -> M^{i+2} (row j = image of generator j, twist 0).  A chain of
+    modules[i] presents M^{i+1}; maps[i] is the twist-0 TwistedMatrix of
+    generator images of M^{i+1} -> M^{i+2} (row j = image of generator j),
+    kept as given, as the presentations keep their relations.  A chain of
     length zero (n = 1) is allowed and carries no data beyond n itself.
     """
 
     def __init__(self, ring, modules, maps, n=None):
         self.ring = ring
         self.modules = list(modules)
-        self.maps = [[list(map(list, row)) for row in m] for m in maps]
+        self.maps = list(maps)
         self.n = n if n is not None else len(self.modules) + 1
         if self.n != len(self.modules) + 1:
             raise ValueError("n = %d does not match %d modules"
@@ -68,15 +72,10 @@ class ChainModule:
             if mod.ring != ring:
                 raise ValueError("chain modules live over one ring")
         for i, m in enumerate(self.maps):
-            rows = len(m)
-            cols = len(m[0]) if m else 0
-            if rows != self.modules[i].gens:
-                raise ValueError("map %d has %d rows for %d generators"
-                                 % (i, rows, self.modules[i].gens))
-            if rows and cols != self.modules[i + 1].gens:
-                raise ValueError("map %d has %d columns for %d generators"
-                                 % (i, cols, self.modules[i + 1].gens))
-            self.maps[i] = [[ring.trim(e) for e in row] for row in m]
+            if m.twist != 0:
+                raise ValueError("chain maps carry twist 0")
+            if (m.rows, m.cols) != (self.modules[i].gens, self.modules[i + 1].gens):
+                raise ValueError("chain map %d shape mismatch" % i)
         self._kmaps = None
 
     def __eq__(self, other):
@@ -124,17 +123,12 @@ class ChainModule:
 
     def slot_invariants(self):
         """Per-slot monic invariant factors of the modules."""
-        return [invariant_factors(self.ring, m.relations) for m in self.modules]
+        return [invariant_factors(self.ring, m.relations.m) for m in self.modules]
 
     def to_json(self):
-        maps = []
-        for i, m in enumerate(self.maps):
-            tm = TwistedMatrix(self.ring, m, 0, self.modules[i].gens,
-                               self.modules[i + 1].gens)
-            maps.append(tm.to_json())
         return {"n": self.n,
                 "modules": [m.to_json() for m in self.modules],
-                "maps": maps}
+                "maps": [m.to_json() for m in self.maps]}
 
     @staticmethod
     def from_json(ring, data):
@@ -144,24 +138,18 @@ class ChainModule:
                 for m in data["modules"]]
         n = json_int(data.get("n", len(mods) + 1), "n")
         _check_map_count(mods, data["maps"])
-        maps = []
-        for i, m in enumerate(data["maps"]):
-            tm = TwistedMatrix.from_json(ring, m)
-            if tm.twist != 0:
-                raise ValueError("chain maps carry twist 0")
-            if tm.rows != mods[i].gens or tm.cols != mods[i + 1].gens:
-                raise ValueError("chain map %d shape mismatch" % i)
-            maps.append(tm.m)
+        maps = [TwistedMatrix.from_json(ring, m) for m in data["maps"]]
         return ChainModule(ring, mods, maps, n=n)
 
 
 class ChainMorphism:
     """Slotwise module maps commuting with the chain maps.
 
-    components[i] is the generator-image matrix M^{i+1}(source) ->
-    M^{i+1}(target).  Validity means every component is well defined on the
-    relations and every square with the chain maps commutes, both checked
-    through the linearizations, the squares on kmats() and kmaps().
+    components[i] is the twist-0 TwistedMatrix of generator images
+    M^{i+1}(source) -> M^{i+1}(target), kept as given.  Validity means
+    every component is well defined on the relations and every square with
+    the chain maps commutes, both checked through the linearizations, the
+    squares on kmats() and kmaps().
     """
 
     def __init__(self, source, target, components):
@@ -170,20 +158,18 @@ class ChainMorphism:
         self.source = source
         self.target = target
         self.ring = source.ring
-        comps = []
-        for i, m in enumerate(components):
-            rows = len(m)
-            cols = len(m[0]) if m else 0
-            if rows != source.modules[i].gens:
-                raise ValueError("component %d has %d rows for %d generators"
-                                 % (i, rows, source.modules[i].gens))
-            if rows and cols != target.modules[i].gens:
-                raise ValueError("component %d has %d columns for %d generators"
-                                 % (i, cols, target.modules[i].gens))
-            comps.append([[self.ring.trim(list(e)) for e in row] for row in m])
-        if len(comps) != len(source.modules):
+        self.components = list(components)
+        if len(self.components) != len(source.modules):
             raise ValueError("one component per chain slot required")
-        self.components = comps
+        for i, m in enumerate(self.components):
+            if m.twist != 0:
+                raise ValueError("chain morphism components carry twist 0")
+            if m.rows != source.modules[i].gens:
+                raise ValueError("component %d has %d rows for %d generators"
+                                 % (i, m.rows, source.modules[i].gens))
+            if m.cols != target.modules[i].gens:
+                raise ValueError("component %d has %d columns for %d generators"
+                                 % (i, m.cols, target.modules[i].gens))
 
     def well_defined(self):
         return all(p.linearization().map_well_defined(q.linearization(), m)
@@ -217,34 +203,27 @@ class ChainMorphism:
         fld = self.ring.field
         return all(fld.is_zero(c)
                    for mod, m in zip(self.target.modules, self.components)
-                   for row in m for c in mod.linearization().encode(row))
+                   for row in m.m for c in mod.linearization().encode(row))
 
     def then(self, other):
         if other.source is not self.target and other.source != self.target:
             raise ValueError("chain composition endpoints do not match")
-        mods = zip(self.source.modules, self.target.modules, other.target.modules)
-        comps = [mat_mul(self.ring, a, b, (p.gens, q.gens, r.gens))
-                 for a, b, (p, q, r) in zip(self.components, other.components, mods)]
-        return ChainMorphism(self.source, other.target, comps)
+        return ChainMorphism(self.source, other.target,
+                             [a.then(b) for a, b in zip(self.components,
+                                                        other.components)])
 
     def to_json(self):
-        comps = []
-        for i, m in enumerate(self.components):
-            tm = TwistedMatrix(self.ring, m, 0, self.source.modules[i].gens,
-                               self.target.modules[i].gens)
-            comps.append(tm.to_json())
-        return {"components": comps}
+        return {"components": [m.to_json() for m in self.components]}
 
     @staticmethod
     def from_json(source, target, data):
-        comps = [TwistedMatrix.from_json(source.ring, m).m
+        comps = [TwistedMatrix.from_json(source.ring, m)
                  for m in data["components"]]
         return ChainMorphism(source, target, comps)
 
 
 def zero_chain(ring, n):
-    mods = [ModulePresentation(ring, 0, []) for _ in range(n - 1)]
-    return ChainModule(ring, mods, [[] for _ in range(max(n - 2, 0))], n=n)
+    return staircase_chain(ring, n, 0)
 
 
 def staircase_chain(ring, n, j, m=1):
@@ -256,31 +235,28 @@ def staircase_chain(ring, n, j, m=1):
     if not 0 <= j <= n - 1:
         raise ValueError("slot out of range")
     # one presentation per kind, so each is linearized once
-    zero = ModulePresentation(ring, 0, [])
-    abar = ModulePresentation(ring, m, TwistedMatrix.scalar(ring, m, ring.omega).m)
+    zero = ModulePresentation(ring, 0, TwistedMatrix.zero(ring, 0, 0))
+    abar = ModulePresentation(ring, m, TwistedMatrix.scalar(ring, m, ring.omega))
     mods = [zero if j == 0 or i < j else abar for i in range(1, n)]
     # a map out of a zero slot has no generator rows
-    maps = [[] if j == 0 or i < j else mat_identity(ring, m)
-            for i in range(1, n - 1)]
+    ident = TwistedMatrix.identity(ring, m)
+    maps = [TwistedMatrix.zero(ring, 0, b.gens) if a is zero else ident
+            for a, b in zip(mods, mods[1:])]
     return ChainModule(ring, mods, maps, n=n)
 
 
 def cok0(x):
-    """The chain of quotients by the partial composites from slot 0."""
-    ring = x.ring
+    """The chain of quotients by the partial composites from slot 0: the
+    relations and maps are x's own arcs and maps, shared."""
     n = x.n
-    mods = []
-    for i in range(1, n):
-        rel = x.compose_range(0, i - 1).m
-        mods.append(ModulePresentation(ring, x.ranks[i], rel))
-    maps = [x.maps[i].m for i in range(1, n - 1)]
-    return ChainModule(ring, mods, maps, n=n)
+    mods = [ModulePresentation(x.ring, x.ranks[i], x.compose_range(0, i - 1))
+            for i in range(1, n)]
+    return ChainModule(x.ring, mods, x.maps[1:n - 1], n=n)
 
 
 def cok0_morphism(f):
     """Transport a factorization morphism to its chain of induced maps."""
-    comps = [f.components[i].m for i in range(1, f.source.n)]
-    return ChainMorphism(cok0(f.source), cok0(f.target), comps)
+    return ChainMorphism(cok0(f.source), cok0(f.target), f.components[1:])
 
 
 def chain_is_mono(c):
@@ -324,7 +300,7 @@ def lift(c):
         raise ValueError(bad[0])
 
     top = c.modules[-1]
-    d, _, v, _ = smith_form(ring, top.relations)
+    d, _, v, _ = smith_form(ring, top.relations.m)
     # torsion guarantees every generator column reaches the diagonal
     if len(d) < top.gens or not all(d[t][t] for t in range(top.gens)):
         raise ValueError("free direction in an omega-torsion module")
@@ -345,7 +321,7 @@ def lift(c):
     # preimages P_1, ..., P_{n-2} of the slots below the top, with P_0 = K
     pre = [kdiag]
     for j in range(n - 2, 0, -1):
-        coords = mat_mul(ring, c.maps[j - 1], coords,
+        coords = mat_mul(ring, c.maps[j - 1].m, coords,
                          (c.modules[j - 1].gens, c.modules[j].gens, rank))
         h, _, _ = hermite_form(ring, coords + kdiag)
         pre.insert(1, h[:rank])
@@ -522,7 +498,7 @@ def _cover_composites(c, d, y):
         basis, (dim, width) = _chain_map_space(c, stair)
         top = d.modules[-1].linearization()
         cover = stair.modules[-1].linearization().map_matrix(
-            top, y.compose_range(j, n - 2).m)
+            top, y.compose_range(j, n - 2))
         for vec in basis:
             h = [vec[a * width:(a + 1) * width] for a in range(dim)]
             rows.append([e for r in kmat_mul(fld, h, cover, top.dim) for e in r])

@@ -495,6 +495,8 @@ class HomSpace:
         ring = x.ring
         if not ring.commutative:
             raise UnsupportedRingError("hom spaces need a commutative base ring")
+        if y.ring != ring:
+            raise ValueError("the two objects live over different rings")
         if x.n != y.n:
             raise ValueError("fold counts differ")
         self.x = x

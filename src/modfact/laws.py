@@ -510,7 +510,7 @@ def _chain_lift(sc, rng, rep):
         c = rg.random_chain(ring, rng, n, sc.max_rank, sc.max_deg)
         x = lift(c)
         rep.case(x.is_valid(), "lift output is a valid factorization")
-        facs = [e for e in invariant_factors(ring, c.modules[-1].relations)
+        facs = [e for e in invariant_factors(ring, c.modules[-1].relations.m)
                 if e]
         rep.case(x.ranks == [len(facs)] * n,
                  "lift rank matches the nonunit invariant factors")

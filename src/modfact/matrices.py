@@ -31,8 +31,9 @@ class TwistedMatrix:
     without a copy (_wrap), with_twist shares its grid, and sigma_entries
     returns self when sigma^power is the identity. Factorization.compose_range
     memoizes on this contract, the shift, face and degeneracy functors
-    share the maps and arcs they are built from, and homotopy.py's
-    counits share the grids and rows of the arcs they are read off.
+    share the maps and arcs they are built from, homotopy.py's counits
+    share the grids and rows of the arcs they are read off, and
+    chains.cok0 shares the maps and arcs of its factorization.
     """
 
     __slots__ = ("ring", "rows", "cols", "twist", "m")

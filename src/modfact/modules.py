@@ -9,8 +9,9 @@ polynomials back). linear_system hands the homotopy engine (homotopy.py)
 the field it solves over and the rows of a matrices.TermImage map modulo
 omega, on every ring: residue_rows when the ring is commutative, rows
 written in F_p coordinates straight from the term table when it is skew.
-A presentation is a generator count g plus a relation matrix whose row
-space is the relation submodule of A^g. Linearization takes the quotient
+A presentation is a generator count g plus a twist-0 TwistedMatrix of
+relations, kept without a copy, whose row space is the relation
+submodule of A^g. Linearization takes the quotient
 of the residues by those of the relations, M/omega M for the quotient M:
 a finite k-basis, coordinates, and matrices for x and for maps given on
 generators. It exists when omega kills M (check_abar): when dim_k M/omega
@@ -32,7 +33,7 @@ the column count of its product, as mat_mul takes its shape.
 """
 
 from .fields import json_int
-from .matrices import TwistedMatrix, mat_mul, hermite_form
+from .matrices import TwistedMatrix, hermite_form
 
 
 class NotQuotientModule(ValueError):
@@ -171,15 +172,15 @@ def linear_system(ring, image):
 
 class ModulePresentation:
     def __init__(self, ring, gens, relations):
+        if relations.twist != 0:
+            raise ValueError("relation matrices carry twist 0")
+        if relations.cols != gens:
+            raise ValueError("relation width does not match the generator count")
         if gens < 0:
             raise ValueError("a presentation cannot have %d generators" % gens)
         self.ring = ring
         self.gens = gens
-        self.relations = [[ring.trim(list(e)) for e in row] for row in relations]
-        for row in self.relations:
-            if len(row) != gens:
-                raise ValueError("relation width %d does not match %d generators"
-                                 % (len(row), gens))
+        self.relations = relations
         self._lin = None
 
     def __eq__(self, other):
@@ -202,21 +203,14 @@ class ModulePresentation:
         return self._lin is not False
 
     def to_json(self):
-        rel = TwistedMatrix(self.ring, self.relations, 0,
-                            len(self.relations), self.gens)
-        return {"generators": self.gens, "relations": rel.to_json()}
+        return {"generators": self.gens, "relations": self.relations.to_json()}
 
     @staticmethod
     def from_json(ring, data):
         if "generators" not in data or "relations" not in data:
             raise ValueError("presentation needs 'generators' and 'relations'")
         rel = TwistedMatrix.from_json(ring, data["relations"])
-        if rel.twist != 0:
-            raise ValueError("relation matrices carry twist 0")
-        gens = json_int(data["generators"], "generators")
-        if rel.cols != gens:
-            raise ValueError("relation width does not match the generator count")
-        return ModulePresentation(ring, gens, rel.m)
+        return ModulePresentation(ring, json_int(data["generators"], "generators"), rel)
 
 
 class Linearization:
@@ -231,7 +225,7 @@ class Linearization:
     """
 
     def __init__(self, pres):
-        ring, rels = pres.ring, pres.relations
+        ring, rels = pres.ring, pres.relations.m
         fld, m = ring.field, ring.omega_deg
         self.ring, self.pres = ring, pres
         # x^d e_j is residue j m + d; order[f] is the one in column f
@@ -270,28 +264,26 @@ class Linearization:
         """Row b = coords of x * basis_b: coords(x*v) = frob^s(coords(v)) * X,
         with s the ring's sigma_power (0 when it is commutative)."""
         return self.map_matrix(self, TwistedMatrix.scalar(self.ring, self.pres.gens,
-                                                          self.ring.x).m)
+                                                          self.ring.x))
 
     def map_matrix(self, target_lin, gen_images):
-        """k-matrix of the A-linear map sending e_j to row j of gen_images:
-        row (j, t) holds the coordinates of x^t times row j, by times_x on
-        residues, as t runs up from 0 for each j."""
+        """k-matrix of the A-linear map sending e_j to row j of the
+        TwistedMatrix gen_images: row (j, t) holds the coordinates of x^t
+        times row j, by times_x on residues, as t runs up from 0 for each j."""
         ring = self.ring
-        if len(gen_images) != self.pres.gens:
+        if gen_images.rows != self.pres.gens:
             raise ValueError("one image row per generator required")
         rows = []
         for j, t in self.basis:
-            v = times_x(ring, v) if t else residues(ring, gen_images[j])
+            v = times_x(ring, v) if t else residues(ring, gen_images.m[j])
             rows.append(target_lin._coords(v))
         return rows
 
     def map_well_defined(self, target_lin, gen_images):
         """Relations must map into the target relation space."""
-        rels = self.pres.relations
-        imgs = mat_mul(self.ring, rels, gen_images,
-                       (len(rels), self.pres.gens, target_lin.pres.gens))
+        imgs = self.pres.relations.then(gen_images)
         return all(self.ring.field.is_zero(c)
-                   for img in imgs for c in target_lin.encode(img))
+                   for img in imgs.m for c in target_lin.encode(img))
 
 
 # -- plain Gaussian elimination over the coefficient field --

@@ -38,6 +38,8 @@ class BaseRing:
         omega = self.trim([field.coerce(c) for c in omega])
         if not omega:
             raise NotNormalError("omega must be nonzero")
+        if len(omega) == 1:
+            raise ValueError("omega must have positive degree, not be a unit")
         self.omega = omega
         m = self.omega_deg = len(omega) - 1
         self.omega_monomial = all(field.is_zero(c) for c in omega[:m])
@@ -50,8 +52,10 @@ class BaseRing:
         if self.commutative:
             self.auto_power = 0
         else:
-            # normality forces omega = c*x^m with frob^s(c) = c; the induced
-            # automorphism is then coefficientwise frob^(s*m)
+            # skew rings are restricted to monomials omega = c*x^m with
+            # frob^s(c) = c, though other normal omega exist (1 + x^2 is
+            # central over F_4[x; Frob]); the induced automorphism is then
+            # coefficientwise frob^(s*m)
             if not self.omega_monomial:
                 raise NotNormalError("omega must be a monomial c*x^m in the skew case")
             c = omega[m]

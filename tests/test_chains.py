@@ -6,7 +6,7 @@ import pytest
 
 from modfact.rings import UnsupportedRingError
 from modfact import matrices
-from modfact.matrices import mat_mul
+from modfact.matrices import TwistedMatrix, mat_mul
 from modfact.factorizations import Morphism, theta, omega_morphism
 from modfact.modules import ModulePresentation
 import modfact.homotopy as ho
@@ -68,6 +68,55 @@ def test_chain_json_roundtrip():
     assert gback.components == g.components
 
 
+def test_chain_json_keeps_its_bytes():
+    # the JSON of cok0 chains, their presentations, induced morphisms and
+    # composites, lift outputs, and zero and staircase chains at m = 0, 1,
+    # 2, with JSON round trips, on the 10 stock rings at folds 1-5; the
+    # digest was recorded while the chain side kept bare entry lists
+    rng2 = random.Random(37)
+    blobs = []
+    for ring in rg.default_instances():
+        for n in range(1, 6):
+            x = rg.random_object(ring, rng2, n, max_rank=2)
+            y = rg.random_object(ring, rng2, n, max_rank=2)
+            c, d = cok0(x), cok0(y)
+            g = cok0_morphism(rg.random_morphism(rng2, x, y))
+            h = cok0_morphism(rg.random_morphism(rng2, y, x))
+            out = [c.to_json(), [m.to_json() for m in d.modules], g.to_json(),
+                   g.then(h).to_json(), [g.is_valid(), g.is_zero_map()]]
+            if ring.commutative:
+                out.append(lift(c).to_json())
+            out.append(zero_chain(ring, n).to_json())
+            out += [staircase_chain(ring, n, j, m).to_json()
+                    for j in range(n) for m in (0, 1, 2)]
+            back = ChainModule.from_json(ring, c.to_json())
+            gback = ChainMorphism.from_json(c, d, g.to_json())
+            out.append([back == c, back.to_json() == c.to_json(),
+                        gback.to_json() == g.to_json()])
+            blobs.append(json.dumps(out, sort_keys=True))
+    assert hashlib.sha256("\n".join(blobs).encode()).hexdigest() == (
+        "8ea86c8f7714a5c2b72c830d7480df209461ab684788ec70864f930ef2dc6d1c")
+
+
+def test_cok0_shares_what_it_is_given():
+    # the relations of slot i are the arc d^0 ... d^{i-1}, the chain maps
+    # are the maps d^1 ... d^{n-2} and the components of the induced
+    # morphism are f^1 ... f^{n-1}, each the factorization's own matrix
+    rng2 = random.Random(41)
+    for ring in rg.default_instances():
+        for n in range(1, 6):
+            x = rg.random_object(ring, rng2, n, max_rank=2)
+            f = rg.random_morphism(rng2, x, x)
+            c = cok0(x)
+            assert all(mod.relations is x.compose_range(0, i - 1)
+                       for i, mod in enumerate(c.modules, 1))
+            assert all(m is x.maps[i] for i, m in enumerate(c.maps, 1))
+            assert len(c.maps) == max(n - 2, 0)
+            g = cok0_morphism(f)
+            assert all(a is b for a, b in zip(g.components, f.components[1:]))
+            assert len(g.components) == n - 1
+
+
 def test_lift_roundtrips():
     c2 = cok0(X2)
     L2 = lift(c2)
@@ -92,7 +141,7 @@ def test_lift_roundtrips():
                 c = rg.random_chain(ring, rng2, n, max_rank=3)
                 L = lift(c)
                 assert L.is_valid()
-                factors = matrices.invariant_factors(ring, c.modules[-1].relations)
+                factors = matrices.invariant_factors(ring, c.modules[-1].relations.m)
                 r = len(factors)
                 assert L.ranks == [r] * n
                 assert chain_iso(cok0(L), c).found, (ring, n)
@@ -238,9 +287,9 @@ def test_chain_iso_definitive_negatives():
 
 def test_lift_rejects_bad_chains():
     bad = ChainModule(R5x2, [
-        ModulePresentation(R5x2, 1, [[xx]]),
-        ModulePresentation(R5x2, 1, [[xx]]),
-    ], [[[xx]]], n=3)
+        ModulePresentation(R5x2, 1, TwistedMatrix(R5x2, [[xx]])),
+        ModulePresentation(R5x2, 1, TwistedMatrix(R5x2, [[xx]])),
+    ], [TwistedMatrix(R5x2, [[xx]])], n=3)
     ok, slot = chain_is_mono(bad)
     assert not ok and slot == 1
     assert bad.defects() == ["chain map into slot 2 is not injective"]
@@ -248,9 +297,9 @@ def test_lift_rejects_bad_chains():
         lift(bad)
     # A/(x) -> A/(x^2), e |-> e sends the relation x e to x e != 0
     ill = ChainModule(R5x2, [
-        ModulePresentation(R5x2, 1, [[x_]]),
-        ModulePresentation(R5x2, 1, [[xx]]),
-    ], [[[one]]], n=3)
+        ModulePresentation(R5x2, 1, TwistedMatrix(R5x2, [[x_]])),
+        ModulePresentation(R5x2, 1, TwistedMatrix(R5x2, [[xx]])),
+    ], [TwistedMatrix(R5x2, [[one]])], n=3)
     assert chain_is_mono(ill) == (True, None)
     assert ill.defects() == ["chain map into slot 2 is not well defined"]
     with pytest.raises(ValueError, match="into slot 2 is not well defined"):
@@ -258,15 +307,16 @@ def test_lift_rejects_bad_chains():
     # chain_iso refuses a defective chain on either side; its k-linear
     # search alone would find ill isomorphic to itself
     good = ChainModule(R5x2, [
-        ModulePresentation(R5x2, 1, [[x_]]),
-        ModulePresentation(R5x2, 1, [[xx]]),
-    ], [[[x_]]], n=3)
+        ModulePresentation(R5x2, 1, TwistedMatrix(R5x2, [[x_]])),
+        ModulePresentation(R5x2, 1, TwistedMatrix(R5x2, [[xx]])),
+    ], [TwistedMatrix(R5x2, [[x_]])], n=3)
     assert good.defects() == []
     for c, d, defect in ((bad, bad, "not injective"), (ill, ill, "not well defined"),
                          (good, ill, "not well defined"), (ill, good, "not well defined")):
         with pytest.raises(ValueError, match="into slot 2 is %s" % defect):
             chain_iso(c, d)
-    free = ChainModule(R5x2, [ModulePresentation(R5x2, 1, [])], [], n=2)
+    free = ChainModule(R5x2, [ModulePresentation(R5x2, 1, TwistedMatrix.zero(R5x2, 0, 1))],
+                       [], n=2)
     with pytest.raises(ValueError):
         lift(free)
 
@@ -329,7 +379,8 @@ def test_staircase_cover_is_onto():
             stacked = [[] for _ in d.modules]
             for j in range(1, n):
                 stair = staircase_chain(ring, n, j, y.ranks[j])
-                comps = [y.compose_range(j, s - 1).m if s >= j else []
+                comps = [y.compose_range(j, s - 1) if s >= j
+                         else TwistedMatrix.zero(ring, 0, y.ranks[s])
                          for s in range(1, n)]
                 p = ChainMorphism(stair, d, comps)
                 assert p.is_valid(), (ring.omega, n, j)
@@ -342,8 +393,9 @@ def test_staircase_cover_is_onto():
 
 
 # A/(x) -> A/(x^2), e -> x e, and the staircase with slot dimensions [0, 2]
-C_X = ChainModule(R5x2, [ModulePresentation(R5x2, 1, [[x_]]),
-                         ModulePresentation(R5x2, 1, [[xx]])], [[[x_]]], n=3)
+C_X = ChainModule(R5x2, [ModulePresentation(R5x2, 1, TwistedMatrix(R5x2, [[x_]])),
+                         ModulePresentation(R5x2, 1, TwistedMatrix(R5x2, [[xx]]))],
+                  [TwistedMatrix(R5x2, [[x_]])], n=3)
 D_STAIR = staircase_chain(R5x2, 3, 2, 1)
 
 
@@ -351,7 +403,8 @@ def test_square_out_of_a_zero_slot_keeps_its_width():
     # zero in slot 1 and the identity in slot 2: S_C G_2 = [[0, 1]], while
     # G_1 S_D is the 1 x 2 zero matrix through a slot of dimension 0
     assert not C_X.defects() and D_STAIR.dims() == [0, 2]
-    g = ChainMorphism(C_X, D_STAIR, [[[]], [[one]]])
+    g = ChainMorphism(C_X, D_STAIR, [TwistedMatrix(R5x2, [[]]),
+                                     TwistedMatrix(R5x2, [[one]])])
     assert g.well_defined()
     assert g.square_defects() == [[[0, 1]]]
     assert not g.is_valid()
@@ -360,19 +413,21 @@ def test_square_out_of_a_zero_slot_keeps_its_width():
 def test_composition_through_a_slot_without_generators():
     # the zero map C -> D, then the staircase cover D -> cok0(y)
     y = mk(R5x2, [1, 1, 1], [[[x_]], [[x_]], [[one]]])
-    zero = ChainMorphism(C_X, D_STAIR, [[[]], [[[]]]])
+    zero = ChainMorphism(C_X, D_STAIR, [TwistedMatrix(R5x2, [[]]),
+                                        TwistedMatrix.zero(R5x2, 1, 1)])
     cover = ChainMorphism(D_STAIR, cok0(y),
-                          [[], y.compose_range(2, 1).m])
+                          [TwistedMatrix.zero(R5x2, 0, 1), y.compose_range(2, 1)])
     assert zero.is_valid() and cover.is_valid()
     h = zero.then(cover)
-    assert h.components == [[[[]]], [[[]]]]
+    assert h.components == [TwistedMatrix.zero(R5x2, 1, 1)] * 2
     assert h.is_valid() and h.is_zero_map()
 
 
 def test_a_relation_of_width_zero_maps_into_a_nonzero_slot():
     # the zero module, presented by one relation row of width 0, into A/(x)
-    c = ChainModule(R5x2, [ModulePresentation(R5x2, 0, [[]]),
-                           ModulePresentation(R5x2, 1, [[x_]])], [[]], n=3)
+    c = ChainModule(R5x2, [ModulePresentation(R5x2, 0, TwistedMatrix(R5x2, [[]])),
+                           ModulePresentation(R5x2, 1, TwistedMatrix(R5x2, [[x_]]))],
+                    [TwistedMatrix.zero(R5x2, 0, 1)], n=3)
     assert c.defects() == []
     assert chain_iso(cok0(lift(c)), c).found
 

@@ -293,6 +293,27 @@ def test_stable_hom_reads_each_objects_own_ring(paths):
         3, "", "input error: the two objects live over different rings\n")
 
 
+def test_a_unit_omega_is_an_input_error(paths):
+    # omega = 2 over Q: a 1-fold rank-1 object (2) and its identity are
+    # valid over it, but the ring itself is refused where it is read
+    wj = paths["wj"]
+    ring = {"field": {"kind": "rationals"}, "omega": ["2"]}
+    obj = {"n": 1, "ranks": [1], "maps": [
+        {"rows": 1, "cols": 1, "twist": 1, "entries": [[["2"]]]}]}
+    mor = {"components": [{"rows": 1, "cols": 1, "twist": 0, "entries": [[["1"]]]}],
+           "source": obj, "target": obj}
+    rp = wj("unit-ring.json", ring)
+    xp = wj("unit-x.json", dict(obj, ring=ring))
+    fp = wj("unit-f.json", dict(mor, ring=ring))
+    for argv in (("stable-hom", xp, xp), ("stably-zero", xp),
+                 ("homotopy-check", fp), ("laws", "--cases", "1", "--ring", rp),
+                 ("recollement", "2", "1", "--ring", rp)):
+        code, out, err = run(*argv)
+        assert (code, out) == (3, ""), argv
+        assert err.count("\n") == 1 and "Traceback" not in err, (argv, err)
+        assert "omega must have positive degree" in err, (argv, err)
+
+
 def test_stably_zero_both_verdicts(paths):
     z = random_nonzero_object(Q2, paths["rng"], 3)
     zp = paths["wj"]("znz.json", dict(z.to_json(), ring=Q2.to_json()))

@@ -168,6 +168,14 @@ def test_hom_module_of_theta_pair():
     assert sh.is_zero() and sh.k_dimension == 0
 
 
+def test_hom_spaces_refuse_objects_over_different_rings():
+    # equal ranks and fold counts, Q and F_5 with omega = x^2
+    with pytest.raises(ValueError, match="live over different rings"):
+        ho.stable_hom(theta(RQ2, 2, 1), theta(R5x2, 2, 1))
+    with pytest.raises(ValueError, match="live over different rings"):
+        ho.HomSpace(theta(R5x2, 2, 1), theta(RQ2, 2, 1))
+
+
 def test_a_top_component_that_does_not_extend_is_refused():
     # theta^0 -> theta^1 with top 1 needs g * omega = 1 at slot 0
     hom = ho.HomSpace(theta(R5x2, 2, 0), theta(R5x2, 2, 1))

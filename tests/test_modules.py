@@ -12,6 +12,7 @@ from modfact.modules import (ModulePresentation, NotQuotientModule,
                              kmat_rank, kmat_solve, kmat_nullspace, kmat_inv)
 from modfact.fields import PrimeField, ExtensionField, RationalField
 from modfact.rings import BaseRing
+from modfact.matrices import TwistedMatrix
 from modfact.chains import ChainModule, cok0, cok0_morphism
 from modfact.randomgen import default_instances, random_object, random_morphism
 
@@ -21,16 +22,16 @@ xx = [0, 0, 1]
 
 
 def test_cyclic_quotient_dimensions():
-    m = ModulePresentation(R5x3, 1, [[x_]])
+    m = ModulePresentation(R5x3, 1, TwistedMatrix(R5x3, [[x_]]))
     lin = m.linearization()
     assert lin.dim == 1
-    m2 = ModulePresentation(R5x3, 1, [[xx]])
+    m2 = ModulePresentation(R5x3, 1, TwistedMatrix(R5x3, [[xx]]))
     assert m2.linearization().dim == 2
     assert m.check_abar() and m2.check_abar()
 
 
 def test_normal_form_is_a_coset_representative():
-    m = ModulePresentation(R5x2, 2, [[x_, one], [[], x_]])
+    m = ModulePresentation(R5x2, 2, TwistedMatrix(R5x2, [[x_, one], [[], x_]]))
     lin = m.linearization()
     # x * e0 + e1 is a relation, so it encodes to zeros
     assert lin.encode([x_, one]) == [0] * lin.dim
@@ -39,11 +40,11 @@ def test_normal_form_is_a_coset_representative():
 
 
 def test_free_directions_are_rejected():
-    free = ModulePresentation(R5x2, 1, [])
+    free = ModulePresentation(R5x2, 1, TwistedMatrix.zero(R5x2, 0, 1))
     with pytest.raises(NotQuotientModule):
         free.linearization()
     # relation x^3 does not absorb omega = x^2 acting on the generator
-    loose = ModulePresentation(R5x2, 1, [[[0, 0, 0, 1]]])
+    loose = ModulePresentation(R5x2, 1, TwistedMatrix(R5x2, [[[0, 0, 0, 1]]]))
     assert not loose.check_abar()
     # residues would read it as A/(x^2), so it has no linearization
     with pytest.raises(NotQuotientModule):
@@ -51,7 +52,7 @@ def test_free_directions_are_rejected():
 
 
 def test_x_matrix_represents_multiplication():
-    m = ModulePresentation(R5x2, 1, [[xx]])
+    m = ModulePresentation(R5x2, 1, TwistedMatrix(R5x2, [[xx]]))
     lin = m.linearization()
     xm = lin.x_matrix()
     v = [one]
@@ -91,12 +92,13 @@ def _linearization_answers(ring, rng):
             out.append([k(m) for m in c.kmaps()] + [c.dims(), c.defects()])
             for ruin in ("random", "times x"):
                 if ruin == "random":
-                    maps = [[[ring.random_poly(rng, 2) for _ in range(b.gens)]
-                             for _ in range(a.gens)]
+                    maps = [TwistedMatrix(ring, [[ring.random_poly(rng, 2)
+                                                  for _ in range(b.gens)]
+                                                 for _ in range(a.gens)],
+                                          0, a.gens, b.gens)
                             for a, b in zip(c.modules, c.modules[1:])]
                 elif ring.commutative:
-                    maps = [[[ring.mul(ring.x, e) for e in row]
-                             for row in m] for m in c.maps]
+                    maps = [m.scale_left(ring.x) for m in c.maps]
                 else:
                     continue
                 out.append(ChainModule(ring, c.modules, maps, n=n).defects())
@@ -127,7 +129,7 @@ def test_times_x_is_x_times_modulo_omega(ring, data):
 
 def test_presentation_json_roundtrip():
     xs = [RS.field.zero, RS.field.one]
-    m = ModulePresentation(RS, 2, [[xs, [RS.field.one]], [[], xs]])
+    m = ModulePresentation(RS, 2, TwistedMatrix(RS, [[xs, [RS.field.one]], [[], xs]]))
     back = ModulePresentation.from_json(RS, m.to_json())
     assert back == m
 
@@ -135,7 +137,7 @@ def test_presentation_json_roundtrip():
 def test_negative_sizes_are_rejected():
     # a 0 x -1 relation matrix and -1 generators once read as an empty chain
     with pytest.raises(ValueError, match="cannot have -1 generators"):
-        ModulePresentation(R5x2, -1, [])
+        ModulePresentation(R5x2, -1, TwistedMatrix(R5x2, [], 0, 0, -1))
     neg = {"generators": -1,
            "relations": {"rows": 0, "cols": -1, "twist": 0, "entries": []}}
     with pytest.raises(ValueError, match="cannot be 0x-1"):

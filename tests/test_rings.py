@@ -156,7 +156,9 @@ def test_pretty_prints_f4_coefficients_in_u():
 def test_skew_ring_requires_monomial_omega():
     F4 = ExtensionField(2, 2)
     with pytest.raises(NotNormalError):
-        BaseRing(F4, 1, [F4.one, F4.zero, F4.one])  # 1 + x^2 is not normal
+        # 1 + x^2 is central, as x^2 commutes with F_4, but skew rings are
+        # restricted to monomials omega = c x^m
+        BaseRing(F4, 1, [F4.one, F4.zero, F4.one])
     with pytest.raises(NotNormalError):
         BaseRing(F4, 1, [])
     # sigma-fixed leading coefficients are fine: c = 1 in F_4
@@ -166,6 +168,17 @@ def test_skew_ring_requires_monomial_omega():
     assert F4.frob(gen, 1) != gen
     with pytest.raises(NotNormalError):
         BaseRing(F4, 1, [F4.zero, gen])
+
+
+def test_a_unit_omega_is_refused():
+    # a nonzero constant would give Lambda = A/(omega) = 0 and no residues
+    F4 = ExtensionField(2, 2)
+    for field, sigma, omega in ((RationalField(), 0, [Fraction(2)]),
+                                (PrimeField(5), 0, [3]), (F4, 1, [F4.one])):
+        with pytest.raises(ValueError, match="positive degree"):
+            BaseRing(field, sigma, omega)
+    with pytest.raises(ValueError, match="positive degree"):
+        ring_from_json({"field": {"kind": "rationals"}, "omega": ["2"]})
 
 
 def test_rational_ring_rejects_frobenius():
