@@ -46,8 +46,9 @@ from . import homotopy
 def _check_map_count(modules, maps):
     want = max(len(modules) - 1, 0)
     if len(maps) != want:
-        raise ValueError("a chain of %d modules carries %d maps, not %d"
-                         % (len(modules), want, len(maps)))
+        raise ValueError("a chain of %d modules needs %d %s, not %d"
+                         % (len(modules), want, "map" if want == 1 else "maps",
+                            len(maps)))
 
 
 class ChainModule:
@@ -76,6 +77,8 @@ class ChainModule:
                 raise ValueError("chain maps carry twist 0")
             if (m.rows, m.cols) != (self.modules[i].gens, self.modules[i + 1].gens):
                 raise ValueError("chain map %d shape mismatch" % i)
+            if m.ring != ring:
+                raise ValueError("chain map %d lives over a different ring" % i)
         self._kmaps = None
 
     def __eq__(self, other):
@@ -170,6 +173,8 @@ class ChainMorphism:
             if m.cols != target.modules[i].gens:
                 raise ValueError("component %d has %d columns for %d generators"
                                  % (i, m.cols, target.modules[i].gens))
+            if m.ring != self.ring:
+                raise ValueError("component %d lives over a different ring" % i)
 
     def well_defined(self):
         return all(p.linearization().map_well_defined(q.linearization(), m)

@@ -20,6 +20,10 @@ F_{p^e} computes by log, antilog and Zech tables built when the field is
 made, so each operation is a few lookups; that needs canonical tuples as
 operands. The tables grow with q = p^e, so q is capped at MAX_CARD = 4096
 and a larger field is a ValueError, raised before any modulus search.
+The field also stores twisted_units, the F_p basis of unit vectors
+twisted by frob^j for each j < e, read from the same tables once, so the
+skew row writer (modules.linear_system) looks its units up instead of
+twisting them on every call.
 """
 
 from fractions import Fraction
@@ -440,6 +444,12 @@ class ExtensionField:
         # frobenius x -> x^(p^k) multiplies the exponent by p^k
         self._frob_mult = [pow(p, k, n) for k in range(e)]
         self._order = n
+        # twisted_units[j][k] = frob^j(u^k), u^k the k-th unit vector: the
+        # F_p basis twisted by frob^j, j < e, which the skew row writer
+        # reads (modules.linear_system)
+        units = [tuple([0] * k + [1] + [0] * (e - 1 - k)) for k in range(e)]
+        self.twisted_units = [[self._exp[log[c] * f % n] for c in units]
+                              for f in self._frob_mult]
 
     def __eq__(self, other):
         return (isinstance(other, ExtensionField) and other.p == self.p

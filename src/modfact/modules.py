@@ -30,6 +30,13 @@ they depend on the system alone: an unknown whose row of m depends on the
 rows before it is 0 in a solution, and the null-space basis is the reduced
 one. A k-matrix without rows does not show its width, so kmat_mul takes
 the column count of its product, as mat_mul takes its shape.
+
+The kernels, and Linearization's coordinates, take canonical elements
+(fields.py), as every ring operation and decoder makes them. Canonical
+F_p and Q elements are falsy exactly at zero, so where the field's zero
+is falsy (not fld.zero) an entry is tested for zero by its truth, with no
+is_zero call; F_q's zero tuple is truthy, and there is_zero stays. On F_p
+_kmat_eliminate also updates a row by (a - c b) % p inline.
 """
 
 from .fields import json_int
@@ -134,9 +141,7 @@ def linear_system(ring, image):
         return ring.coordinate_field, residue_rows(ring, len(image.slots), image)
     fld, m, s, auto = ring.field, ring.omega_deg, ring.sigma_power, ring.auto_power
     e, p, zero, one = fld.e, fld.p, fld.zero, fld.one
-    units = [tuple([0] * k + [1] + [0] * (e - 1 - k)) for k in range(e)]
-    # the units twisted by frob^j, j < e
-    twisted = [units] + [[fld.frob(c, j) for c in units] for j in range(1, e)]
+    twisted = fld.twisted_units
     width = image.total * m * e
     rows = []
     for kb, a, b in image.slots:
@@ -176,6 +181,8 @@ class ModulePresentation:
             raise ValueError("relation matrices carry twist 0")
         if relations.cols != gens:
             raise ValueError("relation width does not match the generator count")
+        if relations.ring != ring:
+            raise ValueError("relations live over a different ring")
         if gens < 0:
             raise ValueError("a presentation cannot have %d generators" % gens)
         self.ring = ring
@@ -240,18 +247,22 @@ class Linearization:
         if len(piv) < pres.gens or sum(len(h[r][c]) - 1 for r, c in piv) != self.dim:
             raise NotQuotientModule("a module is not killed by omega")
         # per basis column: its residue, and (residue of p, row of p there)
+        truth = not fld.zero
         self._reduce = [(order[f], [(order[p], row[f]) for p, row in zip(pivots, rows)
-                                    if not fld.is_zero(row[f])]) for f in free]
+                                    if (row[f] if truth else not fld.is_zero(row[f]))])
+                        for f in free]
 
     def _coords(self, flat):
         """Coordinates of the vector whose entries have the residues flat."""
         fld = self.ring.field
+        truth = not fld.zero
         out = []
         for f, terms in self._reduce:
             a = flat[f]
             for p, c in terms:
-                if not fld.is_zero(flat[p]):
-                    a = fld.sub(a, fld.mul(flat[p], c))
+                b = flat[p]
+                if b if truth else not fld.is_zero(b):
+                    a = fld.sub(a, fld.mul(b, c))
             out.append(a)
         return out
 
@@ -282,8 +293,7 @@ class Linearization:
     def map_well_defined(self, target_lin, gen_images):
         """Relations must map into the target relation space."""
         imgs = self.pres.relations.then(gen_images)
-        return all(self.ring.field.is_zero(c)
-                   for img in imgs.m for c in target_lin.encode(img))
+        return kmat_is_zero(self.ring.field, map(target_lin.encode, imgs.m))
 
 
 # -- plain Gaussian elimination over the coefficient field --
@@ -294,10 +304,11 @@ def kmat_identity(fld, n):
 
 def kmat_mul(fld, a, b, cols):
     """a * b, which has cols columns, also when b has no rows to show them."""
+    truth = not fld.zero
     out = [[fld.zero] * cols for _ in a]
     for orow, arow in zip(out, a):
         for c, brow in zip(arow, b):
-            if fld.is_zero(c):
+            if not c if truth else fld.is_zero(c):
                 continue
             for j in range(cols):
                 orow[j] = fld.add(orow[j], fld.mul(c, brow[j]))
@@ -309,6 +320,9 @@ def kmat_sub(fld, a, b):
 
 
 def kmat_is_zero(fld, a):
+    """Is every entry of the rows a (any iterable of them) zero?"""
+    if not fld.zero:
+        return not any(map(any, a))
     return all(fld.is_zero(e) for row in a for e in row)
 
 
@@ -320,14 +334,22 @@ def _kmat_eliminate(fld, m, cols):
     no caller reads them, and every other column is as in the reduced
     echelon form (pivots 1, alone in their columns). Returns the pivot
     columns; pivot t sits in row t and, outside the pivot columns, the rows
-    below the last pivot vanish on the first cols columns."""
+    below the last pivot vanish on the first cols columns.
+
+    Where the field's zero is falsy (F_p and Q) an entry is tested by its
+    truth, and on F_p a row update is (a - c b) % p inline; on Q it is the
+    field's sub and mul, and on F_q every step is a field method."""
+    truth = not fld.zero
+    p = fld.char if truth else 0
+    is_zero, mul, sub = fld.is_zero, fld.mul, fld.sub
     rows = len(m)
     pivots = []
     top = 0
     for col in range(cols):
         sel = None
         for i in range(top, rows):
-            if not fld.is_zero(m[i][col]):
+            a = m[i][col]
+            if a if truth else not is_zero(a):
                 sel = i
                 break
         if sel is None:
@@ -335,15 +357,21 @@ def _kmat_eliminate(fld, m, cols):
         m[top], m[sel] = m[sel], m[top]
         prow = m[top]
         inv = fld.inv(prow[col])
-        nz = [j for j in range(col + 1, len(prow)) if not fld.is_zero(prow[j])]
+        nz = [j for j in range(col + 1, len(prow))
+              if (prow[j] if truth else not is_zero(prow[j]))]
         for j in nz:
-            prow[j] = fld.mul(inv, prow[j])
+            prow[j] = mul(inv, prow[j])
         for i in range(rows):
             row = m[i]
-            if i != top and not fld.is_zero(row[col]):
-                c = row[col]
+            c = row[col]
+            if i == top or (not c if truth else is_zero(c)):
+                continue
+            if p:
                 for j in nz:
-                    row[j] = fld.sub(row[j], fld.mul(c, prow[j]))
+                    row[j] = (row[j] - c * prow[j]) % p
+            else:
+                for j in nz:
+                    row[j] = sub(row[j], mul(c, prow[j]))
         pivots.append(col)
         top += 1
         if top == rows:
@@ -365,7 +393,7 @@ def kmat_solve(fld, m, rhs):
         raise ValueError("rhs width mismatch")
     aug = [list(col) for col in zip(*m, *rhs)]
     pivots = _kmat_eliminate(fld, aug, rows)
-    if any(not fld.is_zero(e) for row in aug[len(pivots):] for e in row[rows:]):
+    if not kmat_is_zero(fld, (row[rows:] for row in aug[len(pivots):])):
         return None
     out = [[fld.zero] * rows for _ in rhs]
     for row, u in zip(aug, pivots):

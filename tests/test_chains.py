@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from modfact.rings import UnsupportedRingError
+from modfact.fields import RationalField
+from modfact.rings import BaseRing, UnsupportedRingError
 from modfact import matrices
 from modfact.matrices import TwistedMatrix, mat_mul
 from modfact.factorizations import Morphism, theta, omega_morphism
@@ -463,3 +464,16 @@ def test_skew_rings_are_guarded():
         chain_factors_projective(Morphism.identity(XSneg))
     rep = faithfulness_report(Morphism.identity(XSneg))
     assert rep["zero_agree"] and "null_agree" not in rep
+
+
+def test_chain_maps_and_components_over_another_ring_are_refused():
+    # as Factorization refuses its maps: a grid over another ring would
+    # fail only later, deep in the field arithmetic of the linearization
+    q = BaseRing(RationalField(), 0, [0, 0, 1])
+    c = cok0(X2b)
+    mod = ModulePresentation(R5x2, 1, TwistedMatrix(R5x2, [[x_]]))
+    with pytest.raises(ValueError, match="chain map 0 lives over a different ring"):
+        ChainModule(R5x2, [mod, mod], [TwistedMatrix(q, [[[1]]])])
+    with pytest.raises(ValueError, match="component 0 lives over a different ring"):
+        ChainMorphism(c, c, [TwistedMatrix.identity(q, 2)])
+    assert ChainMorphism(c, c, [TwistedMatrix.identity(R5x2, 2)]).is_valid()

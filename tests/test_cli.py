@@ -637,7 +637,7 @@ def test_hostile_numbers_and_kinds_are_input_errors(paths):
         assert "Traceback" not in err and out == "", what
         assert time.perf_counter() - start < 1, what
         if what == "two maps for two modules":
-            assert "a chain of 2 modules carries 1 maps, not 2" in err, err
+            assert "a chain of 2 modules needs 1 map, not 2" in err, err
 
     # a chain lift cannot rebuild, and objects whose rotation fails, are
     # refused by the verbs that would decide something of them

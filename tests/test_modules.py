@@ -2,18 +2,22 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from modfact import homotopy, modules
 from modfact.modules import (ModulePresentation, NotQuotientModule,
                              residues, times_x, kmat_mul, kmat_identity,
-                             kmat_rank, kmat_solve, kmat_nullspace, kmat_inv)
+                             kmat_rank, kmat_solve, kmat_nullspace, kmat_inv,
+                             _kmat_eliminate)
 from modfact.fields import PrimeField, ExtensionField, RationalField
 from modfact.rings import BaseRing
 from modfact.matrices import TwistedMatrix
 from modfact.chains import ChainModule, cok0, cok0_morphism
+from modfact.factorizations import Morphism
 from modfact.randomgen import default_instances, random_object, random_morphism
 
 from common import R5x2, R5x3, RS, RS9, x_, one
@@ -142,6 +146,12 @@ def test_negative_sizes_are_rejected():
            "relations": {"rows": 0, "cols": -1, "twist": 0, "entries": []}}
     with pytest.raises(ValueError, match="cannot be 0x-1"):
         ModulePresentation.from_json(R5x2, neg)
+
+
+def test_relations_over_another_ring_are_refused():
+    q = BaseRing(RationalField(), 0, [0, 0, 1])
+    with pytest.raises(ValueError, match="relations live over a different ring"):
+        ModulePresentation(R5x2, 1, TwistedMatrix(q, [[[7, 1]]]))
 
 
 def test_field_matrix_helpers():
@@ -298,3 +308,110 @@ def test_kmat_answers_are_the_reduced_ones(fld):
             want = [[fld.one if j == i else fld.zero for j in dep]]
             assert _same(fld, [[v[j] for j in dep]], want)
     assert deficient > 150
+
+
+def _reference_eliminate(fld, m, cols):
+    """Gauss-Jordan by the field's is_zero, mul, sub and inv alone: each
+    pivot row is scaled to 1 at its pivot and cleared from every other row
+    across the whole width. Same pivot choice as _kmat_eliminate: the
+    first row from the top with a nonzero entry in the column."""
+    rows, pivots, top = len(m), [], 0
+    for col in range(cols):
+        sel = next((i for i in range(top, rows) if not fld.is_zero(m[i][col])), None)
+        if sel is None:
+            continue
+        m[top], m[sel] = m[sel], m[top]
+        inv = fld.inv(m[top][col])
+        m[top] = [fld.mul(inv, a) for a in m[top]]
+        for i in range(rows):
+            if i != top:
+                c = m[i][col]
+                m[i] = [fld.sub(a, fld.mul(c, b)) for a, b in zip(m[i], m[top])]
+        pivots.append(col)
+        top += 1
+    return pivots
+
+
+def _elimination_cases(fld, rng):
+    """Random matrices and, as the homotopy deciders build them, the
+    augmented [m^T | rhs^T] of an 8 x 4 system m of rank at most 2 with
+    one rhs row, eliminated on its 8 unknown columns."""
+    for _ in range(60):
+        rows, width = rng.randint(0, 6), rng.randint(0, 9)
+        yield _random_kmat(fld, rng, rows, width), rng.randint(0, width)
+    for _ in range(30):
+        a = [[_entry(fld, rng) for _ in range(2)] for _ in range(8)]
+        b = [[_entry(fld, rng) for _ in range(4)] for _ in range(2)]
+        m = _product(fld, a, b, 4)
+        rhs = [_entry(fld, rng) for _ in range(4)]
+        yield [list(col) + [r] for col, r in zip(zip(*m), rhs)], 8
+
+
+@pytest.mark.parametrize("fld", [PrimeField(2), PrimeField(3), PrimeField(5),
+                                 RationalField(), ExtensionField(2, 2)],
+                         ids=["f2", "f3", "f5", "q", "f4"])
+def test_elimination_matches_the_method_reference(fld):
+    # _kmat_eliminate tests zero by truth and updates F_p rows inline; it
+    # must give the pivots and, outside the pivot columns, the entries of
+    # the elimination by field methods
+    rng = random.Random(59)
+    ranks = set()
+    for m, cols in _elimination_cases(fld, rng):
+        got, want = [list(r) for r in m], [list(r) for r in m]
+        pivots = _kmat_eliminate(fld, got, cols)
+        assert pivots == _reference_eliminate(fld, want, cols)
+        ranks.add(len(pivots))
+        for g, w in zip(got, want):
+            assert ([a for j, a in enumerate(g) if j not in pivots]
+                    == [a for j, a in enumerate(w) if j not in pivots])
+    assert {0, 1, 2, 3} <= ranks
+
+
+def _is_canonical(fld, a):
+    """a is an element of fld in canonical form: an int in range(p) on
+    F_p, an int or a reduced Fraction with denominator above 1 on Q, one
+    of the field's own tuples on F_q."""
+    if fld.kind == "prime":
+        return type(a) is int and 0 <= a < fld.p
+    if fld.kind == "rationals":
+        return type(a) is int or (type(a) is Fraction and a.denominator > 1
+                                  and gcd(a.numerator, a.denominator) == 1)
+    return a in set(fld.elements())
+
+
+def test_kernel_inputs_are_canonical(monkeypatch):
+    # the kernels test an F_p or Q entry for zero by its truth, which is
+    # right on canonical elements alone: those the layer hands over, on
+    # every stock ring and on F_8 and F_9, through the deciders, hom spaces
+    # and linearizations, each checked before a kernel sees it; at fold 4
+    # and rank 3 the skew rows add coordinates past p
+    seen = []
+
+    def spy(fn, field_and_rows):
+        def wrapped(ring, *args):
+            out = fn(ring, *args)
+            fld, rows = field_and_rows(ring, out)
+            assert all(_is_canonical(fld, a) for row in rows for a in row), ring
+            seen.append((ring, fld.kind))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(modules, "residue_rows", spy(
+        modules.residue_rows, lambda ring, rows: (ring.field, rows)))
+    monkeypatch.setattr(homotopy, "coordinates", spy(
+        modules.coordinates, lambda ring, vec: (ring.coordinate_field, [vec])))
+    monkeypatch.setattr(homotopy, "linear_system", spy(
+        modules.linear_system, lambda ring, out: out))
+    rng = random.Random(61)
+    rings = default_instances() + [RS8, RS9]
+    for ring in rings:
+        for n in (2, 3, 4):
+            x, y = random_object(ring, rng, n, 3, 2), random_object(ring, rng, n, 3, 2)
+            for f in (Morphism.identity(x), random_morphism(rng, x, y)):
+                homotopy.is_p_null_homotopic(f)
+                homotopy.factors_through_trivials(f)
+            if ring.commutative:
+                homotopy.HomSpace(x, y)
+            cok0(x).dims()
+    assert {ring for ring, _ in seen} == set(rings)
+    assert {kind for _, kind in seen} == {"prime", "rationals", "finite"}
