@@ -26,7 +26,8 @@ class TwistedMatrix:
 
     A TwistedMatrix and its entry lists are never mutated after
     construction, so they may be shared. The constructor copies and
-    trims the entries it is given; identity, zero, add, sub, then,
+    trims the entries it is given, reducing F_p coefficients mod p, so
+    every coefficient it holds is canonical (fields.py); identity, zero, add, sub, then,
     sigma_entries and from_json build their grids fresh and take them
     without a copy (_wrap), with_twist shares its grid, and sigma_entries
     returns self when sigma^power is the identity. Factorization.compose_range
@@ -49,7 +50,13 @@ class TwistedMatrix:
         self.cols = cols
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("ragged entries for a %dx%d matrix" % (rows, cols))
-        self.m = [[ring.trim(list(e)) for e in row] for row in entries]
+        # an F_p coefficient enters reduced mod p: the k-linear kernels
+        # (modules.py) test zero by comparison and need canonical elements
+        if ring.field.kind == "prime":
+            p = ring.field.p
+            self.m = [[ring.trim([c % p for c in e]) for e in row] for row in entries]
+        else:
+            self.m = [[ring.trim(list(e)) for e in row] for row in entries]
 
     # -- constructors --
 

@@ -31,12 +31,11 @@ rows before it is 0 in a solution, and the null-space basis is the reduced
 one. A k-matrix without rows does not show its width, so kmat_mul takes
 the column count of its product, as mat_mul takes its shape.
 
-The kernels, and Linearization's coordinates, take canonical elements
-(fields.py), as every ring operation and decoder makes them. Canonical
-F_p and Q elements are falsy exactly at zero, so where the field's zero
-is falsy (not fld.zero) an entry is tested for zero by its truth, with no
-is_zero call; F_q's zero tuple is truthy, and there is_zero stays. On F_p
-_kmat_eliminate also updates a row by (a - c b) % p inline.
+The kernels take canonical elements (fields.py), as every TwistedMatrix,
+ring operation and decoder makes them: then an entry is zero exactly
+when it equals fld.zero, and _kmat_eliminate and kmat_is_zero test it
+so, with no is_zero call. On F_p _kmat_eliminate also updates a row by
+(a - c b) % p inline, with no field method call per entry.
 """
 
 from .fields import json_int
@@ -247,22 +246,18 @@ class Linearization:
         if len(piv) < pres.gens or sum(len(h[r][c]) - 1 for r, c in piv) != self.dim:
             raise NotQuotientModule("a module is not killed by omega")
         # per basis column: its residue, and (residue of p, row of p there)
-        truth = not fld.zero
         self._reduce = [(order[f], [(order[p], row[f]) for p, row in zip(pivots, rows)
-                                    if (row[f] if truth else not fld.is_zero(row[f]))])
-                        for f in free]
+                                    if not fld.is_zero(row[f])]) for f in free]
 
     def _coords(self, flat):
         """Coordinates of the vector whose entries have the residues flat."""
         fld = self.ring.field
-        truth = not fld.zero
         out = []
         for f, terms in self._reduce:
             a = flat[f]
             for p, c in terms:
-                b = flat[p]
-                if b if truth else not fld.is_zero(b):
-                    a = fld.sub(a, fld.mul(b, c))
+                if not fld.is_zero(flat[p]):
+                    a = fld.sub(a, fld.mul(flat[p], c))
             out.append(a)
         return out
 
@@ -293,7 +288,8 @@ class Linearization:
     def map_well_defined(self, target_lin, gen_images):
         """Relations must map into the target relation space."""
         imgs = self.pres.relations.then(gen_images)
-        return kmat_is_zero(self.ring.field, map(target_lin.encode, imgs.m))
+        return all(self.ring.field.is_zero(c)
+                   for img in imgs.m for c in target_lin.encode(img))
 
 
 # -- plain Gaussian elimination over the coefficient field --
@@ -304,11 +300,10 @@ def kmat_identity(fld, n):
 
 def kmat_mul(fld, a, b, cols):
     """a * b, which has cols columns, also when b has no rows to show them."""
-    truth = not fld.zero
     out = [[fld.zero] * cols for _ in a]
     for orow, arow in zip(out, a):
         for c, brow in zip(arow, b):
-            if not c if truth else fld.is_zero(c):
+            if fld.is_zero(c):
                 continue
             for j in range(cols):
                 orow[j] = fld.add(orow[j], fld.mul(c, brow[j]))
@@ -321,9 +316,8 @@ def kmat_sub(fld, a, b):
 
 def kmat_is_zero(fld, a):
     """Is every entry of the rows a (any iterable of them) zero?"""
-    if not fld.zero:
-        return not any(map(any, a))
-    return all(fld.is_zero(e) for row in a for e in row)
+    zero = fld.zero
+    return all(e == zero for row in a for e in row)
 
 
 def _kmat_eliminate(fld, m, cols):
@@ -336,20 +330,19 @@ def _kmat_eliminate(fld, m, cols):
     columns; pivot t sits in row t and, outside the pivot columns, the rows
     below the last pivot vanish on the first cols columns.
 
-    Where the field's zero is falsy (F_p and Q) an entry is tested by its
-    truth, and on F_p a row update is (a - c b) % p inline; on Q it is the
-    field's sub and mul, and on F_q every step is a field method."""
-    truth = not fld.zero
-    p = fld.char if truth else 0
-    is_zero, mul, sub = fld.is_zero, fld.mul, fld.sub
+    An entry is tested for zero by comparison with fld.zero, and on F_p a
+    row update is (a - c b) % p inline; elsewhere it is the field's sub
+    and mul."""
+    zero = fld.zero
+    p = fld.p if fld.kind == "prime" else 0
+    mul, sub = fld.mul, fld.sub
     rows = len(m)
     pivots = []
     top = 0
     for col in range(cols):
         sel = None
         for i in range(top, rows):
-            a = m[i][col]
-            if a if truth else not is_zero(a):
+            if m[i][col] != zero:
                 sel = i
                 break
         if sel is None:
@@ -357,14 +350,13 @@ def _kmat_eliminate(fld, m, cols):
         m[top], m[sel] = m[sel], m[top]
         prow = m[top]
         inv = fld.inv(prow[col])
-        nz = [j for j in range(col + 1, len(prow))
-              if (prow[j] if truth else not is_zero(prow[j]))]
+        nz = [j for j in range(col + 1, len(prow)) if prow[j] != zero]
         for j in nz:
             prow[j] = mul(inv, prow[j])
         for i in range(rows):
             row = m[i]
             c = row[col]
-            if i == top or (not c if truth else is_zero(c)):
+            if i == top or c == zero:
                 continue
             if p:
                 for j in nz:

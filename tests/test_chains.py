@@ -477,3 +477,16 @@ def test_chain_maps_and_components_over_another_ring_are_refused():
     with pytest.raises(ValueError, match="component 0 lives over a different ring"):
         ChainMorphism(c, c, [TwistedMatrix.identity(q, 2)])
     assert ChainMorphism(c, c, [TwistedMatrix.identity(R5x2, 2)]).is_valid()
+
+
+def test_non_canonical_components_are_reduced_as_they_enter():
+    # 6 and -4 are 1 over F_5, 5 and 10 are its zero: the component is the
+    # identity, and the kernels, which compare entries with the field's
+    # zero, see it so
+    c = cok0(X2b)
+    raw = ChainMorphism(c, c, [TwistedMatrix(R5x2, [[[6], [5, 10]], [[10], [-4]]])])
+    ident = ChainMorphism(c, c, [TwistedMatrix.identity(R5x2, 2)])
+    assert raw.components == ident.components
+    assert raw.well_defined() and raw.is_valid() and not raw.is_zero_map()
+    zero = ChainMorphism(c, c, [TwistedMatrix(R5x2, [[[5], [0, 10]], [[-5], [15]]])])
+    assert zero.is_valid() and zero.is_zero_map()

@@ -154,6 +154,21 @@ def test_relations_over_another_ring_are_refused():
         ModulePresentation(R5x2, 1, TwistedMatrix(q, [[[7, 1]]]))
 
 
+def test_non_canonical_coefficients_are_reduced_as_they_enter():
+    # the kernels compare entries with the field's zero, so an F_p
+    # coefficient is reduced mod p as it enters a TwistedMatrix: 5 over F_5
+    # is the zero and 6 is 1, and a presentation built from them is the
+    # one built from their canonical forms
+    raw = TwistedMatrix(R5x2, [[[5, 0, 6]], [[10]]], rows=2, cols=1)
+    assert raw.m == [[[0, 0, 1]], [[]]]
+    pres = ModulePresentation(R5x2, 1, raw)
+    canon = ModulePresentation(R5x2, 1, TwistedMatrix(R5x2, [[[0, 0, 1]], [[]]]))
+    assert pres == canon and pres.check_abar()
+    assert pres.linearization().dim == canon.linearization().dim == 2
+    assert ModulePresentation(R5x2, 1, TwistedMatrix(R5x2, [[[5, 0, 1]]])).check_abar()
+    assert ModulePresentation(R5x2, 1, TwistedMatrix(R5x2, [[[5, 6]]])).linearization().dim == 1
+
+
 def test_field_matrix_helpers():
     fld = PrimeField(5)
     m = [[1, 2], [3, 4]]
@@ -351,9 +366,9 @@ def _elimination_cases(fld, rng):
                                  RationalField(), ExtensionField(2, 2)],
                          ids=["f2", "f3", "f5", "q", "f4"])
 def test_elimination_matches_the_method_reference(fld):
-    # _kmat_eliminate tests zero by truth and updates F_p rows inline; it
-    # must give the pivots and, outside the pivot columns, the entries of
-    # the elimination by field methods
+    # _kmat_eliminate compares entries with the field's zero and updates
+    # F_p rows inline; it must give the pivots and, outside the pivot
+    # columns, the entries of the elimination by field methods
     rng = random.Random(59)
     ranks = set()
     for m, cols in _elimination_cases(fld, rng):
@@ -380,8 +395,8 @@ def _is_canonical(fld, a):
 
 
 def test_kernel_inputs_are_canonical(monkeypatch):
-    # the kernels test an F_p or Q entry for zero by its truth, which is
-    # right on canonical elements alone: those the layer hands over, on
+    # the kernels compare an entry with the field's zero, which is right
+    # on canonical elements alone: those the layer hands over, on
     # every stock ring and on F_8 and F_9, through the deciders, hom spaces
     # and linearizations, each checked before a kernel sees it; at fold 4
     # and rank 3 the skew rows add coordinates past p
