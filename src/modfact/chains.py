@@ -56,18 +56,15 @@ class ChainModule:
 
     modules[i] presents M^{i+1}; maps[i] is the twist-0 TwistedMatrix of
     generator images of M^{i+1} -> M^{i+2} (row j = image of generator j),
-    kept as given, as the presentations keep their relations.  A chain of
-    length zero (n = 1) is allowed and carries no data beyond n itself.
+    kept as given, as the presentations keep their relations.  n is
+    len(modules) + 1; a chain of length zero (n = 1) carries no data.
     """
 
-    def __init__(self, ring, modules, maps, n=None):
+    def __init__(self, ring, modules, maps):
         self.ring = ring
         self.modules = list(modules)
         self.maps = list(maps)
-        self.n = n if n is not None else len(self.modules) + 1
-        if self.n != len(self.modules) + 1:
-            raise ValueError("n = %d does not match %d modules"
-                             % (self.n, len(self.modules)))
+        self.n = len(self.modules) + 1
         _check_map_count(self.modules, self.maps)
         for mod in self.modules:
             if mod.ring != ring:
@@ -142,7 +139,9 @@ class ChainModule:
         n = json_int(data.get("n", len(mods) + 1), "n")
         _check_map_count(mods, data["maps"])
         maps = [TwistedMatrix.from_json(ring, m) for m in data["maps"]]
-        return ChainModule(ring, mods, maps, n=n)
+        if n != len(mods) + 1:
+            raise ValueError("n = %d does not match %d modules" % (n, len(mods)))
+        return ChainModule(ring, mods, maps)
 
 
 class ChainMorphism:
@@ -247,7 +246,7 @@ def staircase_chain(ring, n, j, m=1):
     ident = TwistedMatrix.identity(ring, m)
     maps = [TwistedMatrix.zero(ring, 0, b.gens) if a is zero else ident
             for a, b in zip(mods, mods[1:])]
-    return ChainModule(ring, mods, maps, n=n)
+    return ChainModule(ring, mods, maps)
 
 
 def cok0(x):
@@ -256,7 +255,7 @@ def cok0(x):
     n = x.n
     mods = [ModulePresentation(x.ring, x.ranks[i], x.compose_range(0, i - 1))
             for i in range(1, n)]
-    return ChainModule(x.ring, mods, x.maps[1:n - 1], n=n)
+    return ChainModule(x.ring, mods, x.maps[1:n - 1])
 
 
 def cok0_morphism(f):

@@ -260,6 +260,15 @@ def cmd_psi(args):
     return PASS, report, ["read back a fold %d factorization" % x.n]
 
 
+_RECOLLEMENT_FAILURES = {
+    "section_identities": "quotient of the section is not the identity",
+    "section_identities_morphism": "section identities fail on a morphism",
+    "triangles": "an adjunction triangle identity fails",
+    "inclusion_valid": "an included object is not a factorization",
+    "kernel_stably_zero": "an included object survives the quotient",
+}
+
+
 def cmd_recollement(args):
     from .recollement import recollement
     rec = recollement(args.fold, args.level)
@@ -269,40 +278,29 @@ def cmd_recollement(args):
         z = jsonio.load_factorization(args.path, _maybe_ring(args))
         zs = [_factorization(z, args.path)]
     sc = _scenario(args, zs[0].ring if zs else _ring_for(args))
+    for z in zs:
+        # so that a Z of the wrong fold fails before any sampling
+        rec.included(z)
     rng = random.Random("%s:recollement:%d:%d" % (sc.seed, args.fold,
                                                   args.level))
-    checks = {"section_identities": 0, "section_identities_morphism": 0,
-              "triangles": 0, "kernel_stably_zero": 0}
+    checks = dict.fromkeys(rec.CHECKS, 0)
     failures = []
     if not zs:
         zs = [rg.random_object(sc.ring, rng, args.fold - args.level + 1,
                                sc.max_rank, sc.max_deg)
               for _ in range(sc.cases)]
     for z in zs:
-        # first, so that a Z of the wrong fold fails before any sampling
-        dies = rec.kernel_stably_zero(z).null
         x = rg.random_object(sc.ring, rng, args.level, sc.max_rank, sc.max_deg)
         y = rg.random_object(sc.ring, rng, args.fold, sc.max_rank, sc.max_deg)
         f = rg.random_morphism(rng, x,
                                rg.random_object(sc.ring, rng, args.level,
                                                 sc.max_rank, sc.max_deg),
                                sc.max_deg)
-        if rec.section_identities(x):
-            checks["section_identities"] += 1
-        else:
-            failures.append("quotient of the section is not the identity")
-        if rec.section_identities_morphism(f):
-            checks["section_identities_morphism"] += 1
-        else:
-            failures.append("section identities fail on a morphism")
-        if rec.triangles(x, y):
-            checks["triangles"] += 1
-        else:
-            failures.append("an adjunction triangle identity fails")
-        if dies:
-            checks["kernel_stably_zero"] += 1
-        else:
-            failures.append("an included object survives the quotient")
+        for name, ok in rec.checks(x, y, f, z):
+            if ok:
+                checks[name] += 1
+            else:
+                failures.append(_RECOLLEMENT_FAILURES[name])
     report = {"command": "recollement", "fold": args.fold,
               "level": args.level, "cases": len(zs), "checks": checks,
               "failures": failures[:20],

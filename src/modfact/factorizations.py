@@ -428,29 +428,34 @@ def direct_sum_morphism(fs):
     return Morphism(src, tgt, comps)
 
 
-def summand_inclusion(parts, t):
-    """The inclusion of parts[t] into the direct sum."""
-    ring = parts[0].ring
+def _summand_map(parts, t, onto):
+    """The inclusion of parts[t] into their direct sum, or with onto the
+    projection of the sum onto it: at each slot the identity of parts[t]
+    placed at its offset."""
     total = direct_sum(parts)
+    ring = total.ring
     comps = []
     for i in range(total.n):
-        before = sum(p.ranks[i] for p in parts[:t])
-        m = [[list(ring.one) if b == before + a else [] for b in range(total.ranks[i])]
-             for a in range(parts[t].ranks[i])]
-        comps.append(TwistedMatrix(ring, m, 0, parts[t].ranks[i], total.ranks[i]))
+        rows, cols = parts[t].ranks[i], total.ranks[i]
+        shift = sum(p.ranks[i] for p in parts[:t])
+        if onto:
+            rows, cols, shift = cols, rows, -shift
+        m = [[list(ring.one) if b - a == shift else [] for b in range(cols)]
+             for a in range(rows)]
+        comps.append(TwistedMatrix._wrap(ring, m, 0, rows, cols))
+    if onto:
+        return Morphism(total, parts[t], comps)
     return Morphism(parts[t], total, comps)
 
 
+def summand_inclusion(parts, t):
+    """The inclusion of parts[t] into the direct sum."""
+    return _summand_map(parts, t, False)
+
+
 def summand_projection(parts, t):
-    ring = parts[0].ring
-    total = direct_sum(parts)
-    comps = []
-    for i in range(total.n):
-        before = sum(p.ranks[i] for p in parts[:t])
-        m = [[list(ring.one) if a == before + b else [] for b in range(parts[t].ranks[i])]
-             for a in range(total.ranks[i])]
-        comps.append(TwistedMatrix(ring, m, 0, total.ranks[i], parts[t].ranks[i]))
-    return Morphism(total, parts[t], comps)
+    """The projection of the direct sum onto parts[t]."""
+    return _summand_map(parts, t, True)
 
 
 # -- the transports of the two base adjunctions --

@@ -57,12 +57,17 @@ the solution's polynomials from the same layer. Every positive answer is
 rebuilt in full from the solution and compared bit for bit with f: a
 witness through reconstruct_from_witness, a factorization by composing
 it with the counit, which with the trivial sum is built only then, so a
-negative never builds them.
+negative never builds them. Both place the solved coefficients into
+their block grids by one helper (_block_grids), and the counit of one
+summand, trivial_counit, is trivial_sum_counit on that summand alone.
 
 stable_hom reads stable Hom off the same component modulo omega: the
 HomSpace of those of morphisms modulo the rows of the witness map
 (ideal='all') or the theta^0 map (ideal='theta0'). Only
 HomSpace.morphism takes Hermite forms, to complete a morphism by division.
+omega I is null, and factors through theta^0, so omega kills either
+quotient: omega_torsion says that omega is divisible by every invariant
+factor, one division each.
 """
 
 from .rings import UnsupportedRingError
@@ -264,8 +269,12 @@ def _solve(f, image, top):
 
 # -- decider one: solve the reconstruction formula --
 
+def _witness_blocks(x, y):
+    return [(j, r, c) for j, (r, c, _) in enumerate(witness_shapes(x, y))]
+
+
 def _witness_slots(x, y):
-    return block_slots((j, r, c) for j, (r, c, _) in enumerate(witness_shapes(x, y)))
+    return block_slots(_witness_blocks(x, y))
 
 
 def _witness_image(x, y, slots):
@@ -288,15 +297,21 @@ def _witness_image(x, y, slots):
     return TermImage(x.ring, [(last, x.ranks[last], y.ranks[last])], terms, slots)
 
 
+def _block_grids(blocks, slots, coeffs):
+    """{k: grid} for the blocks (k, rows, cols), with coeffs placed by
+    their slots (block_slots of the blocks) and zero elsewhere. coeffs
+    are fresh trimmed lists, as _solve makes them, and the grids are
+    built here, so every matrix takes its grid without a copy."""
+    grids = {k: [[[] for _ in range(c)] for _ in range(r)] for k, r, c in blocks}
+    for (k, a, b), poly in zip(slots, coeffs):
+        grids[k][a][b] = poly
+    return grids
+
+
 def _witness_from_coeffs(x, y, slots, coeffs):
-    shapes = witness_shapes(x, y)
-    ring = x.ring
-    mats = [[[[] for _ in range(c)] for _ in range(r)] for r, c, _ in shapes]
-    for (j, a, b), poly in zip(slots, coeffs):
-        mats[j][a][b] = poly
-    # the coefficients are fresh trimmed lists, owned by the witness
-    return [TwistedMatrix._wrap(ring, m, t, r, c)
-            for m, (r, c, t) in zip(mats, shapes)]
+    grids = _block_grids(_witness_blocks(x, y), slots, coeffs)
+    return [TwistedMatrix._wrap(x.ring, grids[j], t, r, c)
+            for j, (r, c, t) in enumerate(witness_shapes(x, y))]
 
 
 def is_p_null_homotopic(f):
@@ -372,19 +387,16 @@ def _trivial_components(x, s, lam):
 
 
 def trivial_counit(y, i):
-    """theta^i(A^{r_i y}) -> y: slot j carries the arc d_Y^{i -> j} of y's
-    maps from slot i around to slot j (the identity at j = i). Each
-    component shares the grid of its arc, which no one mutates
-    (TwistedMatrix)."""
-    comps = [TwistedMatrix._wrap(y.ring, y.arc(i, j).m, 0, y.ranks[i], y.ranks[j])
-             for j in range(y.n)]
-    return Morphism(theta(y.ring, y.n, i, y.ranks[i]), y, comps)
+    """The counit theta^i(A^{r_i y}) -> y: trivial_sum_counit of the one
+    summand i."""
+    return trivial_sum_counit(y, [i])[1]
 
 
 def trivial_sum_counit(y, indices):
     """The trivial sum T of theta^i(A^{r_i y}) over i in indices, in that
     order, and the stacked counit T -> y: slot j stacks the arcs
-    d_Y^{i -> j} of trivial_counit, sharing their rows."""
+    d_Y^{i -> j} of y's maps from slot i around to slot j (the identity
+    at j = i), sharing their rows, which no one mutates (TwistedMatrix)."""
     ring, n = y.ring, y.n
     t = direct_sum([theta(ring, n, i, y.ranks[i]) for i in indices])
     comps = [TwistedMatrix._wrap(ring, [row for i in indices for row in y.arc(i, j).m],
@@ -392,10 +404,16 @@ def trivial_sum_counit(y, indices):
     return t, Morphism(t, y, comps)
 
 
+def _lambda_blocks(x, y, indices):
+    """The r_{i-1}(x) x r_i(y) parameter blocks (i, rows, cols), in the
+    order of indices."""
+    return [(i, x.ranks[(i - 1) % x.n], y.ranks[i]) for i in indices]
+
+
 def _lambda_slots(x, y, indices):
-    """Unknowns (i, a, b) of the r_{i-1}(x) x r_i(y) parameters, block by
-    block in the order of indices, each block row-major."""
-    return block_slots((i, x.ranks[(i - 1) % x.n], y.ranks[i]) for i in indices)
+    """Unknowns (i, a, b) of the parameters, block by block in the order
+    of indices, each block row-major."""
+    return block_slots(_lambda_blocks(x, y, indices))
 
 
 def _lambda_image(x, y, indices, slots):
@@ -417,17 +435,14 @@ def _lambda_image(x, y, indices, slots):
 
 def _lambda_morphism(x, y, t, indices, slots, coeffs):
     """The morphism x -> t whose blocks are the trivial_homs of the
-    parameters with entries coeffs, in slot order, side by side. coeffs
-    are fresh trimmed lists, as _solve makes them, and the grids are built
-    here, so every matrix takes its grid without a copy."""
+    parameters with entries coeffs, in slot order, side by side; every
+    matrix takes its grid without a copy (_block_grids)."""
     ring, n = x.ring, x.n
-    mats = {i: [[[] for _ in range(y.ranks[i])] for _ in range(x.ranks[(i - 1) % n])]
-            for i in indices}
-    for (i, a, b), poly in zip(slots, coeffs):
-        mats[i][a][b] = poly
-    parts = [_trivial_components(x, (i - 1) % n, TwistedMatrix._wrap(
-        ring, mats[i], 0, x.ranks[(i - 1) % n], y.ranks[i]))
-        for i in indices]
+    blocks = _lambda_blocks(x, y, indices)
+    grids = _block_grids(blocks, slots, coeffs)
+    parts = [_trivial_components(x, (i - 1) % n,
+                                 TwistedMatrix._wrap(ring, grids[i], 0, r, c))
+             for i, r, c in blocks]
     comps = [TwistedMatrix._wrap(ring, [sum((g[j].m[r] for g in parts), [])
                                         for r in range(x.ranks[j])], 0,
                                  x.ranks[j], t.ranks[j]) for j in range(n)]
@@ -539,16 +554,6 @@ class HomSpace:
                                for j, g in enumerate(comps + [top])])
 
 
-def _omega_power_divides(ring, factor):
-    """True when factor divides some power of omega (checked at power deg)."""
-    acc = ring.from_int(1)
-    for _ in range(ring.deg(factor)):
-        acc = ring.right_quo_rem(ring.mul(acc, ring.omega), factor)[1]
-        if not acc:
-            return True
-    return not acc
-
-
 class StableHomReport:
     """Stable Hom as a k[x]-module: hom's span modulo that of null, the top
     residues of the ideal's morphisms. omega kills it, so on a k-basis of
@@ -586,7 +591,9 @@ class StableHomReport:
                 self.invariant_factors.append(list(d[t][t]))
                 self.representatives.append(hom.morphism(hom.lift(top)))
         self.k_dimension = q
-        self.omega_torsion = all(_omega_power_divides(ring, f)
+        # omega I is null, so omega kills stable Hom and is divisible by
+        # every invariant factor
+        self.omega_torsion = all(not ring.right_quo_rem(ring.omega, f)[1]
                                  for f in self.invariant_factors)
 
     def factor_names(self):

@@ -33,8 +33,10 @@ class TwistedMatrix:
     returns self when sigma^power is the identity. Factorization.compose_range
     memoizes on this contract, the shift, face and degeneracy functors
     share the maps and arcs they are built from, homotopy.py's counits
-    share the grids and rows of the arcs they are read off, and
-    chains.cok0 shares the maps and arcs of its factorization.
+    share the grids and rows of the arcs they are read off,
+    chains.cok0 shares the maps and arcs of its factorization, and
+    matrixring.phi shares the arcs of its factorization as a grid's
+    structure maps, which psi hands back as maps.
     """
 
     __slots__ = ("ring", "rows", "cols", "twist", "m")
@@ -178,9 +180,8 @@ class TwistedMatrix:
     # -- blocks --
 
     @staticmethod
-    def direct_sum(ring, blocks, twist=None):
-        if twist is None:
-            twist = blocks[0].twist if blocks else 0
+    def direct_sum(ring, blocks):
+        twist = blocks[0].twist if blocks else 0
         for b in blocks:
             if b.twist != twist:
                 raise ValueError("direct sum needs equal twists")

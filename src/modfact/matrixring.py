@@ -18,6 +18,11 @@ and the corner, and validation is the round trip: rebuild from the
 read-off object and compare every entry, so any corrupted structure map
 is caught. A grid makes that round trip once (GammaModule.read_back), and
 validate_gamma, psi and psi_morphism all read its result.
+
+Nothing here copies a matrix. phi's structure maps are the arcs of x,
+shared and retagged at twist 0 (TwistedMatrix.with_twist), and psi's maps
+are the grid's own superdiagonal matrices and its corner retagged at
+twist 1.
 """
 
 from .fields import json_int
@@ -40,6 +45,8 @@ class GammaModule:
                 raise ValueError("structure maps sit at off-diagonal 1-based spots")
             if mat.twist != 0:
                 raise ValueError("structure maps are stored at twist 0")
+            if mat.ring != ring:
+                raise ValueError("map (%d,%d) lives over a different ring" % (i, j))
             if (mat.rows, mat.cols) != (self.ranks[j - 1], self.ranks[i - 1]):
                 raise ValueError(
                     "map (%d,%d) must be %dx%d, got %dx%d"
@@ -138,8 +145,7 @@ def phi(x):
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j:
-                maps[(i, j)] = TwistedMatrix(ring, x.arc(n - j, n - i).m, 0,
-                                             rows=ranks[j - 1], cols=ranks[i - 1])
+                maps[(i, j)] = x.arc(n - j, n - i).with_twist(0)
     return GammaModule(ring, ranks, maps)
 
 
@@ -157,17 +163,13 @@ def psi_unchecked(gm):
     ring = gm.ring
     n = gm.n
     ranks = [gm.ranks[n - 1 - t] for t in range(n)]
-    maps = []
-    for t in range(n - 1):
-        sup = gm.maps[(n - t - 1, n - t)]
-        maps.append(TwistedMatrix(ring, sup.m, 0, rows=ranks[t], cols=ranks[t + 1]))
+    maps = [gm.maps[(n - t - 1, n - t)] for t in range(n - 1)]
     if n == 1:
         # a 1-component module has no off-diagonal spots; the lone map is
         # forced to be omega itself
         maps.append(TwistedMatrix.omega_identity(ring, ranks[0]))
     else:
-        corner = gm.maps[(n, 1)]
-        maps.append(TwistedMatrix(ring, corner.m, 1, rows=ranks[n - 1], cols=ranks[0]))
+        maps.append(gm.maps[(n, 1)].with_twist(1))
     return Factorization(ring, ranks, maps)
 
 

@@ -19,6 +19,12 @@ The composites are normalized so every fold count lines up:
 section_left is left adjoint and section_right right adjoint to the
 quotient; inc_left and inc_right are the declared adjoint composites of
 inc, built by conjugating the two base adjunctions with shift powers.
+
+Recollement.checks is the one list of identities checked: both sections
+split the quotient, on objects and on maps; the four triangle
+identities; inc(z) is a factorization; and inc(z) dies under the
+quotient. The recollement verb and the laws suite both run it, each
+naming the outcomes in its own words.
 """
 
 from .factorizations import (Morphism, reindex, reindex_morphism, compose_plans,
@@ -164,7 +170,20 @@ class Recollement:
         self.inc_left = left
         self.inc_right = right
 
-    # -- the checks the laws and acceptance suites run --
+    # -- the checks the recollement verb and the laws suite run --
+
+    # the names of checks()'s outcomes, in its order
+    CHECKS = ("section_identities", "section_identities_morphism",
+              "triangles", "inclusion_valid", "kernel_stably_zero")
+
+    def checks(self, x, y, f, z):
+        """(name, outcome) for each identity, in the order of CHECKS: x
+        and y in F_k and F_n, f a morphism of F_k, z in F_{n-k+1}."""
+        w = self.included(z)
+        return list(zip(self.CHECKS, (
+            self.section_identities(x), self.section_identities_morphism(f),
+            self.triangles(x, y), w.is_valid(),
+            is_stably_zero(self.quotient.obj(w)).null)))
 
     def section_identities(self, x):
         """Both sections composed with the quotient return x bit-exact."""
@@ -183,14 +202,16 @@ class Recollement:
                 and self.adj_right.triangle_left(y)
                 and self.adj_right.triangle_right(x))
 
-    def kernel_stably_zero(self, z):
-        """Objects included from F_{n-k+1} die under the quotient."""
+    def included(self, z):
+        """inc(z); ValueError unless z has fold n - k + 1."""
         if z.n != self.n - self.k + 1:
             raise ValueError("the inclusion takes fold n - k + 1 = %d, not "
                              "fold %d" % (self.n - self.k + 1, z.n))
-        w = self.inc.obj(z)
-        q = self.quotient.obj(w)
-        return is_stably_zero(q)
+        return self.inc.obj(z)
+
+    def kernel_stably_zero(self, z):
+        """Objects included from F_{n-k+1} die under the quotient."""
+        return is_stably_zero(self.quotient.obj(self.included(z)))
 
 
 def recollement(n, k):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from modfact.fields import RationalField, PrimeField, ExtensionField
 from modfact.rings import BaseRing
 from modfact.matrices import TwistedMatrix
-from modfact.factorizations import Factorization
+from modfact.factorizations import Factorization, Morphism
 from modfact.chains import cok0
 from modfact.randomgen import random_object
 
@@ -84,3 +84,51 @@ def equal_invariant_pair(seed):
     rng = random.Random(seed)
     return (cok0(random_object(ring, rng, 3, 3, 2)),
             cok0(random_object(ring, rng, 3, 3, 2)))
+
+
+# -- base change k -> K along a field embedding --
+
+def field_embedding(k, big):
+    """A map k -> big that respects + and *: the identity on F_p, and for
+    k = F_p[u]/(g) the map sending u to the first root of g in big."""
+    if k.kind == "prime":
+        return big.from_int
+    root = None
+    for w in big.elements():
+        acc = big.zero
+        for c in reversed(k.modulus):       # Horner: g(w)
+            acc = big.add(big.mul(acc, w), big.from_int(c))
+        if big.is_zero(acc):
+            root = w
+            break
+    powers = [big.one]
+    for _ in range(k.e - 1):
+        powers.append(big.mul(powers[-1], root))
+
+    def embed(c):
+        out = big.zero
+        for a, wk in zip(c, powers):
+            out = big.add(out, big.mul(big.from_int(a), wk))
+        return out
+    return embed
+
+
+def base_change_ring(ring, big):
+    """ring = k[x; sigma] with its omega, over big instead of k."""
+    embed = field_embedding(ring.field, big)
+    return BaseRing(big, ring.sigma_power, [embed(c) for c in ring.omega]), embed
+
+
+def base_change(big_ring, embed, x):
+    """The factorization x with every coefficient sent through embed."""
+    return Factorization(big_ring, x.ranks, [_changed(big_ring, embed, d) for d in x.maps])
+
+
+def base_change_morphism(big_ring, embed, f, source, target):
+    """f over big_ring, between the base-changed source and target."""
+    return Morphism(source, target, [_changed(big_ring, embed, g) for g in f.components])
+
+
+def _changed(big_ring, embed, mat):
+    entries = [[[embed(c) for c in e] for e in row] for row in mat.m]
+    return TwistedMatrix(big_ring, entries, mat.twist, mat.rows, mat.cols)

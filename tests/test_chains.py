@@ -286,11 +286,24 @@ def test_chain_iso_definitive_negatives():
                               "Hom(C,D) %d, Hom(D,C) %d, Hom(D,D) %d" % dims)
 
 
+def test_chain_iso_without_tries_is_not_definitive(monkeypatch):
+    # no random combination is tried, and Hom(C,C) has one dimension four
+    # times over: nothing decides, so the answer says so
+    monkeypatch.setattr(ch, "_ISO_TRIES", 0)
+    c = cok0(X2)
+    assert not c.is_zero()
+    res = chain_iso(c, c)
+    assert (res.found, res.definitive) == (False, False)
+    assert res.reason == "no invertible combination in 0 tries"
+    assert res.to_json() == {"isomorphic": False, "definitive": False,
+                             "reason": "no invertible combination in 0 tries"}
+
+
 def test_lift_rejects_bad_chains():
     bad = ChainModule(R5x2, [
         ModulePresentation(R5x2, 1, TwistedMatrix(R5x2, [[xx]])),
         ModulePresentation(R5x2, 1, TwistedMatrix(R5x2, [[xx]])),
-    ], [TwistedMatrix(R5x2, [[xx]])], n=3)
+    ], [TwistedMatrix(R5x2, [[xx]])])
     ok, slot = chain_is_mono(bad)
     assert not ok and slot == 1
     assert bad.defects() == ["chain map into slot 2 is not injective"]
@@ -300,7 +313,7 @@ def test_lift_rejects_bad_chains():
     ill = ChainModule(R5x2, [
         ModulePresentation(R5x2, 1, TwistedMatrix(R5x2, [[x_]])),
         ModulePresentation(R5x2, 1, TwistedMatrix(R5x2, [[xx]])),
-    ], [TwistedMatrix(R5x2, [[one]])], n=3)
+    ], [TwistedMatrix(R5x2, [[one]])])
     assert chain_is_mono(ill) == (True, None)
     assert ill.defects() == ["chain map into slot 2 is not well defined"]
     with pytest.raises(ValueError, match="into slot 2 is not well defined"):
@@ -310,14 +323,14 @@ def test_lift_rejects_bad_chains():
     good = ChainModule(R5x2, [
         ModulePresentation(R5x2, 1, TwistedMatrix(R5x2, [[x_]])),
         ModulePresentation(R5x2, 1, TwistedMatrix(R5x2, [[xx]])),
-    ], [TwistedMatrix(R5x2, [[x_]])], n=3)
+    ], [TwistedMatrix(R5x2, [[x_]])])
     assert good.defects() == []
     for c, d, defect in ((bad, bad, "not injective"), (ill, ill, "not well defined"),
                          (good, ill, "not well defined"), (ill, good, "not well defined")):
         with pytest.raises(ValueError, match="into slot 2 is %s" % defect):
             chain_iso(c, d)
     free = ChainModule(R5x2, [ModulePresentation(R5x2, 1, TwistedMatrix.zero(R5x2, 0, 1))],
-                       [], n=2)
+                       [])
     with pytest.raises(ValueError):
         lift(free)
 
@@ -396,7 +409,7 @@ def test_staircase_cover_is_onto():
 # A/(x) -> A/(x^2), e -> x e, and the staircase with slot dimensions [0, 2]
 C_X = ChainModule(R5x2, [ModulePresentation(R5x2, 1, TwistedMatrix(R5x2, [[x_]])),
                          ModulePresentation(R5x2, 1, TwistedMatrix(R5x2, [[xx]]))],
-                  [TwistedMatrix(R5x2, [[x_]])], n=3)
+                  [TwistedMatrix(R5x2, [[x_]])])
 D_STAIR = staircase_chain(R5x2, 3, 2, 1)
 
 
@@ -428,7 +441,7 @@ def test_a_relation_of_width_zero_maps_into_a_nonzero_slot():
     # the zero module, presented by one relation row of width 0, into A/(x)
     c = ChainModule(R5x2, [ModulePresentation(R5x2, 0, TwistedMatrix(R5x2, [[]])),
                            ModulePresentation(R5x2, 1, TwistedMatrix(R5x2, [[x_]]))],
-                    [TwistedMatrix.zero(R5x2, 0, 1)], n=3)
+                    [TwistedMatrix.zero(R5x2, 0, 1)])
     assert c.defects() == []
     assert chain_iso(cok0(lift(c)), c).found
 

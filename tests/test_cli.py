@@ -354,6 +354,19 @@ def test_chain_iso_definitive_mismatch_exits_2(paths):
     assert code == 2 and json.loads(out)["result"]["definitive"]
 
 
+def test_chain_iso_out_of_tries_exits_5(paths, monkeypatch):
+    import modfact.chains as ch
+    monkeypatch.setattr(ch, "_ISO_TRIES", 0)
+    code, out, err = run("cok0", paths["x.json"])
+    cpath = paths["wj"]("xc5.json", dict(json.loads(out)["chain"], ring=Q2.to_json()))
+    code, out, err = run("chain-iso", cpath, cpath)
+    assert code == 5
+    assert json.loads(out)["result"] == {
+        "isomorphic": False, "definitive": False,
+        "reason": "no invertible combination in 0 tries"}
+    assert err == "no isomorphism found within the search budget\n"
+
+
 def test_phi_psi_roundtrip_and_corruption(paths):
     code, out, err = run("phi", paths["x.json"])
     assert code == 0
@@ -371,7 +384,12 @@ def test_phi_psi_roundtrip_and_corruption(paths):
 def test_recollement_verb(paths):
     code, out, err = run("recollement", "3", "1", "--ring", paths["ring"],
                          "--cases", "4")
-    assert code == 0 and json.loads(out)["passed"]
+    rep = json.loads(out)
+    assert code == 0 and rep["passed"]
+    # the five checks of Recollement.checks, each counted once a case
+    assert rep["checks"] == dict.fromkeys(
+        ["section_identities", "section_identities_morphism", "triangles",
+         "inclusion_valid", "kernel_stably_zero"], 4)
     code, out, err = run("recollement", "3", "1", "--ring", paths["skew"],
                          "--cases", "3")
     assert code == 0 and json.loads(out)["passed"]

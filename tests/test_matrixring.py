@@ -5,7 +5,9 @@ from modfact.factorizations import theta
 import modfact.matrixring as mr
 import modfact.homotopy as ho
 
-from common import R5x2, R5x3, RS, X2, X3, X3b, XS, one
+import pytest
+
+from common import R5x2, R5x3, RS, X2, X2Q, X3, X3b, XS, one
 
 rng = random.Random(11)
 X1 = theta(RS, 1, 0, 2)
@@ -16,6 +18,24 @@ def test_psi_inverts_phi_on_objects():
         gm = mr.phi(X)
         assert not mr.validate_gamma(gm)
         assert mr.psi(gm) == X
+
+
+def test_grids_share_the_arcs_and_maps_they_are_read_from():
+    for X in [X3b, XS, theta(R5x3, 3, 2, 1)]:
+        n = X.n
+        gm = mr.phi(X)
+        for (i, j), m in gm.maps.items():
+            assert m.m is X.arc(n - j, n - i).m and m.twist == 0
+        x = mr.psi_unchecked(gm)
+        for t in range(n - 1):
+            assert x.maps[t] is gm.maps[(n - t - 1, n - t)]
+        assert x.maps[-1].m is gm.maps[(n, 1)].m and x.maps[-1].twist == 1
+
+
+def test_structure_maps_over_another_ring_are_refused():
+    gq = mr.phi(X2Q)
+    with pytest.raises(ValueError, match="map \\(1,2\\) lives over a different ring"):
+        mr.GammaModule(R5x2, gq.ranks, gq.maps)
 
 
 def test_phi_of_theta0_has_identity_upper_blocks():

@@ -105,7 +105,7 @@ def _linearization_answers(ring, rng):
                     maps = [m.scale_left(ring.x) for m in c.maps]
                 else:
                     continue
-                out.append(ChainModule(ring, c.modules, maps, n=n).defects())
+                out.append(ChainModule(ring, c.modules, maps).defects())
             out.append([k(m) for m in cok0_morphism(random_morphism(rng, x, y)).kmats()])
     return out
 

@@ -114,6 +114,23 @@ def test_kernel_objects_are_stably_zero(n, k):
 
 
 @pytest.mark.parametrize("n,k", CASES)
+def test_checks_name_every_identity_in_order(n, k):
+    rec = recollement(n, k)
+    ring = rings[n]
+    _, tops = objs_for(n)
+    x = sources_for(n, k)[0]
+    f = Morphism.identity(x).scale_central(ring.omega)
+    z = rg.random_object(ring, random.Random(10 * n + k), n - k + 1, 2, 1)
+    out = rec.checks(x, tops[0], f, z)
+    assert [name for name, _ in out] == list(rec.CHECKS) == [
+        "section_identities", "section_identities_morphism", "triangles",
+        "inclusion_valid", "kernel_stably_zero"]
+    assert all(ok for _, ok in out), out
+    with pytest.raises(ValueError, match="takes fold n - k \\+ 1"):
+        rec.checks(x, tops[0], f, theta(ring, n - k + 2, 0))
+
+
+@pytest.mark.parametrize("n,k", CASES)
 def test_inc_composites_land_in_kernel_fold(n, k):
     rec = recollement(n, k)
     _, tops = objs_for(n)
