@@ -14,13 +14,14 @@ verbs recollement and laws add the sampling flags --seed, --max-rank,
 usage error, and so is a negative --max-deg or --n, and a --max-rank or
 --cases below 1.
 
-The parser is built on every call, from the VERBS table that declares
+The parsers are built on every call, from the VERBS table that declares
 each verb once: its name, handler, summary and arguments.  When the
-first argument names a verb, build_parser makes the top parser with that
-one subparser, so a call pays for the verb it runs; for anything else
-(no arguments, --help, an unknown word) it builds them all, for the
-listing and the messages that name every verb.  The modules only laws
-and recollement use are imported when those verbs run.
+first argument names a verb, parse_args builds that verb's parser alone
+and no top parser, so a call builds one parser, the one it runs.  The
+full parser of every verb (build_parser) is built only for the messages
+that name every verb: on no arguments, a leading flag such as --help,
+an unknown word, and arguments the verb does not read.  The modules only
+laws and recollement use are imported when those verbs run.
 
 Exit codes: 0 pass, 2 property failure, 3 input error, 4 unsupported
 ring operation, 5 chain-iso found no isomorphism within its search
@@ -31,10 +32,13 @@ on valid input. The verbs that decide something of an object
 that it is a factorization, and exit 3 when a rotated composite is not
 omega; validate reports such defects, and the constructions leave them be.
 recollement also exits 3, before it samples anything, on a Z whose fold
-is not N - K + 1.
+is not N - K + 1.  A reader that closes stdout early leaves the verb's
+exit code as it is; a --json file that cannot be written is an input
+error.
 """
 
 import argparse
+import os
 import random
 import sys
 
@@ -430,47 +434,85 @@ VERBS = (
 )
 
 
-def build_parser(verb=None):
-    """The parser of the named verb alone, or of every verb when verb names
-    none (None, a flag such as --help, an unknown word)."""
+def _verb_parser(p, verb):
+    """p with the arguments and defaults of verb, an entry of VERBS."""
+    name, fn, _, arguments = verb
+    for flag, kwargs in _COMMON + arguments:
+        if callable(kwargs.get("help")):
+            kwargs = dict(kwargs, help=kwargs["help"]())
+        p.add_argument(flag, **kwargs)
+    p.set_defaults(fn=fn, verb=name)
+    return p
+
+
+def build_parser():
+    """The full parser: a top parser with a subparser for every verb.
+    parse_args builds it only when argv names no verb (no arguments, a
+    leading flag such as --help, an unknown word) and to report arguments
+    a verb does not read; a call that names a verb and parses cleanly
+    builds that verb's parser alone."""
     top = _Parser(
         prog="modfact",
         description="exact computations with n-fold factorizations of a "
                     "normal ring element")
-    chosen = [v for v in VERBS if v[0] == verb]
-    # With one verb built, spell out the listing of all of them, so that the
-    # top usage printed on unrecognized arguments keeps its bytes.  The full
-    # parser lists its own choices and names the argument "verb" in errors.
-    listing = "{%s}" % ",".join(v[0] for v in VERBS) if chosen else None
-    sub = top.add_subparsers(dest="verb", required=True, metavar=listing)
-    for name, fn, summary, arguments in chosen or VERBS:
-        p = sub.add_parser(name, help=summary)
-        for flag, kwargs in _COMMON + arguments:
-            if callable(kwargs.get("help")):
-                kwargs = dict(kwargs, help=kwargs["help"]())
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(fn=fn)
+    sub = top.add_subparsers(dest="verb", required=True)
+    for verb in VERBS:
+        _verb_parser(sub.add_parser(verb[0], help=verb[2]), verb)
     return top
 
 
+def parse_args(argv):
+    """The namespace build_parser().parse_args(argv) gives, with the same
+    output and exit on a usage error or --help.  When argv[0] names a verb,
+    only that verb's parser is built: it is the subparser the full parser
+    would hand the rest to.  Arguments it leaves over are reported by the
+    full parser, whose usage names every verb."""
+    for verb in VERBS:
+        if argv and argv[0] == verb[0]:
+            p = _verb_parser(_Parser(prog="modfact " + verb[0]), verb)
+            args, extra = p.parse_known_args(argv[1:])
+            if extra:
+                build_parser().error("unrecognized arguments: %s"
+                                     % " ".join(extra))
+            return args
+    return build_parser().parse_args(argv)
+
+
+def _drop_stdout():
+    # Point a real stdout at the null device, so that the flush at
+    # interpreter exit finds no closed pipe to complain about.
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code, report, human = args.fn(args)
         report["exit_code"] = code
         jsonio.write_json(report, args.json)
+        # the summary goes wherever the report does not
+        out = sys.stderr if args.json == "-" else sys.stdout
+        for line in human:
+            print(line, file=out)
+        # a closed stdout shows here, not in the flush at interpreter exit
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except UnsupportedRingError as e:
         print("unsupported ring operation: %s" % e, file=sys.stderr)
         return BAD_RING
+    except BrokenPipeError:
+        # the reader of stdout left early; the verb's answer stands
+        _drop_stdout()
+        return code
     except (ValueError, OSError) as e:
         print("input error: %s" % e, file=sys.stderr)
         return BAD_INPUT
-    # the summary goes wherever the report does not
-    out = sys.stderr if args.json == "-" else sys.stdout
-    for line in human:
-        print(line, file=out)
     return code
 
 

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import random
@@ -31,7 +32,6 @@ F4X2 = [r for r in INST if not r.commutative and r.omega_deg == 2][0]
 
 def run(*argv):
     """Run the CLI in process; usage errors surface as SystemExit."""
-    import io
     from contextlib import redirect_stdout, redirect_stderr
     out, err = io.StringIO(), io.StringIO()
     try:
@@ -57,11 +57,14 @@ def paths(tmp_path_factory):
     f = random_morphism(rng, x, y)
     fd = f.to_json()
     fd.update(source=x.to_json(), target=y.to_json(), ring=Q2.to_json())
+    bad = x.to_json()
+    bad["maps"][0]["entries"][0][0] = ["1", "1"]
     d = {
         "tmp": tmp, "wj": wj, "rng": rng, "x": x, "y": y,
         "ring": wj("ring.json", Q2.to_json()),
         "skew": wj("skew.json", F4.to_json()),
         "x.json": wj("x.json", dict(x.to_json(), ring=Q2.to_json())),
+        "bad.json": wj("bad.json", dict(bad, ring=Q2.to_json())),
         "f.json": wj("f.json", fd),
         "g.json": wj("g.json", dict(phi(x).to_json(), ring=Q2.to_json())),
         "c.json": wj("c.json", dict(cok0(x).to_json(), ring=Q2.to_json())),
@@ -114,10 +117,7 @@ NON_FACTORIZATION_3 = {"n": 3, "ranks": [1, 1, 1], "ring": F5X2,
 
 
 def test_validate_rejects_broken_object(paths):
-    bad = paths["x"].to_json()
-    bad["maps"][0]["entries"][0][0] = ["1", "1"]
-    p = paths["wj"]("bad.json", dict(bad, ring=Q2.to_json()))
-    code, out, err = run("validate", p)
+    code, out, err = run("validate", paths["bad.json"])
     assert code == 2 and not json.loads(out)["passed"]
     # a chain is checked for well-defined maps and injectivity, each map
     # named by the slot of its target
@@ -521,16 +521,19 @@ def test_laws_skips_a_suite_with_no_fold_in_reach(paths):
     assert "(4)" in by["classical-sanity"]["skipped"]
 
 
-def test_module_entry_point_runs():
+def _child_env():
     # pytest's own pythonpath setting does not reach a child process, so
     # hand it the directory this modfact was imported from
     src = os.path.dirname(os.path.dirname(os.path.abspath(modfact.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_module_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "modfact.cli", "laws",
                            "--cases", "1", "--n", "2",
                            "--suite", "ring-laws"],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["passed"]
 
@@ -839,43 +842,110 @@ SAMPLE_ARGV = {
 }
 
 
-def _parse(parser, argv):
-    """(exit code, stdout, stderr, namespace) of parser.parse_args(argv)."""
-    import io
+def _parse(parse, argv):
+    """(exit code, stdout, stderr, namespace) of parse(argv)."""
     from contextlib import redirect_stdout, redirect_stderr
     out, err = io.StringIO(), io.StringIO()
     ns, code = None, None
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            ns = vars(parser.parse_args(argv))
+            ns = vars(parse(argv))
     except SystemExit as e:
         code = e.code
     return code, out.getvalue(), err.getvalue(), ns
 
 
-def _verbs(top):
-    (sub,) = [a for a in top._actions
-              if isinstance(a, argparse._SubParsersAction)]
-    return sub.choices
+@pytest.fixture
+def built(monkeypatch):
+    """The parsers cli builds, in the order it builds them."""
+    parsers = []
+    init = cli._Parser.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        parsers.append(self)
+    monkeypatch.setattr(cli._Parser, "__init__", record)
+    return parsers
 
 
-def test_one_verb_parser_matches_the_full_one():
+def test_one_verb_parser_matches_the_full_one(built):
     assert [v[0] for v in cli.VERBS] == list(SAMPLE_ARGV)
-    full = cli.build_parser()
+    full = cli.build_parser().parse_args
     total = 0
     for verb, sample in SAMPLE_ARGV.items():
-        one = cli.build_parser(verb)
-        assert list(_verbs(one)) == [verb]
-        opts = [a for a in _verbs(one)[verb]._actions if a.option_strings
+        del built[:]
+        assert _parse(cli.parse_args, [verb] + sample)[0] is None
+        (one,) = built
+        assert one.prog == "modfact " + verb
+        opts = [a for a in one._actions if a.option_strings
                 and not isinstance(a, argparse._HelpAction)]
         assert {s for a in opts for s in a.option_strings} == VERB_OPTIONS[verb]
         total += len(opts)
         # same namespace, help text and usage errors; on an unrecognized
-        # flag the top parser's usage, which names every verb, is printed
+        # flag or positional the top parser's usage, which names every
+        # verb, is printed
         for argv in ([verb] + sample, [verb, "--help"], [verb, "--ring"],
-                     [verb] + sample + ["--zzz"]):
-            assert _parse(one, argv) == _parse(full, argv), argv
+                     [verb] + sample + ["--zzz"],
+                     [verb] + sample + ["extra.json", "more.json"],
+                     [verb, "--"] + sample,
+                     [verb] + sample + ["--jso", "o.json"],
+                     [verb, "x.json", "-h"]):
+            assert _parse(cli.parse_args, argv) == _parse(full, argv), argv
     assert total == 37
+
+
+def test_a_named_verb_builds_one_parser(paths, built):
+    out = str(paths["tmp"] / "one-parser.json")
+    for argv in (["cok0", paths["x.json"], "--json", out],
+                 ["functor", "face", paths["x.json"], "--i", "1", "--json", out],
+                 ["laws", "--suite", "ring-laws", "--cases", "1", "--json", out]):
+        del built[:]
+        assert run(*argv)[0] == 0, argv
+        assert [p.prog for p in built] == ["modfact " + argv[0]], argv
+
+
+class _ClosedPipe(io.StringIO):
+    # a stdout whose reader has gone
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_keeps_the_verbs_exit_code(paths):
+    from contextlib import redirect_stdout, redirect_stderr
+    report = str(paths["tmp"] / "closed.json")
+    bad = paths["bad.json"]
+    for argv, want in ((["validate", paths["x.json"]], 0),
+                       (["validate", paths["x.json"], "--json", report], 0),
+                       (["validate", bad], 2),
+                       (["validate", bad, "--json", report], 2)):
+        err = io.StringIO()
+        with redirect_stdout(_ClosedPipe()), redirect_stderr(err):
+            code = cli.main(argv)
+        assert code == want and "input error" not in err.getvalue(), argv
+    with open(report) as fh:
+        assert json.load(fh)["exit_code"] == 2
+
+
+def test_a_closed_pipe_on_stdout_ends_quietly(paths):
+    report = str(paths["tmp"] / "piped.json")
+    bad = paths["bad.json"]
+    laws = ["laws", "--suite", "ring-laws", "--cases", "1"]
+    for argv, want in ((laws, 0), (laws + ["--json", report], 0),
+                       (["validate", bad], 2),
+                       (["validate", bad, "--json", report], 2),
+                       (laws + ["--json", str(paths["tmp"] / "no" / "r.json")], 3)):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "modfact.cli"] + argv,
+                                  stdout=write, stderr=subprocess.PIPE,
+                                  text=True, env=_child_env(), timeout=120)
+        finally:
+            os.close(write)
+        assert proc.returncode == want, (argv, proc.stderr)
+        for text in ("Traceback", "Exception ignored", "Broken pipe"):
+            assert text not in proc.stderr, (argv, proc.stderr)
+        assert ("input error: cannot write" in proc.stderr) == (want == 3)
 
 
 TOP_USAGE = """\
@@ -923,9 +993,7 @@ def test_top_level_listing_and_messages(monkeypatch):
 
 
 def test_cli_imports_laws_and_recollement_only_for_their_verbs():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(modfact.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     probe = ("import sys, modfact.cli; print(sorted(m for m in sys.modules "
              "if m in ('modfact.laws', 'modfact.recollement')))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
